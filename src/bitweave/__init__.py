@@ -71,6 +71,7 @@ from bitweave.patterns import (
     generate_trace,
     parse_pattern,
     read_trace,
+    trace_chunks,
     trace_counts,
     write_trace,
 )

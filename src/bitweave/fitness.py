@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from bitweave.cachesim import HierarchySpec, SimStats, build_hierarchy
 from bitweave.layout import Layout
-from bitweave.patterns import PatternSpec, bind_arrays, generate_trace
+from bitweave.patterns import PatternSpec, bind_arrays, trace_chunks
 
 __all__ = [
     "FitnessValue",
@@ -69,6 +69,8 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
 
     Arrays are placed at line-size alignment (the hierarchy's largest line)
     so distinct arrays never share a line, as a real allocator would give.
+    Elements larger than the smallest line would straddle lines and are
+    rejected, as are arrays whose addresses do not fit 64 bits.
     Results are memoized on (layout, pattern, spec); all three are immutable
     value objects, so repeated chromosomes cost a dict lookup.
     """
@@ -76,10 +78,17 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
     cached = _MEMO.get(key)
     if cached is not None:
         return cached
-    state = build_hierarchy(spec)
+    smallest = min(spec.levels, key=lambda level: level.line)
+    if pattern.element_size > smallest.line:
+        raise ValueError(
+            f"{pattern}: {pattern.element_size}-byte elements straddle the "
+            f"{smallest.line}-byte lines of {smallest.name}"
+        )
     line = max(level.line for level in spec.levels)
     bindings = bind_arrays(pattern, layout, line=line)
-    state.run(generate_trace(pattern, layout, bindings))
+    chunks = trace_chunks(pattern, layout, bindings)
+    state = build_hierarchy(spec)
+    state.run_chunks(chunks)
     stats = state.flush_writeback()
     result = fitness(stats, spec)
     _MEMO[key] = result

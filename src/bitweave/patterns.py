@@ -1,9 +1,11 @@
 """Memory access traces of classic loop kernels.
 
 Each pattern is a fixed loop nest over one or more arrays that share a
-single bit-interleave; generators walk the nest in lexical order and emit
-one event per array reference, with scalar temporaries held in registers.
-Only addresses matter here: the kernels are never executed numerically.
+single bit-interleave; its trace holds one event per array reference, in
+lexical loop order, with scalar temporaries held in registers.  Traces are
+built in numpy chunks by broadcasting each array's per-dimension index
+tables over blocks of loop iterations.  Only addresses matter here: the
+kernels are never executed numerically.
 
 Subscript convention: an access ``Arr(i, j)`` in matrix notation (row i,
 column j) touches coordinate (j, i) — the last subscript is dimension 0,
@@ -17,10 +19,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator, NamedTuple, Optional
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional
 
-from bitweave.cachesim import LOAD, STORE
-from bitweave.layout import Layout, Shape, scatter_bits
+import numpy as np
+
+from bitweave.cachesim import CHUNK_EVENTS, LOAD, STORE, Chunk
+from bitweave.layout import Layout, Shape, index_array
 
 __all__ = [
     "PATTERN_KINDS",
@@ -30,6 +34,7 @@ __all__ = [
     "parse_pattern",
     "bind_arrays",
     "generate_trace",
+    "trace_chunks",
     "trace_counts",
     "TraceCounts",
     "write_trace",
@@ -180,6 +185,11 @@ class ArrayBinding:
     def __post_init__(self) -> None:
         if self.base < 0:
             raise ValueError(f"{self.name}: negative base address")
+        if self.end > 1 << 64:
+            raise ValueError(
+                f"{self.name}: highest address {self.end - 1:#x} does not fit "
+                "the 64-bit addresses of a trace"
+            )
 
     @property
     def shape(self) -> Shape:
@@ -197,8 +207,8 @@ class ArrayBinding:
         return self.base + self.layout.index(coord) * self.shape.element_size
 
     @cached_property
-    def tables(self) -> tuple[list[int], ...]:
-        """Per-dimension deposited-and-scaled index tables.
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """Per-dimension deposited-and-scaled index tables (uint64).
 
         ``base + (tables[0][x0] | tables[1][x1] | ...)`` is the byte address
         of coordinate (x0, x1, ...); the masks are disjoint so the terms
@@ -213,8 +223,9 @@ class ArrayBinding:
                     f"{self.name}: dimension {d} has {b} bits; trace generation "
                     f"supports at most {_MAX_TABLE_BITS} bits per dimension"
                 )
-            mask = self.layout.deposit_masks[d]
-            out.append([scatter_bits(x, mask) << shift for x in range(1 << b)])
+            coords = np.zeros((1 << b, shape.ndim), dtype=np.uint64)
+            coords[:, d] = np.arange(1 << b, dtype=np.uint64)
+            out.append(index_array(self.layout, coords) << np.uint64(shift))
         return tuple(out)
 
 
@@ -275,262 +286,328 @@ def _adapt_layout(layout: Layout, bits: tuple[int, ...]) -> Layout:
     return Layout(tuple(ranks), Shape(tuple(bits), layout.shape.element_size))
 
 
-def generate_trace(
+def trace_chunks(
     spec: PatternSpec,
     layout: Layout,
     bindings: Optional[tuple[ArrayBinding, ...]] = None,
-) -> Iterator[AccessEvent]:
-    """Stream the kernel's access events in loop-nest order.
+) -> Iterator[Chunk]:
+    """The kernel's trace in loop-nest order, as chunks of CHUNK_EVENTS
+    events (the last may be shorter): uint64 byte addresses and a bool store
+    mask.  Every event has the pattern's element size.
 
     A pure function of (spec, layout, bindings); with the default packed
     bindings the trace depends on nothing else.
     """
     if bindings is None:
         bindings = bind_arrays(spec, layout)
-    gen = _GENERATORS[spec.kind]
-    return gen(spec, bindings)
+    return _rechunk(_NESTS[spec.kind](spec, bindings))
 
 
-def _gen_mm_ijk(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[AccessEvent]:
-    a, b, c = arrays
-    (a0, a1), (b0, b1), (c0, c1) = a.tables, b.tables, c.tables
-    ab, bb, cb = a.base, b.base, c.base
-    es = spec.element_size
-    n = 1 << spec.m
-    for i in range(n):
-        a_row = a1[i]
-        c_row = c1[i]
-        for j in range(n):
-            b_col = b0[j]
-            # acc lives in a register; only A(i,k) and B(k,j) touch memory
-            for k in range(n):
-                yield AccessEvent(LOAD, ab + (a0[k] | a_row), es)
-                yield AccessEvent(LOAD, bb + (b_col | b1[k]), es)
-            yield AccessEvent(STORE, cb + (c0[j] | c_row), es)
+def generate_trace(
+    spec: PatternSpec,
+    layout: Layout,
+    bindings: Optional[tuple[ArrayBinding, ...]] = None,
+) -> Iterator[AccessEvent]:
+    """Stream the kernel's access events in loop-nest order, one per
+    event of trace_chunks."""
+    chunks = trace_chunks(spec, layout, bindings)
+    size = spec.element_size
+
+    def events() -> Iterator[AccessEvent]:
+        for addresses, stores in chunks:
+            for address, store in zip(addresses.tolist(), stores.tolist()):
+                yield AccessEvent(STORE if store else LOAD, address, size)
+
+    return events()
 
 
-def _gen_mmt_ijk(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[AccessEvent]:
-    a, b, c = arrays
-    (a0, a1), (b0, b1), (c0, c1) = a.tables, b.tables, c.tables
-    ab, bb, cb = a.base, b.base, c.base
-    es = spec.element_size
-    n = 1 << spec.m
-    k_extent = 1 << spec.n
-    for i in range(n):
-        a_row = a1[i]
-        c_row = c1[i]
-        for j in range(n):
-            b_row = b1[j]
-            # C(i,j) = sum_k A(i,k) * B(j,k); B is read along its rows
-            for k in range(k_extent):
-                yield AccessEvent(LOAD, ab + (a0[k] | a_row), es)
-                yield AccessEvent(LOAD, bb + (b0[k] | b_row), es)
-            yield AccessEvent(STORE, cb + (c0[j] | c_row), es)
+def _rechunk(blocks: Iterator[Chunk]) -> Iterator[Chunk]:
+    """Cut a stream of blocks of any size into chunks of CHUNK_EVENTS events."""
+    addresses: list[np.ndarray] = []
+    stores: list[np.ndarray] = []
+    held = 0
+    for block_addresses, block_stores in blocks:
+        addresses.append(block_addresses)
+        stores.append(block_stores)
+        held += len(block_addresses)
+        if held < CHUNK_EVENTS:
+            continue
+        joined_addresses = np.concatenate(addresses)
+        joined_stores = np.concatenate(stores)
+        full = held - held % CHUNK_EVENTS
+        for k in range(0, full, CHUNK_EVENTS):
+            yield joined_addresses[k : k + CHUNK_EVENTS], joined_stores[k : k + CHUNK_EVENTS]
+        addresses, stores = [joined_addresses[full:]], [joined_stores[full:]]
+        held -= full
+    if held:
+        yield np.concatenate(addresses), np.concatenate(stores)
 
 
-def _gen_mm_ikj(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[AccessEvent]:
-    a, b, c = arrays
-    (a0, a1), (b0, b1), (c0, c1) = a.tables, b.tables, c.tables
-    ab, bb, cb = a.base, b.base, c.base
-    es = spec.element_size
-    n = 1 << spec.m
-    for i in range(n):
-        a_row = a1[i]
-        c_row = c1[i]
-        for k in range(n):
-            a_addr = ab + (a0[k] | a_row)
-            b_row = b1[k]
-            # C(i,j) = C(i,j) + A(i,k) * B(k,j), updated in place
-            for j in range(n):
-                c_addr = cb + (c0[j] | c_row)
-                yield AccessEvent(LOAD, c_addr, es)
-                yield AccessEvent(LOAD, a_addr, es)
-                yield AccessEvent(LOAD, bb + (b0[j] | b_row), es)
-                yield AccessEvent(STORE, c_addr, es)
+# A reference: a function from loop variables to byte addresses, and its op.
+_Ref = tuple[Callable[..., np.ndarray], str]
 
 
-def _gen_mmt_ikj(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[AccessEvent]:
-    a, b, c = arrays
-    (a0, a1), (b0, b1), (c0, c1) = a.tables, b.tables, c.tables
-    ab, bb, cb = a.base, b.base, c.base
-    es = spec.element_size
-    n = 1 << spec.m
-    k_extent = 1 << spec.n
-    for i in range(n):
-        a_row = a1[i]
-        c_row = c1[i]
-        for k in range(k_extent):
-            a_addr = ab + (a0[k] | a_row)
-            b_col = b0[k]
-            for j in range(n):
-                c_addr = cb + (c0[j] | c_row)
-                yield AccessEvent(LOAD, c_addr, es)
-                yield AccessEvent(LOAD, a_addr, es)
-                yield AccessEvent(LOAD, bb + (b_col | b1[j]), es)
-                yield AccessEvent(STORE, c_addr, es)
+def _nest(
+    outer: tuple[range, ...],
+    inner: range,
+    refs: tuple[_Ref, ...],
+    tail: tuple[_Ref, ...] = (),
+    stop: Optional[Callable[..., np.ndarray]] = None,
+) -> Iterator[Chunk]:
+    """Blocks of a loop nest's trace, in loop-nest order.
 
-
-def _gen_jacobi2d(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[AccessEvent]:
-    src, dst = arrays
-    (s0, s1), (d0, d1) = src.tables, dst.tables
-    sb, db = src.base, dst.base
-    es = spec.element_size
-    rows = 1 << spec.m
-    cols = 1 << spec.n
-    for i in range(1, rows - 1):
-        up = s1[i - 1]
-        row = s1[i]
-        down = s1[i + 1]
-        d_row = d1[i]
-        for j in range(1, cols - 1):
-            yield AccessEvent(LOAD, sb + (s0[j] | up), es)
-            yield AccessEvent(LOAD, sb + (s0[j] | down), es)
-            yield AccessEvent(LOAD, sb + (s0[j - 1] | row), es)
-            yield AccessEvent(LOAD, sb + (s0[j + 1] | row), es)
-            yield AccessEvent(STORE, db + (d0[j] | d_row), es)
-
-
-def _gen_cholesky(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[AccessEvent]:
-    a, low = arrays
-    (a0, a1), (l0, l1) = a.tables, low.tables
-    ab, lb = a.base, low.base
-    es = spec.element_size
-    n = 1 << spec.m
-    for i in range(n):
-        l_row_i = l1[i]
-        a_row_i = a1[i]
-        for j in range(i + 1):
-            l_row_j = l1[j]
-            # s = sum_{k<j} L(i,k) * L(j,k), accumulated in a register
-            for k in range(j):
-                yield AccessEvent(LOAD, lb + (l0[k] | l_row_i), es)
-                yield AccessEvent(LOAD, lb + (l0[k] | l_row_j), es)
-            if i == j:
-                # L(i,i) = sqrt(A(i,i) - s)
-                yield AccessEvent(LOAD, ab + (a0[i] | a_row_i), es)
-                yield AccessEvent(STORE, lb + (l0[i] | l_row_i), es)
+    The outer ranges are walked row-major; in each outer iteration (a body)
+    the inner variable runs over ``inner`` and issues ``refs`` at every
+    step, then the body issues ``tail``.  Reference functions take the outer
+    variables as column arrays and the inner one as a row array, so their
+    results broadcast over a block of bodies and steps.  ``stop``, a
+    function of the outer variables, ends each body's inner loop early.
+    Blocks hold whole bodies, up to CHUNK_EVENTS events' worth; a longer
+    body is split along its inner loop.
+    """
+    lengths = [len(r) for r in outer]
+    bodies = 1
+    for length in lengths:
+        bodies *= length
+    per_block = max(1, CHUNK_EVENTS // max(len(refs) * len(inner) + len(tail), 1))
+    step = max(1, min(len(inner), CHUNK_EVENTS // len(refs)))
+    ref_stores = np.array([op == STORE for _, op in refs], dtype=bool)
+    tail_stores = np.array([op == STORE for _, op in tail], dtype=bool)
+    for b in range(0, bodies, per_block):
+        flat = np.arange(b, min(b + per_block, bodies))
+        o = [
+            (r.start + r.step * idx)[:, None]
+            for r, idx in zip(outer, np.unravel_index(flat, lengths))
+        ]
+        nb = len(flat)
+        for k in range(0, max(len(inner), 1), step):
+            piece = inner[k : k + step]
+            x = np.arange(piece.start, piece.stop, piece.step)[None, :]
+            shape = (nb, len(piece), len(refs))
+            addresses = [_stack([fn(*o, x) for fn, _ in refs], shape)]
+            stores = [np.broadcast_to(ref_stores, shape).reshape(nb, shape[1] * shape[2])]
+            keep = [np.repeat(x < stop(*o), len(refs), axis=1)] if stop else []
+            if tail and k + step >= len(inner):
+                shape = (nb, 1, len(tail))
+                addresses.append(_stack([fn(*o) for fn, _ in tail], shape))
+                stores.append(np.broadcast_to(tail_stores, shape).reshape(nb, len(tail)))
+                if keep:
+                    keep.append(np.ones((nb, len(tail)), dtype=bool))
+            addresses = np.concatenate(addresses, axis=1)
+            stores = np.concatenate(stores, axis=1)
+            if keep:
+                keep = np.concatenate(keep, axis=1)
+                yield addresses[keep], stores[keep]
             else:
-                # L(i,j) = (A(i,j) - s) / L(j,j)
-                yield AccessEvent(LOAD, ab + (a0[j] | a_row_i), es)
-                yield AccessEvent(LOAD, lb + (l0[j] | l_row_j), es)
-                yield AccessEvent(STORE, lb + (l0[j] | l_row_i), es)
+                yield addresses.ravel(), stores.ravel()
 
 
-def _gen_crout(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[AccessEvent]:
-    a, lu = arrays
-    (a0, a1), (u0, u1) = a.tables, lu.tables
-    ab, ub = a.base, lu.base
-    es = spec.element_size
+def _stack(columns: list[np.ndarray], shape: tuple[int, int, int]) -> np.ndarray:
+    """Interleave per-reference address arrays into (bodies, steps * refs)."""
+    out = np.empty(shape, dtype=np.uint64)
+    for r, column in enumerate(columns):
+        out[:, :, r] = column
+    return out.reshape(shape[0], shape[1] * shape[2])
+
+
+def _at(binding: ArrayBinding) -> Callable[..., np.ndarray]:
+    """Byte addresses of the binding's elements at coordinate (x0, x1, ...)."""
+    base = np.uint64(binding.base)
+    tables = binding.tables
+
+    def at(*coord: np.ndarray) -> np.ndarray:
+        out = tables[0][coord[0]]
+        for table, x in zip(tables[1:], coord[1:]):
+            out = out | table[x]
+        return out + base
+
+    return at
+
+
+# Kernels.  An access Arr(i, k) in matrix notation is the coordinate (k, i),
+# so every call below names its subscripts in reverse.
+
+
+def _mm_ijk(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
+    a, b, c = map(_at, arrays)
+    n = range(1 << spec.m)
+    # acc lives in a register; only A(i,k) and B(k,j) touch memory
+    return _nest(
+        (n, n),  # i, j
+        n,  # k
+        ((lambda i, j, k: a(k, i), LOAD), (lambda i, j, k: b(j, k), LOAD)),
+        tail=((lambda i, j: c(j, i), STORE),),
+    )
+
+
+def _mmt_ijk(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
+    a, b, c = map(_at, arrays)
+    n = range(1 << spec.m)
+    # C(i,j) = sum_k A(i,k) * B(j,k); B is read along its rows
+    return _nest(
+        (n, n),  # i, j
+        range(1 << spec.n),  # k
+        ((lambda i, j, k: a(k, i), LOAD), (lambda i, j, k: b(k, j), LOAD)),
+        tail=((lambda i, j: c(j, i), STORE),),
+    )
+
+
+def _mm_ikj(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
+    a, b, c = map(_at, arrays)
+    n = range(1 << spec.m)
+    # C(i,j) = C(i,j) + A(i,k) * B(k,j), updated in place
+    return _nest(
+        (n, n),  # i, k
+        n,  # j
+        (
+            (lambda i, k, j: c(j, i), LOAD),
+            (lambda i, k, j: a(k, i), LOAD),
+            (lambda i, k, j: b(j, k), LOAD),
+            (lambda i, k, j: c(j, i), STORE),
+        ),
+    )
+
+
+def _mmt_ikj(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
+    a, b, c = map(_at, arrays)
+    n = range(1 << spec.m)
+    # C(i,j) = C(i,j) + A(i,k) * B(j,k)
+    return _nest(
+        (n, range(1 << spec.n)),  # i, k
+        n,  # j
+        (
+            (lambda i, k, j: c(j, i), LOAD),
+            (lambda i, k, j: a(k, i), LOAD),
+            (lambda i, k, j: b(k, j), LOAD),
+            (lambda i, k, j: c(j, i), STORE),
+        ),
+    )
+
+
+def _jacobi2d(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
+    src, dst = map(_at, arrays)
+    return _nest(
+        (range(1, (1 << spec.m) - 1),),  # i
+        range(1, (1 << spec.n) - 1),  # j
+        (
+            (lambda i, j: src(j, i - 1), LOAD),
+            (lambda i, j: src(j, i + 1), LOAD),
+            (lambda i, j: src(j - 1, i), LOAD),
+            (lambda i, j: src(j + 1, i), LOAD),
+            (lambda i, j: dst(j, i), STORE),
+        ),
+    )
+
+
+def _cholesky(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
+    a, low = map(_at, arrays)
+    # s = sum_{k<j} L(i,k) * L(j,k), accumulated in a register
+    acc = ((lambda i, j, k: low(k, i), LOAD), (lambda i, j, k: low(k, j), LOAD))
+    for i in range(1 << spec.m):
+        row = range(i, i + 1)
+        # L(i,j) = (A(i,j) - s) / L(j,j) for j < i
+        yield from _nest(
+            (row, range(i)),  # i, j
+            range(max(i - 1, 0)),  # k < j
+            acc,
+            tail=(
+                (lambda i, j: a(j, i), LOAD),
+                (lambda i, j: low(j, j), LOAD),
+                (lambda i, j: low(j, i), STORE),
+            ),
+            stop=lambda i, j: j,
+        )
+        # L(i,i) = sqrt(A(i,i) - s)
+        yield from _nest(
+            (row, row),  # i, j
+            range(i),  # k
+            acc,
+            tail=((lambda i, j: a(i, i), LOAD), (lambda i, j: low(i, i), STORE)),
+        )
+
+
+def _crout(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
+    a, lu = map(_at, arrays)
     n = 1 << spec.m
     for j in range(n):
-        u_row_j = u1[j]
-        # column j of L, diagonal included
-        for i in range(j, n):
-            u_row_i = u1[i]
-            for k in range(j):
-                yield AccessEvent(LOAD, ub + (u0[k] | u_row_i), es)
-                yield AccessEvent(LOAD, ub + (u0[j] | u1[k]), es)
-            # LU(i,j) = A(i,j) - s
-            yield AccessEvent(LOAD, ab + (a0[j] | a1[i]), es)
-            yield AccessEvent(STORE, ub + (u0[j] | u_row_i), es)
-        # row j of the unit-diagonal U
-        for i in range(j + 1, n):
-            for k in range(j):
-                yield AccessEvent(LOAD, ub + (u0[k] | u_row_j), es)
-                yield AccessEvent(LOAD, ub + (u0[i] | u1[k]), es)
-            # LU(j,i) = (A(j,i) - s) / LU(j,j)
-            yield AccessEvent(LOAD, ab + (a0[i] | a1[j]), es)
-            yield AccessEvent(LOAD, ub + (u0[j] | u_row_j), es)
-            yield AccessEvent(STORE, ub + (u0[i] | u_row_j), es)
+        col = range(j, j + 1)
+        # column j of L, diagonal included: LU(i,j) = A(i,j) - s
+        yield from _nest(
+            (col, range(j, n)),  # j, i
+            range(j),  # k
+            ((lambda j, i, k: lu(k, i), LOAD), (lambda j, i, k: lu(j, k), LOAD)),
+            tail=((lambda j, i: a(j, i), LOAD), (lambda j, i: lu(j, i), STORE)),
+        )
+        # row j of the unit-diagonal U: LU(j,i) = (A(j,i) - s) / LU(j,j)
+        yield from _nest(
+            (col, range(j + 1, n)),  # j, i
+            range(j),  # k
+            ((lambda j, i, k: lu(k, j), LOAD), (lambda j, i, k: lu(i, k), LOAD)),
+            tail=(
+                (lambda j, i: a(i, j), LOAD),
+                (lambda j, i: lu(j, j), LOAD),
+                (lambda j, i: lu(i, j), STORE),
+            ),
+        )
 
 
-def _gen_himeno(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[AccessEvent]:
+def _himeno(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
     # Array order: a0..a3, b0..b2, c0..c2, p, wrk.  All share one shape;
     # wrk is the sweep destination, p the 19-point stencil source.
-    coef = arrays[:10]
-    pa = arrays[10]
-    wrk = arrays[11]
-    ctabs = [arr.tables for arr in coef]
-    cbase = [arr.base for arr in coef]
-    p0, p1, p2 = pa.tables
-    pb = pa.base
-    w0, w1, w2 = wrk.tables
-    wb = wrk.base
-    es = spec.element_size
-    ni = 1 << spec.m
-    nj = 1 << spec.n
-    nk = 1 << spec.p
-    for i in range(1, ni - 1):
-        pi_m, pi_0, pi_p = p2[i - 1], p2[i], p2[i + 1]
-        ci = [t[2][i] for t in ctabs]
-        wi = w2[i]
-        for j in range(1, nj - 1):
-            pj_m, pj_0, pj_p = p1[j - 1], p1[j], p1[j + 1]
-            # per-coefficient (base, k table, row offset) for this (i, j)
-            (
-                (a0b, a0t, a0o),
-                (a1b, a1t, a1o),
-                (a2b, a2t, a2o),
-                (a3b, a3t, a3o),
-                (b0b, b0t, b0o),
-                (b1b, b1t, b1o),
-                (b2b, b2t, b2o),
-                (c0b, c0t, c0o),
-                (c1b, c1t, c1o),
-                (c2b, c2t, c2o),
-            ) = [
-                (cbase[x], ctabs[x][0], ctabs[x][1][j] | ci[x]) for x in range(10)
-            ]
-            w_row = w1[j] | wi
-            for k in range(1, nk - 1):
-                pk_m, pk_0, pk_p = p0[k - 1], p0[k], p0[k + 1]
-                # s0 = a0*p(i+1,j,k) + a1*p(i,j+1,k) + a2*p(i,j,k+1)
-                yield AccessEvent(LOAD, a0b + (a0t[k] | a0o), es)
-                yield AccessEvent(LOAD, pb + (pk_0 | pj_0 | pi_p), es)
-                yield AccessEvent(LOAD, a1b + (a1t[k] | a1o), es)
-                yield AccessEvent(LOAD, pb + (pk_0 | pj_p | pi_0), es)
-                yield AccessEvent(LOAD, a2b + (a2t[k] | a2o), es)
-                yield AccessEvent(LOAD, pb + (pk_p | pj_0 | pi_0), es)
-                #    + b0*(p(i+1,j+1,k) - p(i+1,j-1,k) - p(i-1,j+1,k) + p(i-1,j-1,k))
-                yield AccessEvent(LOAD, b0b + (b0t[k] | b0o), es)
-                yield AccessEvent(LOAD, pb + (pk_0 | pj_p | pi_p), es)
-                yield AccessEvent(LOAD, pb + (pk_0 | pj_m | pi_p), es)
-                yield AccessEvent(LOAD, pb + (pk_0 | pj_p | pi_m), es)
-                yield AccessEvent(LOAD, pb + (pk_0 | pj_m | pi_m), es)
-                #    + b1*(p(i,j+1,k+1) - p(i,j-1,k+1) - p(i,j+1,k-1) + p(i,j-1,k-1))
-                yield AccessEvent(LOAD, b1b + (b1t[k] | b1o), es)
-                yield AccessEvent(LOAD, pb + (pk_p | pj_p | pi_0), es)
-                yield AccessEvent(LOAD, pb + (pk_p | pj_m | pi_0), es)
-                yield AccessEvent(LOAD, pb + (pk_m | pj_p | pi_0), es)
-                yield AccessEvent(LOAD, pb + (pk_m | pj_m | pi_0), es)
-                #    + b2*(p(i+1,j,k+1) - p(i-1,j,k+1) - p(i+1,j,k-1) + p(i-1,j,k-1))
-                yield AccessEvent(LOAD, b2b + (b2t[k] | b2o), es)
-                yield AccessEvent(LOAD, pb + (pk_p | pj_0 | pi_p), es)
-                yield AccessEvent(LOAD, pb + (pk_p | pj_0 | pi_m), es)
-                yield AccessEvent(LOAD, pb + (pk_m | pj_0 | pi_p), es)
-                yield AccessEvent(LOAD, pb + (pk_m | pj_0 | pi_m), es)
-                #    + c0*p(i-1,j,k) + c1*p(i,j-1,k) + c2*p(i,j,k-1)
-                yield AccessEvent(LOAD, c0b + (c0t[k] | c0o), es)
-                yield AccessEvent(LOAD, pb + (pk_0 | pj_0 | pi_m), es)
-                yield AccessEvent(LOAD, c1b + (c1t[k] | c1o), es)
-                yield AccessEvent(LOAD, pb + (pk_0 | pj_m | pi_0), es)
-                yield AccessEvent(LOAD, c2b + (c2t[k] | c2o), es)
-                yield AccessEvent(LOAD, pb + (pk_m | pj_0 | pi_0), es)
-                # wrk = p + omega*(s0*a3 - p); p(i,j,k) is loaded once
-                yield AccessEvent(LOAD, a3b + (a3t[k] | a3o), es)
-                yield AccessEvent(LOAD, pb + (pk_0 | pj_0 | pi_0), es)
-                yield AccessEvent(STORE, wb + (w0[k] | w_row), es)
+    a0, a1, a2, a3, b0, b1, b2, c0, c1, c2, p, wrk = map(_at, arrays)
+    return _nest(
+        (range(1, (1 << spec.m) - 1), range(1, (1 << spec.n) - 1)),  # i, j
+        range(1, (1 << spec.p) - 1),  # k
+        (
+            # s0 = a0*p(i+1,j,k) + a1*p(i,j+1,k) + a2*p(i,j,k+1)
+            (lambda i, j, k: a0(k, j, i), LOAD),
+            (lambda i, j, k: p(k, j, i + 1), LOAD),
+            (lambda i, j, k: a1(k, j, i), LOAD),
+            (lambda i, j, k: p(k, j + 1, i), LOAD),
+            (lambda i, j, k: a2(k, j, i), LOAD),
+            (lambda i, j, k: p(k + 1, j, i), LOAD),
+            #    + b0*(p(i+1,j+1,k) - p(i+1,j-1,k) - p(i-1,j+1,k) + p(i-1,j-1,k))
+            (lambda i, j, k: b0(k, j, i), LOAD),
+            (lambda i, j, k: p(k, j + 1, i + 1), LOAD),
+            (lambda i, j, k: p(k, j - 1, i + 1), LOAD),
+            (lambda i, j, k: p(k, j + 1, i - 1), LOAD),
+            (lambda i, j, k: p(k, j - 1, i - 1), LOAD),
+            #    + b1*(p(i,j+1,k+1) - p(i,j-1,k+1) - p(i,j+1,k-1) + p(i,j-1,k-1))
+            (lambda i, j, k: b1(k, j, i), LOAD),
+            (lambda i, j, k: p(k + 1, j + 1, i), LOAD),
+            (lambda i, j, k: p(k + 1, j - 1, i), LOAD),
+            (lambda i, j, k: p(k - 1, j + 1, i), LOAD),
+            (lambda i, j, k: p(k - 1, j - 1, i), LOAD),
+            #    + b2*(p(i+1,j,k+1) - p(i-1,j,k+1) - p(i+1,j,k-1) + p(i-1,j,k-1))
+            (lambda i, j, k: b2(k, j, i), LOAD),
+            (lambda i, j, k: p(k + 1, j, i + 1), LOAD),
+            (lambda i, j, k: p(k + 1, j, i - 1), LOAD),
+            (lambda i, j, k: p(k - 1, j, i + 1), LOAD),
+            (lambda i, j, k: p(k - 1, j, i - 1), LOAD),
+            #    + c0*p(i-1,j,k) + c1*p(i,j-1,k) + c2*p(i,j,k-1)
+            (lambda i, j, k: c0(k, j, i), LOAD),
+            (lambda i, j, k: p(k, j, i - 1), LOAD),
+            (lambda i, j, k: c1(k, j, i), LOAD),
+            (lambda i, j, k: p(k, j - 1, i), LOAD),
+            (lambda i, j, k: c2(k, j, i), LOAD),
+            (lambda i, j, k: p(k - 1, j, i), LOAD),
+            # wrk = p + omega*(s0*a3 - p); p(i,j,k) is loaded once
+            (lambda i, j, k: a3(k, j, i), LOAD),
+            (lambda i, j, k: p(k, j, i), LOAD),
+            (lambda i, j, k: wrk(k, j, i), STORE),
+        ),
+    )
 
 
-_GENERATORS = {
-    "MMijk": _gen_mm_ijk,
-    "MMTijk": _gen_mmt_ijk,
-    "MMikj": _gen_mm_ikj,
-    "MMTikj": _gen_mmt_ikj,
-    "Jacobi2D": _gen_jacobi2d,
-    "Cholesky": _gen_cholesky,
-    "Crout": _gen_crout,
-    "Himeno": _gen_himeno,
+_NESTS = {
+    "MMijk": _mm_ijk,
+    "MMTijk": _mmt_ijk,
+    "MMikj": _mm_ikj,
+    "MMTikj": _mmt_ikj,
+    "Jacobi2D": _jacobi2d,
+    "Cholesky": _cholesky,
+    "Crout": _crout,
+    "Himeno": _himeno,
 }
 
 

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitweave.cachesim import (
     LOAD,
@@ -82,6 +85,38 @@ class TestSpecs:
                 memory_latency=100,
                 first="L1",
                 last="L2",
+            )
+
+    @pytest.mark.parametrize("link", ["load_from", "store_to", "victim_to"])
+    @pytest.mark.parametrize("target", ["L1", "L2"])
+    def test_links_must_point_outward(self, link, target):
+        with pytest.raises(ValueError, match="listed after"):
+            HierarchySpec(
+                levels=(
+                    CacheLevelSpec(name="L1", sets=2, ways=2, line=64, latency=4),
+                    CacheLevelSpec(name="L2", sets=2, ways=2, line=64, latency=12, **{link: target}),
+                ),
+                memory_latency=100,
+                first="L1",
+                last="L2",
+            )
+
+    def test_store_to_earlier_level_rejected(self):
+        # Flushing in list order would write L3's dirty line into the
+        # already-flushed L2 and leave it there: L2 line 0 dirty and
+        # memory_writebacks=0 after one store.
+        with pytest.raises(ValueError, match="listed after"):
+            HierarchySpec(
+                levels=(
+                    CacheLevelSpec(
+                        name="L1", sets=2, ways=2, line=64, latency=4, load_from="L3", store_to="L3"
+                    ),
+                    CacheLevelSpec(name="L2", sets=2, ways=2, line=64, latency=12),
+                    CacheLevelSpec(name="L3", sets=4, ways=2, line=64, latency=36, store_to="L2"),
+                ),
+                memory_latency=200,
+                first="L1",
+                last="L3",
             )
 
     def test_duplicate_names(self):
@@ -315,3 +350,72 @@ class TestVictimCache:
         stats = state.flush_writeback()
         # The dirtied line must have reached memory exactly once.
         assert stats.memory_writebacks >= 1
+
+
+@st.composite
+def hierarchies(draw):
+    """1-3 levels with random geometry and outward links."""
+    names = [f"L{k + 1}" for k in range(draw(st.integers(1, 3)))]
+    levels = []
+    for k, name in enumerate(names):
+        link = st.sampled_from([None, *names[k + 1 :]])
+        levels.append(
+            CacheLevelSpec(
+                name=name,
+                sets=draw(st.sampled_from((1, 2, 3, 4, 8))),
+                ways=draw(st.integers(1, 4)),
+                line=draw(st.sampled_from((16, 32, 64))),
+                latency=k + 1,
+                load_from=draw(link),
+                store_to=draw(link),
+                victim_to=draw(link),
+            )
+        )
+    return HierarchySpec(tuple(levels), memory_latency=100, first=names[0], last=names[-1])
+
+
+@st.composite
+def traces(draw):
+    """Runs of accesses to few distinct lines, so repeats are common."""
+    events = []
+    for _ in range(draw(st.integers(1, 60))):
+        line = draw(st.integers(0, 40))
+        for _ in range(draw(st.integers(1, 6))):
+            op = STORE if draw(st.booleans()) else LOAD
+            events.append((op, line * 16 + 4 * draw(st.integers(0, 3)), 4))
+    return events
+
+
+class TestRunMatchesAccess:
+    """run() with its repeat filter against a per-event access() loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=hierarchies(), events=traces(), data=st.data())
+    def test_differential(self, spec, events, data):
+        expected = build_hierarchy(spec)
+        for op, addr, size in events:
+            expected.access(op, addr, size)
+        expected = expected.flush_writeback()
+
+        whole = build_hierarchy(spec)
+        whole.run(events)
+        assert whole.flush_writeback() == expected
+
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=5)))
+        split = build_hierarchy(spec)
+        for start, end in zip([0, *cuts], [*cuts, len(events)]):
+            split.run(events[start:end])
+        assert split.flush_writeback() == expected
+
+    def test_chunks_and_tuples_agree(self):
+        rng = random.Random(17)
+        events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 13, 8), 8) for _ in range(3000)]
+        addresses = np.array([addr for _, addr, _ in events], dtype=np.uint64)
+        stores = np.array([op == STORE for op, _, _ in events])
+        a = build_hierarchy(three_level())
+        a.run(events)
+        b = build_hierarchy(three_level())
+        b.run_chunks(
+            [(addresses[:1000], stores[:1000]), (addresses[:0], stores[:0]), (addresses[1000:], stores[1000:])]
+        )
+        assert a.flush_writeback() == b.flush_writeback()

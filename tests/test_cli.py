@@ -106,6 +106,13 @@ class TestSimulate:
     def test_bad_pattern(self, capsys):
         assert main(["simulate", "-l", "[0,1]", "-p", "Nope(1;4)", "-c", "haswell"]) == 1
 
+    def test_straddling_element_rejected(self, capsys):
+        argv = ["simulate", "-l", "[0,1,0,1]", "-p", "MMijk(2;128)", "-c", "haswell"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "straddle" in captured.err
+        assert captured.out == ""
+
     def test_fifo_cache_rejected(self, tmp_path, capsys):
         path = tmp_path / "fifo.yaml"
         path.write_text(

@@ -207,3 +207,24 @@ class TestEvaluate:
         wrong = canonical_layout(Shape((2, 3)))
         with pytest.raises(ValueError):
             evaluate(wrong, spec, single_level(4, 2, 16))
+
+    def test_element_straddling_a_line_rejected(self):
+        # access() rejects such an element; evaluate must not score it.
+        clear_cache()
+        spec = PatternSpec("MMijk", m=2, element_size=128)
+        with pytest.raises(ValueError, match="straddle"):
+            evaluate(canonical_layout(spec.primary_shape()), spec, load_cache_spec("haswell"))
+        small = PatternSpec("MMijk", m=2, element_size=32)
+        with pytest.raises(ValueError, match="straddle"):
+            evaluate(canonical_layout(small.primary_shape()), small, single_level(4, 2, 16))
+        assert cache_size() == 0
+
+    def test_element_filling_the_smallest_line_accepted(self):
+        spec = PatternSpec("MMijk", m=2, element_size=16)
+        result = evaluate(canonical_layout(spec.primary_shape()), spec, single_level(4, 2, 16))
+        assert result.stats.accesses == 2 * 2**6 + 2**4
+
+    def test_addresses_beyond_64_bits_rejected(self):
+        spec = PatternSpec("MMijk", m=31, element_size=8)
+        with pytest.raises(ValueError, match="64-bit"):
+            evaluate(canonical_layout(spec.primary_shape()), spec, load_cache_spec("haswell"))

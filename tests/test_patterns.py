@@ -1,13 +1,17 @@
 """Tests for the kernel trace generators."""
 
+import hashlib
 import io
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bitweave.cachesim import LOAD, STORE
-from bitweave.layout import Layout, Shape, canonical_layout, morton_layout
+from bitweave.cachesim import CHUNK_EVENTS, LOAD, STORE
+from bitweave.layout import Layout, Shape, canonical_layout, morton_layout, scatter_bits
+from bitweave.layout import random_layout as seeded_layout
 from bitweave.patterns import (
     PATTERN_KINDS,
     AccessEvent,
@@ -17,6 +21,7 @@ from bitweave.patterns import (
     generate_trace,
     parse_pattern,
     read_trace,
+    trace_chunks,
     trace_counts,
     write_trace,
 )
@@ -189,6 +194,14 @@ class TestBind:
         binding = ArrayBinding("X", canonical_layout(Shape((25, 1))), 0)
         with pytest.raises(ValueError, match="bits per dimension"):
             binding.tables
+
+    def test_tables_deposit_and_scale(self):
+        rng = random.Random(3)
+        layout = random_layout(rng, Shape((3, 4, 2), 8))
+        tables = ArrayBinding("X", layout, 0).tables
+        for table, bits, mask in zip(tables, layout.shape.bits, layout.deposit_masks):
+            assert table.dtype == np.uint64
+            assert table.tolist() == [scatter_bits(x, mask) * 8 for x in range(1 << bits)]
 
 
 def count_ops(events):
@@ -399,6 +412,97 @@ class TestTraceProperties:
         a = list(generate_trace(spec, layout))
         b = list(generate_trace(spec, layout))
         assert a == b
+
+
+# SHA-256 of write_trace output per "<pattern> <layout>", recorded from the
+# per-event generators that the chunked ones replaced.
+GOLDEN = json.loads((Path(__file__).parent / "golden_traces.json").read_text())
+
+
+def golden_layout(text, name):
+    shape = parse_pattern(text).primary_shape()
+    if name == "row-major":
+        return canonical_layout(shape)
+    if name == "morton":
+        return morton_layout(shape)
+    return seeded_layout(shape, random.Random(text))
+
+
+class TestGoldenTraces:
+    def test_covers_every_kind(self):
+        kinds = {parse_pattern(label.split()[0]).kind for label in GOLDEN}
+        assert kinds == set(PATTERN_KINDS)
+
+    @pytest.mark.parametrize("label", sorted(GOLDEN))
+    def test_trace_hash(self, label):
+        text, name = label.split()
+        spec = parse_pattern(text)
+        buf = io.StringIO()
+        write_trace(generate_trace(spec, golden_layout(text, name)), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[label]
+
+
+class TestChunks:
+    @pytest.mark.parametrize("text", ["MMijk(5;8)", "Cholesky(6;4)", "Himeno(3,4,5;4)"])
+    def test_chunks_are_full_and_match_events(self, text):
+        spec = parse_pattern(text)
+        layout = morton_layout(spec.primary_shape())
+        chunks = list(trace_chunks(spec, layout))
+        assert len(chunks) > 1
+        for addresses, stores in chunks:
+            assert addresses.dtype == np.uint64 and stores.dtype == bool
+            assert len(addresses) == len(stores)
+        assert all(len(addresses) == CHUNK_EVENTS for addresses, _ in chunks[:-1])
+        assert 0 < len(chunks[-1][0]) <= CHUNK_EVENTS
+        events = list(generate_trace(spec, layout))
+        assert np.concatenate([a for a, _ in chunks]).tolist() == [ev.address for ev in events]
+        assert np.concatenate([s for _, s in chunks]).tolist() == [
+            ev.op == STORE for ev in events
+        ]
+
+    def test_body_longer_than_a_chunk(self):
+        # One Jacobi row is 5 * (cols - 2) events, more than a chunk, so the
+        # row is split.
+        n = CHUNK_EVENTS.bit_length() - 1
+        cols = 2**n
+        spec = PatternSpec("Jacobi2D", m=2, n=n)
+        layout = canonical_layout(spec.primary_shape())
+        chunks = list(trace_chunks(spec, layout))
+        assert sum(len(a) for a, _ in chunks) == 5 * 2 * (cols - 2)
+        assert max(len(a) for a, _ in chunks) == CHUNK_EVENTS
+        src, dst = bind_arrays(spec, layout)
+        addresses = np.concatenate([a for a, _ in chunks])
+        # row i=2 starts 5 * (cols - 2) events in; its second event is src(i+1, j=1)
+        assert addresses[5 * (cols - 2) + 1] == src.address((1, 3))
+
+    def test_body_with_tail_longer_than_a_chunk(self):
+        # Each (i, j) body of MMTijk(1,n) is 2 * 2^n loads, then the store.
+        n = CHUNK_EVENTS.bit_length() - 1
+        spec = PatternSpec("MMTijk", m=1, n=n)
+        layout = morton_layout(spec.primary_shape())
+        a, b, c = bind_arrays(spec, layout)
+        expected = []
+        for i in range(2):
+            for j in range(2):
+                for k in range(2**n):
+                    expected += [(False, a.address((k, i))), (False, b.address((k, j)))]
+                expected.append((True, c.address((j, i))))
+        chunks = list(trace_chunks(spec, layout, (a, b, c)))
+        assert max(len(addresses) for addresses, _ in chunks) == CHUNK_EVENTS
+        got = zip(
+            np.concatenate([s for _, s in chunks]).tolist(),
+            np.concatenate([addresses for addresses, _ in chunks]).tolist(),
+        )
+        assert list(got) == expected
+
+    def test_address_beyond_64_bits_rejected(self):
+        spec = PatternSpec("MMijk", m=31, element_size=8)
+        with pytest.raises(ValueError, match="64-bit"):
+            trace_chunks(spec, canonical_layout(spec.primary_shape()))
+        # 2^62 elements of 4 bytes end exactly at 2^64
+        ArrayBinding("X", canonical_layout(Shape((31, 31), 4)), 0)
+        with pytest.raises(ValueError, match="64-bit"):
+            ArrayBinding("X", canonical_layout(Shape((31, 31), 4)), 4)
 
 
 def fill_matrix(binding, rows, cols, rng, flat):
