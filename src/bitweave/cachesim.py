@@ -245,26 +245,19 @@ class CacheState:
 
         The access must not straddle a line boundary at any level.
         """
+        _check_access(op, address, size, self._min_line)
         if op == STORE:
             self.stores += 1
-        elif op == LOAD:
-            self.loads += 1
         else:
-            raise ValueError(f"op must be {LOAD!r} or {STORE!r}, got {op!r}")
-        if address < 0 or size < 1:
-            raise ValueError(f"bad access address={address} size={size}")
-        if (address & (self._min_line - 1)) + size > self._min_line:
-            raise ValueError(
-                f"access at {address:#x} size {size} straddles a {self._min_line}-byte line"
-            )
+            self.loads += 1
         record: list[tuple[str, bool]] = []
         self._demand(self._first, op == STORE, address, record)
         return tuple(record)
 
     def run(self, events: Iterable[tuple[str, int, int]]) -> None:
         """Stream a whole trace of (op, address, size) tuples; same semantics
-        as access() in a tight loop, without its checks."""
-        self.run_chunks(_pack(events))
+        and checks as access() in a tight loop."""
+        self.run_chunks(_pack(events, self._min_line))
 
     def run_chunks(self, chunks: Iterable[Chunk]) -> None:
         """Stream a whole trace given as chunks; see the module docstring."""
@@ -448,12 +441,37 @@ def build_hierarchy(spec: HierarchySpec) -> CacheState:
     return CacheState(spec)
 
 
-def _pack(events: Iterable[tuple[str, int, int]]) -> Iterator[Chunk]:
-    """Pack (op, address, size) tuples into chunks."""
+def _check_access(op: str, address: int, size: int, line: int) -> None:
+    """Reject an access that is neither a load nor a store, has a negative
+    address or a size below 1, or straddles a ``line``-byte line."""
+    if op not in (LOAD, STORE):
+        raise ValueError(f"op must be {LOAD!r} or {STORE!r}, got {op!r}")
+    if address < 0 or size < 1:
+        raise ValueError(f"bad access address={address} size={size}")
+    if (address & (line - 1)) + size > line:
+        raise ValueError(f"access at {address:#x} size {size} straddles a {line}-byte line")
+
+
+def _pack(events: Iterable[tuple[str, int, int]], line: int) -> Iterator[Chunk]:
+    """Pack (op, address, size) tuples into chunks, rejecting what access()
+    rejects for the smallest line size ``line``."""
     events = iter(events)
     while batch := list(islice(events, CHUNK_EVENTS)):
         n = len(batch)
-        yield (
-            np.fromiter(map(itemgetter(1), batch), dtype=np.uint64, count=n),
-            np.fromiter(map(STORE.__eq__, map(itemgetter(0), batch)), dtype=bool, count=n),
-        )
+        ops = list(map(itemgetter(0), batch))
+        try:
+            addresses = np.fromiter(map(itemgetter(1), batch), dtype=np.uint64, count=n)
+            sizes = np.fromiter(map(itemgetter(2), batch), dtype=np.uint64, count=n)
+        except OverflowError:  # a negative value, or an address beyond 64 bits
+            valid = False
+        else:
+            valid = (
+                ops.count(LOAD) + ops.count(STORE) == n
+                and bool(np.all((sizes >= 1) & (sizes <= line)))
+                and bool(np.all((addresses & np.uint64(line - 1)) + sizes <= line))
+            )
+        if not valid:
+            for event in batch:
+                _check_access(*event, line)
+            raise ValueError("trace addresses must fit in 64 bits")
+        yield addresses, np.fromiter(map(STORE.__eq__, ops), dtype=bool, count=n)

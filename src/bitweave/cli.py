@@ -3,8 +3,8 @@
 Subcommands: enumerate (count/list layouts of a shape), index (coordinate
 to linear index and back), simulate (score one layout under a kernel and
 cache), evolve (run the genetic search and write its history CSV), sample
-(score random layouts into a CSV), and bench (time a kernel numerically;
-hardware-dependent, informational only).
+(score random layouts into a CSV), and bench (time a replay of a kernel's
+trace on real data; hardware-dependent, informational only).
 
 Exit codes: 0 success, 1 usage or parse error, 2 runtime error.  The
 BITWEAVE_CACHE environment variable supplies the default cache preset.
@@ -32,9 +32,15 @@ from bitweave.layout import (
     enumerate_layouts,
     layout_from_text,
     random_layout,
-    scatter_bits,
 )
-from bitweave.patterns import PatternSpec, bind_arrays, generate_trace, parse_pattern, write_trace
+from bitweave.patterns import (
+    PatternSpec,
+    bind_arrays,
+    generate_trace,
+    parse_pattern,
+    trace_chunks,
+    write_trace,
+)
 
 ENV_CACHE = "BITWEAVE_CACHE"
 DEFAULT_CACHE = "haswell"
@@ -187,90 +193,41 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _element_tables(layout: Layout) -> list[list[int]]:
-    return [
-        [scatter_bits(x, mask) for x in range(1 << b)]
-        for b, mask in zip(layout.shape.bits, layout.deposit_masks)
-    ]
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run a kernel on real data with layout-mapped indexing and time it.
+    """Replay the kernel's trace on real data and time the replay.
 
-    Results depend on the host machine and interpreter; this exists to
-    poke at layouts interactively, not to certify anything.
+    Memory is one list of random floats, one per element of the packed
+    arrays.  A load adds its element to an accumulator; a store writes the
+    accumulator to its element and resets it.  The trace is generated chunk
+    by chunk outside the timed loops.  Results depend on the host machine
+    and interpreter; this exists to poke at layouts interactively, not to
+    certify anything.
     """
+    if args.repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {args.repeat}")
     pattern, layout = _pattern_layout(args)
-    if pattern.kind not in ("MMijk", "MMTijk", "MMikj", "MMTikj", "Jacobi2D"):
-        raise ValueError(f"bench does not support {pattern.kind}")
     bindings = bind_arrays(pattern, layout)
-    tables = [_element_tables(binding.layout) for binding in bindings]
+    size = pattern.element_size
     rng = random.Random(0)
-    sizes = [binding.shape.num_elements for binding in bindings]
-    data = [[rng.random() for _ in range(size)] for size in sizes]
-    best = None
-    accesses = 0
+    data = [rng.random() for _ in range(bindings[-1].end // size)]
+    best = float("inf")
     for _ in range(args.repeat):
-        start = time.perf_counter()
-        accesses = _bench_kernel(pattern, tables, data)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
+        elapsed, accesses, acc = 0.0, 0, 0.0
+        for addresses, stores in trace_chunks(pattern, layout, bindings):
+            elements = (addresses // size).tolist()
+            flags = stores.tolist()
+            start = time.perf_counter()
+            for element, store in zip(elements, flags):
+                if store:
+                    data[element] = acc
+                    acc = 0.0
+                else:
+                    acc += data[element]
+            elapsed += time.perf_counter() - start
+            accesses += len(elements)
+        best = min(best, elapsed)
     print(f"{pattern} over {layout.to_text()}: best {best:.6f}s ({accesses} accesses)")
     return 0
-
-
-def _bench_kernel(pattern: PatternSpec, tables: list[list[list[int]]], data) -> int:
-    kind = pattern.kind
-    if kind in ("MMijk", "MMikj"):
-        (a0, a1), (b0, b1), (c0, c1) = tables
-        a, b, c = data
-        n = 1 << pattern.m
-        if kind == "MMijk":
-            for i in range(n):
-                for j in range(n):
-                    acc = 0.0
-                    for k in range(n):
-                        acc += a[a0[k] | a1[i]] * b[b0[j] | b1[k]]
-                    c[c0[j] | c1[i]] = acc
-            return 2 * n**3 + n**2
-        for i in range(n):
-            for k in range(n):
-                a_ik = a[a0[k] | a1[i]]
-                for j in range(n):
-                    c[c0[j] | c1[i]] += a_ik * b[b0[j] | b1[k]]
-        return 4 * n**3
-    if kind in ("MMTijk", "MMTikj"):
-        (a0, a1), (b0, b1), (c0, c1) = tables
-        a, b, c = data
-        n = 1 << pattern.m
-        depth = 1 << pattern.n
-        if kind == "MMTijk":
-            for i in range(n):
-                for j in range(n):
-                    acc = 0.0
-                    for k in range(depth):
-                        acc += a[a0[k] | a1[i]] * b[b0[k] | b1[j]]
-                    c[c0[j] | c1[i]] = acc
-            return 2 * n * n * depth + n * n
-        for i in range(n):
-            for k in range(depth):
-                a_ik = a[a0[k] | a1[i]]
-                for j in range(n):
-                    c[c0[j] | c1[i]] += a_ik * b[b0[k] | b1[j]]
-        return 4 * n * n * depth
-    (s0, s1), (d0, d1) = tables
-    src, dst = data
-    rows = 1 << pattern.m
-    cols = 1 << pattern.n
-    for i in range(1, rows - 1):
-        for j in range(1, cols - 1):
-            dst[d0[j] | d1[i]] = 0.25 * (
-                src[s0[j] | s1[i - 1]]
-                + src[s0[j] | s1[i + 1]]
-                + src[s0[j - 1] | s1[i]]
-                + src[s0[j + 1] | s1[i]]
-            )
-    return 5 * (rows - 2) * (cols - 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim_p = sub.add_parser("simulate", help="score one layout under a kernel and cache")
     sim_p.add_argument("--layout", "-l", required=True)
-    sim_p.add_argument("--pattern", "-p", required=True, help='kernel, e.g. "MMijk(9;4)"')
+    sim_p.add_argument(
+        "--pattern", "-p", required=True, help="kernel as Kind(log2 extents;element size)"
+    )
     sim_p.add_argument("--cache", "-c", help=f"preset ({', '.join(PRESETS)}) or file path")
     sim_p.add_argument("--trace", help="also write the event trace to this file")
     sim_p.set_defaults(func=cmd_simulate)
@@ -326,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample_p.set_defaults(func=cmd_sample)
 
     bench_p = sub.add_parser(
-        "bench", help="time a kernel numerically under a layout (informational)"
+        "bench", help="time a replay of a kernel's trace on real data (informational)"
     )
     bench_p.add_argument("--layout", "-l", required=True)
     bench_p.add_argument("--pattern", "-p", required=True)

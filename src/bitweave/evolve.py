@@ -228,12 +228,22 @@ def run_evolution(
 
     The canonical seeds are recorded as generation 0 and are exempt from
     the contiguity constraint (a constraint on a middle dimension can be
-    satisfiable by no canonical layout); every bred offspring honors it.
+    satisfiable by no canonical layout); every bred offspring honors it.  A
+    constraint no layout of the shape can meet is rejected before anything
+    is evaluated.
     """
     if shape != pattern.primary_shape():
         raise ValueError(
             f"shape {shape.bits} does not match pattern arrays {pattern.primary_bits}"
         )
+    if config.contiguity is not None:
+        dim, block = config.contiguity
+        if dim >= shape.ndim or block > 1 << shape.bits[dim]:
+            raise ValueError(
+                f"contiguity of {block} elements along dimension {dim} is impossible "
+                f"for shape bits {shape.bits}"
+            )
+
     def evaluator(layout: Layout) -> FitnessValue:
         return evaluate(layout, pattern, hierarchy)
 

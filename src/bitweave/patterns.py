@@ -1,17 +1,28 @@
 """Memory access traces of classic loop kernels.
 
-Each pattern is a fixed loop nest over one or more arrays that share a
-single bit-interleave; its trace holds one event per array reference, in
-lexical loop order, with scalar temporaries held in registers.  Traces are
-built in numpy chunks by broadcasting each array's per-dimension index
-tables over blocks of loop iterations.  Only addresses matter here: the
-kernels are never executed numerically.
+Every kernel kind is described once, as data, in ``_KERNELS``: its log2
+size parameters, its arrays, its loop nest, and the published closed-form
+totals of its trace.  PATTERN_KINDS, the array shapes of PatternSpec, the
+trace and trace_counts are all read from that table.
 
-Subscript convention: an access ``Arr(i, j)`` in matrix notation (row i,
-column j) touches coordinate (j, i) — the last subscript is dimension 0,
-so the rank sequence [0,0,...,1,1,...] stores each row contiguously.
-Arrays declared 2^m x 2^n therefore have shape bits (n, m), and the 3-D
-2^m x 2^n x 2^p arrays have bits (p, n, m).
+Extent ``M`` is 2^m, and likewise for each parameter.  A loop is (variable,
+start, stop, body...) and runs from start up to but excluding stop; a bound
+is an int, or an extent or enclosing loop variable optionally plus or minus
+a constant (``M-1``, ``j+1``).  A body lists loops and references in
+lexical order: a load ``"L A(i,k)"`` or a store ``"S C(i,j)"``, each
+subscript a loop variable with an optional offset.  Scalar temporaries live
+in registers, so the trace holds one event per reference executed.  All
+arrays of a pattern share a single bit-interleave.
+
+Subscript convention: references are written in matrix notation, ``A(i,j)``
+being row i, column j, and touch coordinate (j, i): the last subscript is
+dimension 0, so the rank sequence [0,0,...,1,1,...] stores each row
+contiguously.  An array declared ``(M,N)`` therefore has shape bits (n, m),
+and one declared ``(M,N,P)`` has bits (p, n, m).
+
+One interpreter turns a nest into numpy chunks by broadcasting each array's
+per-dimension index tables over blocks of loop iterations.  Only addresses
+matter here.
 """
 
 from __future__ import annotations
@@ -19,7 +30,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional
+from itertools import groupby
+from operator import getitem
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -41,21 +54,172 @@ __all__ = [
     "read_trace",
 ]
 
-# kind -> names of the log2 size parameters it takes
-PATTERN_KINDS = {
-    "MMijk": ("m",),
-    "MMTijk": ("m", "n"),
-    "MMikj": ("m",),
-    "MMTikj": ("m", "n"),
-    "Jacobi2D": ("m", "n"),
-    "Cholesky": ("m",),
-    "Crout": ("m",),
-    "Himeno": ("m", "n", "p"),
-}
-
 # Wider dimensions would need gigabyte lookup tables and imply traces far
 # beyond anything a simulation could consume.
 _MAX_TABLE_BITS = 24
+
+# (name, offset): the value bound to name plus offset; no name is the constant.
+_Term = tuple[Optional[str], int]
+
+
+class _Loop(NamedTuple):
+    var: str
+    start: _Term
+    stop: _Term
+    body: tuple  # _Loop and _Ref items in lexical order
+
+
+class _Ref(NamedTuple):
+    array: int  # position among the pattern's arrays
+    store: bool
+    subscripts: tuple[_Term, ...]  # coordinate order: the written order reversed
+
+
+class _Kernel(NamedTuple):
+    params: tuple[str, ...]
+    arrays: tuple[tuple[str, tuple[str, ...]], ...]  # (name, extents as written)
+    nest: _Loop
+    counts: Callable[..., tuple[int, int]]  # published (loads, stores) from the extents
+    exact: bool  # False where the published counts approximate the nest's
+
+
+_TERM_RE = re.compile(r"([A-Za-z]\w*)([+-]\d+)?")
+_DECL_RE = re.compile(r"(\w+)\(([^)]*)\)")
+_REF_RE = re.compile(r"([LS]) (\w+)\(([^)]*)\)")
+
+
+def _term(text: Union[str, int]) -> _Term:
+    if isinstance(text, int):
+        return None, text
+    name, offset = _TERM_RE.fullmatch(text).groups()
+    return name, int(offset or 0)
+
+
+def _kernel(params: str, arrays: str, nest: tuple, counts: Callable, exact: bool) -> _Kernel:
+    """Compile one table entry; this is where written subscripts are reversed."""
+    decls = tuple((name, tuple(dims.split(","))) for name, dims in _DECL_RE.findall(arrays))
+    position = {name: k for k, (name, _) in enumerate(decls)}
+
+    def item(entry):
+        if isinstance(entry, str):
+            op, name, subscripts = _REF_RE.fullmatch(entry).groups()
+            terms = tuple(_term(s) for s in reversed(subscripts.split(",")))
+            return _Ref(position[name], op == STORE, terms)
+        var, start, stop, *body = entry
+        return _Loop(var, _term(start), _term(stop), tuple(map(item, body)))
+
+    return _Kernel(tuple(params.split()), decls, item(nest), counts, exact)
+
+
+_KERNELS = {
+    "MMijk": _kernel(
+        "m", "A(M,M) B(M,M) C(M,M)",
+        # C(i,j) = sum_k A(i,k) * B(k,j), accumulated in a register
+        ("i", 0, "M",
+            ("j", 0, "M",
+                ("k", 0, "M", "L A(i,k)", "L B(k,j)"),
+                "S C(i,j)")),
+        lambda M: (2 * M**3, M**2), exact=True,
+    ),
+    "MMTijk": _kernel(
+        "m n", "A(M,N) B(M,N) C(M,M)",
+        # C(i,j) = sum_k A(i,k) * B(j,k); B is read along its rows
+        ("i", 0, "M",
+            ("j", 0, "M",
+                ("k", 0, "N", "L A(i,k)", "L B(j,k)"),
+                "S C(i,j)")),
+        lambda M, N: (2 * M * M * N, M * M), exact=True,
+    ),
+    "MMikj": _kernel(
+        "m", "A(M,M) B(M,M) C(M,M)",
+        # C(i,j) = C(i,j) + A(i,k) * B(k,j), updated in place
+        ("i", 0, "M",
+            ("k", 0, "M",
+                ("j", 0, "M", "L C(i,j)", "L A(i,k)", "L B(k,j)", "S C(i,j)"))),
+        lambda M: (3 * M**3, M**3), exact=True,
+    ),
+    "MMTikj": _kernel(
+        "m n", "A(M,N) B(M,N) C(M,M)",
+        # C(i,j) = C(i,j) + A(i,k) * B(j,k)
+        ("i", 0, "M",
+            ("k", 0, "N",
+                ("j", 0, "M", "L C(i,j)", "L A(i,k)", "L B(j,k)", "S C(i,j)"))),
+        lambda M, N: (3 * M * M * N, M * M * N), exact=True,
+    ),
+    "Jacobi2D": _kernel(
+        "m n", "src(M,N) dst(M,N)",
+        # dst(i,j) = (src(i-1,j) + src(i+1,j) + src(i,j-1) + src(i,j+1)) / 4
+        ("i", 1, "M-1",
+            ("j", 1, "N-1",
+                "L src(i-1,j)", "L src(i+1,j)", "L src(i,j-1)", "L src(i,j+1)",
+                "S dst(i,j)")),
+        # the published figures count every point, not the interior
+        lambda M, N: (4 * M * N, M * N), exact=False,
+    ),
+    "Cholesky": _kernel(
+        "m", "A(M,M) L(M,M)",
+        ("i", 0, "M",
+            # L(i,j) = (A(i,j) - s) / L(j,j) for j < i, s = sum_{k<j} L(i,k) * L(j,k)
+            ("j", 0, "i",
+                ("k", 0, "j", "L L(i,k)", "L L(j,k)"),
+                "L A(i,j)", "L L(j,j)", "S L(i,j)"),
+            # L(i,i) = sqrt(A(i,i) - s), s = sum_{k<i} L(i,k) * L(i,k)
+            ("k", 0, "i", "L L(i,k)", "L L(i,k)"),
+            "L A(i,i)", "S L(i,i)"),
+        # published approximations
+        lambda M: (2 * M * M, M * M // 2), exact=False,
+    ),
+    "Crout": _kernel(
+        "m", "A(M,M) LU(M,M)",
+        ("j", 0, "M",
+            # column j of L, diagonal included: LU(i,j) = A(i,j) - s,
+            # s = sum_{k<j} LU(i,k) * LU(k,j)
+            ("i", "j", "M",
+                ("k", 0, "j", "L LU(i,k)", "L LU(k,j)"),
+                "L A(i,j)", "S LU(i,j)"),
+            # row j of the unit-diagonal U: LU(j,i) = (A(j,i) - s) / LU(j,j),
+            # s = sum_{k<j} LU(j,k) * LU(k,i)
+            ("i", "j+1", "M",
+                ("k", 0, "j", "L LU(j,k)", "L LU(k,i)"),
+                "L A(j,i)", "L LU(j,j)", "S LU(j,i)")),
+        # published approximations
+        lambda M: (7 * M * M // 2, M * M), exact=False,
+    ),
+    "Himeno": _kernel(
+        "m n p",
+        # wrk is the sweep destination, p the 19-point stencil source
+        "a0(M,N,P) a1(M,N,P) a2(M,N,P) a3(M,N,P) b0(M,N,P) b1(M,N,P) b2(M,N,P) "
+        "c0(M,N,P) c1(M,N,P) c2(M,N,P) p(M,N,P) wrk(M,N,P)",
+        ("i", 1, "M-1",
+            ("j", 1, "N-1",
+                ("k", 1, "P-1",
+                    # s0 = a0*p(i+1,j,k) + a1*p(i,j+1,k) + a2*p(i,j,k+1)
+                    "L a0(i,j,k)", "L p(i+1,j,k)",
+                    "L a1(i,j,k)", "L p(i,j+1,k)",
+                    "L a2(i,j,k)", "L p(i,j,k+1)",
+                    #    + b0*(p(i+1,j+1,k) - p(i+1,j-1,k) - p(i-1,j+1,k) + p(i-1,j-1,k))
+                    "L b0(i,j,k)",
+                    "L p(i+1,j+1,k)", "L p(i+1,j-1,k)", "L p(i-1,j+1,k)", "L p(i-1,j-1,k)",
+                    #    + b1*(p(i,j+1,k+1) - p(i,j-1,k+1) - p(i,j+1,k-1) + p(i,j-1,k-1))
+                    "L b1(i,j,k)",
+                    "L p(i,j+1,k+1)", "L p(i,j-1,k+1)", "L p(i,j+1,k-1)", "L p(i,j-1,k-1)",
+                    #    + b2*(p(i+1,j,k+1) - p(i-1,j,k+1) - p(i+1,j,k-1) + p(i-1,j,k-1))
+                    "L b2(i,j,k)",
+                    "L p(i+1,j,k+1)", "L p(i-1,j,k+1)", "L p(i+1,j,k-1)", "L p(i-1,j,k-1)",
+                    #    + c0*p(i-1,j,k) + c1*p(i,j-1,k) + c2*p(i,j,k-1)
+                    "L c0(i,j,k)", "L p(i-1,j,k)",
+                    "L c1(i,j,k)", "L p(i,j-1,k)",
+                    "L c2(i,j,k)", "L p(i,j,k-1)",
+                    # wrk = p + omega*(s0*a3 - p); p(i,j,k) is loaded once
+                    "L a3(i,j,k)", "L p(i,j,k)",
+                    "S wrk(i,j,k)"))),
+        # published approximations
+        lambda M, N, P: (24 * M * N * P, M * N * P), exact=False,
+    ),
+}
+
+# kind -> names of the log2 size parameters it takes
+PATTERN_KINDS = {kind: kernel.params for kind, kernel in _KERNELS.items()}
 
 
 class AccessEvent(NamedTuple):
@@ -112,46 +276,37 @@ class PatternSpec:
 
     @property
     def primary_bits(self) -> tuple[int, ...]:
-        """Shape bits of the arrays the interleave chromosome targets."""
-        kind, m, n, p = self.kind, self.m, self.n, self.p
-        if kind in ("MMijk", "MMikj", "Cholesky", "Crout"):
-            return (m, m)
-        if kind in ("MMTijk", "MMTikj"):
-            return (n, m)  # 2^m rows of 2^n columns; columns are dimension 0
-        if kind == "Jacobi2D":
-            return (n, m)
-        return (p, n, m)  # Himeno
+        """Shape bits of the arrays the interleave chromosome targets: the
+        first array's."""
+        return self.arrays()[0][1]
 
     def primary_shape(self) -> Shape:
         return Shape(self.primary_bits, self.element_size)
 
     def arrays(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """(name, shape bits) of every array, in binding order."""
-        prim = self.primary_bits
-        kind = self.kind
-        if kind in ("MMijk", "MMikj"):
-            return (("A", prim), ("B", prim), ("C", prim))
-        if kind in ("MMTijk", "MMTikj"):
-            return (("A", prim), ("B", prim), ("C", (self.m, self.m)))
-        if kind == "Jacobi2D":
-            return (("src", prim), ("dst", prim))
-        if kind == "Cholesky":
-            return (("A", prim), ("L", prim))
-        if kind == "Crout":
-            return (("A", prim), ("LU", prim))
-        names = ("a0", "a1", "a2", "a3", "b0", "b1", "b2", "c0", "c1", "c2", "p", "wrk")
-        return tuple((name, prim) for name in names)
+        return tuple(
+            (name, tuple(getattr(self, extent.lower()) for extent in reversed(extents)))
+            for name, extents in _KERNELS[self.kind].arrays
+        )
 
     def __str__(self) -> str:
         params = ",".join(str(v) for v in self.params)
         return f"{self.kind}({params};{self.element_size})"
 
 
-_PATTERN_RE = re.compile(r"^\s*(\w+)\s*\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*;\s*([0-9]+)\s*\)\s*$")
+def _extents(spec: PatternSpec) -> dict[str, int]:
+    """Extent name -> extent: "M" -> 2^m."""
+    return {name.upper(): 1 << getattr(spec, name) for name in PATTERN_KINDS[spec.kind]}
+
+
+_PATTERN_RE = re.compile(
+    r"^\s*(\w+)\s*\(\s*([0-9]+(?:\s*,\s*[0-9]+){0,2})\s*;\s*([0-9]+)\s*\)\s*$"
+)
 
 
 def parse_pattern(text: str) -> PatternSpec:
-    """Parse ``Kind(m[,n[,p]];s)`` syntax, e.g. ``MMijk(9;4)``."""
+    """Parse ``Kind(m[,n[,p]];s)`` syntax: log2 extents, then the element size."""
     match = _PATTERN_RE.match(text)
     if not match:
         raise ValueError(
@@ -159,19 +314,8 @@ def parse_pattern(text: str) -> PatternSpec:
             "e.g. MMijk(9;4) or Himeno(8,7,7;4)"
         )
     kind, params_text, size_text = match.groups()
-    if kind not in PATTERN_KINDS:
-        raise ValueError(
-            f"unknown pattern kind {kind!r}; valid: {', '.join(PATTERN_KINDS)}"
-        )
-    params = [int(v) for v in params_text.split(",")]
-    wanted = PATTERN_KINDS[kind]
-    if len(params) != len(wanted):
-        raise ValueError(
-            f"{kind} takes {len(wanted)} size parameter(s) ({', '.join(wanted)}), "
-            f"got {len(params)}"
-        )
-    values = dict(zip(wanted, params))
-    return PatternSpec(kind=kind, element_size=int(size_text), **values)
+    params = (int(v) for v in params_text.split(","))
+    return PatternSpec(kind, *params, element_size=int(size_text))
 
 
 @dataclass(frozen=True)
@@ -300,7 +444,16 @@ def trace_chunks(
     """
     if bindings is None:
         bindings = bind_arrays(spec, layout)
-    return _rechunk(_NESTS[spec.kind](spec, bindings))
+    given = [(b.name, b.shape.bits, b.shape.element_size) for b in bindings]
+    if given != [(name, bits, spec.element_size) for name, bits in spec.arrays()]:
+        names = [b.name for b in bindings]
+        raise ValueError(f"bindings {names} do not match the arrays of {spec}")
+    # The per-dimension terms of an address have disjoint bits, so their OR
+    # is their sum, and the base can be folded into the first table.
+    tables = [(b.tables[0] + np.uint64(b.base), *b.tables[1:]) for b in bindings]
+    extents = _extents(spec)
+    ranges = {name: (value, value) for name, value in extents.items()}
+    return _rechunk(_walk((_KERNELS[spec.kind].nest,), extents, ranges, tables))
 
 
 def generate_trace(
@@ -343,297 +496,142 @@ def _rechunk(blocks: Iterator[Chunk]) -> Iterator[Chunk]:
         yield np.concatenate(addresses), np.concatenate(stores)
 
 
-# A reference: a function from loop variables to byte addresses, and its op.
-_Ref = tuple[Callable[..., np.ndarray], str]
+# The interpreter.  ``env`` binds each extent and loop variable to an int or,
+# inside a block, to an array of its values that broadcasts against the
+# block's other variables; ``ranges`` holds the lowest and highest value of each.
 
 
-def _nest(
-    outer: tuple[range, ...],
-    inner: range,
-    refs: tuple[_Ref, ...],
-    tail: tuple[_Ref, ...] = (),
-    stop: Optional[Callable[..., np.ndarray]] = None,
-) -> Iterator[Chunk]:
-    """Blocks of a loop nest's trace, in loop-nest order.
+def _walk(items: tuple, env: dict, ranges: dict, tables: list) -> Iterator[Chunk]:
+    """Blocks of the trace of a body whose variables are all bound to ints.
 
-    The outer ranges are walked row-major; in each outer iteration (a body)
-    the inner variable runs over ``inner`` and issues ``refs`` at every
-    step, then the body issues ``tail``.  Reference functions take the outer
-    variables as column arrays and the inner one as a row array, so their
-    results broadcast over a block of bodies and steps.  ``stop``, a
-    function of the outer variables, ends each body's inner loop early.
-    Blocks hold whole bodies, up to CHUNK_EVENTS events' worth; a longer
-    body is split along its inner loop.
+    A loop is cut into blocks of consecutive iterations holding up to
+    CHUNK_EVENTS events, each iteration broadcast against the loops inside
+    it.  A loop with iterations wider than that is walked one at a time.
     """
-    lengths = [len(r) for r in outer]
-    bodies = 1
-    for length in lengths:
-        bodies *= length
-    per_block = max(1, CHUNK_EVENTS // max(len(refs) * len(inner) + len(tail), 1))
-    step = max(1, min(len(inner), CHUNK_EVENTS // len(refs)))
-    ref_stores = np.array([op == STORE for _, op in refs], dtype=bool)
-    tail_stores = np.array([op == STORE for _, op in tail], dtype=bool)
-    for b in range(0, bodies, per_block):
-        flat = np.arange(b, min(b + per_block, bodies))
-        o = [
-            (r.start + r.step * idx)[:, None]
-            for r, idx in zip(outer, np.unravel_index(flat, lengths))
-        ]
-        nb = len(flat)
-        for k in range(0, max(len(inner), 1), step):
-            piece = inner[k : k + step]
-            x = np.arange(piece.start, piece.stop, piece.step)[None, :]
-            shape = (nb, len(piece), len(refs))
-            addresses = [_stack([fn(*o, x) for fn, _ in refs], shape)]
-            stores = [np.broadcast_to(ref_stores, shape).reshape(nb, shape[1] * shape[2])]
-            keep = [np.repeat(x < stop(*o), len(refs), axis=1)] if stop else []
-            if tail and k + step >= len(inner):
-                shape = (nb, 1, len(tail))
-                addresses.append(_stack([fn(*o) for fn, _ in tail], shape))
-                stores.append(np.broadcast_to(tail_stores, shape).reshape(nb, len(tail)))
-                if keep:
-                    keep.append(np.ones((nb, len(tail)), dtype=bool))
-            addresses = np.concatenate(addresses, axis=1)
-            stores = np.concatenate(stores, axis=1)
-            if keep:
-                keep = np.concatenate(keep, axis=1)
-                yield addresses[keep], stores[keep]
-            else:
-                yield addresses.ravel(), stores.ravel()
+    for is_loop, group in groupby(items, lambda item: isinstance(item, _Loop)):
+        if not is_loop:
+            yield _block(tuple(group), env, ranges, (), tables)
+            continue
+        for loop in group:
+            lo, hi, _, width = _iterations(loop, ranges)
+            if width > CHUNK_EVENTS:
+                for x in range(lo, hi):
+                    inner_env, inner_ranges = {**env, loop.var: x}, {**ranges, loop.var: (x, x)}
+                    yield from _walk(loop.body, inner_env, inner_ranges, tables)
+            elif width:
+                step = CHUNK_EVENTS // width
+                for first in range(lo, hi, step):
+                    last = min(first + step, hi)
+                    block_env = {**env, loop.var: np.arange(first, last)}
+                    block_ranges = {**ranges, loop.var: (first, last - 1)}
+                    yield _block(loop.body, block_env, block_ranges, (last - first,), tables)
 
 
-def _stack(columns: list[np.ndarray], shape: tuple[int, int, int]) -> np.ndarray:
-    """Interleave per-reference address arrays into (bodies, steps * refs)."""
-    out = np.empty(shape, dtype=np.uint64)
-    for r, column in enumerate(columns):
-        out[:, :, r] = column
-    return out.reshape(shape[0], shape[1] * shape[2])
+def _block(items: tuple, env: dict, ranges: dict, lead: tuple, tables: list) -> Chunk:
+    """The events of ``items`` for ``lead`` bodies, filled into one
+    preallocated (bodies, events) array.  Every loop runs from its lowest
+    start to its highest stop in the block; where a bound varies across the
+    block, the iterations outside a body's own bounds are masked out."""
+    addresses = np.empty((*lead, _width(items, ranges)), dtype=np.uint64)
+    stores = np.empty(addresses.shape[-1], dtype=bool)
+    keep = np.ones(addresses.shape, dtype=bool) if _ragged(items, env) else None
+    _fill(items, env, ranges, addresses, stores, keep, tables)
+    stores = np.broadcast_to(stores, addresses.shape)
+    if keep is None:
+        return addresses.ravel(), stores.ravel()
+    return addresses[keep], stores[keep]
 
 
-def _at(binding: ArrayBinding) -> Callable[..., np.ndarray]:
-    """Byte addresses of the binding's elements at coordinate (x0, x1, ...)."""
-    base = np.uint64(binding.base)
-    tables = binding.tables
-
-    def at(*coord: np.ndarray) -> np.ndarray:
-        out = tables[0][coord[0]]
-        for table, x in zip(tables[1:], coord[1:]):
-            out = out | table[x]
-        return out + base
-
-    return at
-
-
-# Kernels.  An access Arr(i, k) in matrix notation is the coordinate (k, i),
-# so every call below names its subscripts in reverse.
-
-
-def _mm_ijk(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
-    a, b, c = map(_at, arrays)
-    n = range(1 << spec.m)
-    # acc lives in a register; only A(i,k) and B(k,j) touch memory
-    return _nest(
-        (n, n),  # i, j
-        n,  # k
-        ((lambda i, j, k: a(k, i), LOAD), (lambda i, j, k: b(j, k), LOAD)),
-        tail=((lambda i, j: c(j, i), STORE),),
-    )
-
-
-def _mmt_ijk(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
-    a, b, c = map(_at, arrays)
-    n = range(1 << spec.m)
-    # C(i,j) = sum_k A(i,k) * B(j,k); B is read along its rows
-    return _nest(
-        (n, n),  # i, j
-        range(1 << spec.n),  # k
-        ((lambda i, j, k: a(k, i), LOAD), (lambda i, j, k: b(k, j), LOAD)),
-        tail=((lambda i, j: c(j, i), STORE),),
-    )
+def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, keep, tables: list) -> None:
+    """Write the events of ``items`` along the last axis of ``addresses``
+    (and of ``keep``, if any) and their store flags along that of
+    ``stores``; the other axes are the block's and the enclosing loops'."""
+    terms = {term for item in items if isinstance(item, _Ref) for term in item.subscripts}
+    values = {term: _value(term, env) for term in terms}
+    lead = addresses.shape[:-1]
+    pos = 0
+    for item in items:
+        if isinstance(item, _Ref):
+            first, *rest = map(getitem, tables[item.array], map(values.get, item.subscripts))
+            # The later dimensions' terms rarely vary along the innermost
+            # loop, so summing them first leaves one full-size addition.
+            np.add(first, sum(rest[1:], rest[0]) if rest else 0, out=addresses[..., pos])
+            stores[..., pos] = item.store
+            pos += 1
+            continue
+        lo, hi, inner, width = _iterations(item, ranges)
+        if not width:
+            continue
+        part, shape = slice(pos, pos + (hi - lo) * width), (hi - lo, width)
+        pos = part.stop
+        steps = np.arange(lo, hi).reshape(*[1] * len(lead), hi - lo)
+        sub_keep = None if keep is None else keep[..., part].reshape(*lead, *shape)
+        for bound, within in ((item.start, np.greater_equal), (item.stop, np.less)):
+            limit = _value(bound, env)
+            if isinstance(limit, np.ndarray):
+                sub_keep &= within(steps, limit[..., None])[..., None]
+        sub_env = {k: v[..., None] if isinstance(v, np.ndarray) else v for k, v in env.items()}
+        sub_env[item.var] = steps
+        sub_addresses = addresses[..., part].reshape(*lead, *shape)
+        sub_stores = stores[..., part].reshape(*stores.shape[:-1], *shape)
+        _fill(item.body, sub_env, inner, sub_addresses, sub_stores, sub_keep, tables)
 
 
-def _mm_ikj(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
-    a, b, c = map(_at, arrays)
-    n = range(1 << spec.m)
-    # C(i,j) = C(i,j) + A(i,k) * B(k,j), updated in place
-    return _nest(
-        (n, n),  # i, k
-        n,  # j
-        (
-            (lambda i, k, j: c(j, i), LOAD),
-            (lambda i, k, j: a(k, i), LOAD),
-            (lambda i, k, j: b(j, k), LOAD),
-            (lambda i, k, j: c(j, i), STORE),
-        ),
-    )
+def _iterations(loop: _Loop, ranges: dict) -> tuple[int, int, dict, int]:
+    """A loop's lowest start and highest stop over ``ranges``, the ranges
+    inside it, and the events of its widest iteration."""
+    (start, start_offset), (stop, stop_offset) = loop.start, loop.stop
+    lo = start_offset + (ranges[start][0] if start else 0)
+    hi = stop_offset + (ranges[stop][1] if stop else 0)
+    inner = {**ranges, loop.var: (lo, hi - 1)}
+    return lo, hi, inner, _width(loop.body, inner) if hi > lo else 0
 
 
-def _mmt_ikj(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
-    a, b, c = map(_at, arrays)
-    n = range(1 << spec.m)
-    # C(i,j) = C(i,j) + A(i,k) * B(j,k)
-    return _nest(
-        (n, range(1 << spec.n)),  # i, k
-        n,  # j
-        (
-            (lambda i, k, j: c(j, i), LOAD),
-            (lambda i, k, j: a(k, i), LOAD),
-            (lambda i, k, j: b(k, j), LOAD),
-            (lambda i, k, j: c(j, i), STORE),
-        ),
-    )
+def _width(items: tuple, ranges: dict) -> int:
+    """Events per body of ``items``, every loop running from its lowest
+    start to its highest stop over ``ranges``."""
+    width = 0
+    for item in items:
+        if isinstance(item, _Ref):
+            width += 1
+        else:
+            lo, hi, _, each = _iterations(item, ranges)
+            width += (hi - lo) * each
+    return width
 
 
-def _jacobi2d(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
-    src, dst = map(_at, arrays)
-    return _nest(
-        (range(1, (1 << spec.m) - 1),),  # i
-        range(1, (1 << spec.n) - 1),  # j
-        (
-            (lambda i, j: src(j, i - 1), LOAD),
-            (lambda i, j: src(j, i + 1), LOAD),
-            (lambda i, j: src(j - 1, i), LOAD),
-            (lambda i, j: src(j + 1, i), LOAD),
-            (lambda i, j: dst(j, i), STORE),
-        ),
-    )
-
-
-def _cholesky(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
-    a, low = map(_at, arrays)
-    # s = sum_{k<j} L(i,k) * L(j,k), accumulated in a register
-    acc = ((lambda i, j, k: low(k, i), LOAD), (lambda i, j, k: low(k, j), LOAD))
-    for i in range(1 << spec.m):
-        row = range(i, i + 1)
-        # L(i,j) = (A(i,j) - s) / L(j,j) for j < i
-        yield from _nest(
-            (row, range(i)),  # i, j
-            range(max(i - 1, 0)),  # k < j
-            acc,
-            tail=(
-                (lambda i, j: a(j, i), LOAD),
-                (lambda i, j: low(j, j), LOAD),
-                (lambda i, j: low(j, i), STORE),
-            ),
-            stop=lambda i, j: j,
+def _ragged(items: tuple, env: dict) -> bool:
+    """Whether a loop among ``items`` has a bound that is not an int, so
+    that its trip count varies across a block."""
+    return any(
+        isinstance(item, _Loop)
+        and (
+            any(
+                name and not isinstance(env.get(name), int)
+                for name, _ in (item.start, item.stop)
+            )
+            or _ragged(item.body, env)
         )
-        # L(i,i) = sqrt(A(i,i) - s)
-        yield from _nest(
-            (row, row),  # i, j
-            range(i),  # k
-            acc,
-            tail=((lambda i, j: a(i, i), LOAD), (lambda i, j: low(i, i), STORE)),
-        )
-
-
-def _crout(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
-    a, lu = map(_at, arrays)
-    n = 1 << spec.m
-    for j in range(n):
-        col = range(j, j + 1)
-        # column j of L, diagonal included: LU(i,j) = A(i,j) - s
-        yield from _nest(
-            (col, range(j, n)),  # j, i
-            range(j),  # k
-            ((lambda j, i, k: lu(k, i), LOAD), (lambda j, i, k: lu(j, k), LOAD)),
-            tail=((lambda j, i: a(j, i), LOAD), (lambda j, i: lu(j, i), STORE)),
-        )
-        # row j of the unit-diagonal U: LU(j,i) = (A(j,i) - s) / LU(j,j)
-        yield from _nest(
-            (col, range(j + 1, n)),  # j, i
-            range(j),  # k
-            ((lambda j, i, k: lu(k, j), LOAD), (lambda j, i, k: lu(i, k), LOAD)),
-            tail=(
-                (lambda j, i: a(i, j), LOAD),
-                (lambda j, i: lu(j, j), LOAD),
-                (lambda j, i: lu(i, j), STORE),
-            ),
-        )
-
-
-def _himeno(spec: PatternSpec, arrays: tuple[ArrayBinding, ...]) -> Iterator[Chunk]:
-    # Array order: a0..a3, b0..b2, c0..c2, p, wrk.  All share one shape;
-    # wrk is the sweep destination, p the 19-point stencil source.
-    a0, a1, a2, a3, b0, b1, b2, c0, c1, c2, p, wrk = map(_at, arrays)
-    return _nest(
-        (range(1, (1 << spec.m) - 1), range(1, (1 << spec.n) - 1)),  # i, j
-        range(1, (1 << spec.p) - 1),  # k
-        (
-            # s0 = a0*p(i+1,j,k) + a1*p(i,j+1,k) + a2*p(i,j,k+1)
-            (lambda i, j, k: a0(k, j, i), LOAD),
-            (lambda i, j, k: p(k, j, i + 1), LOAD),
-            (lambda i, j, k: a1(k, j, i), LOAD),
-            (lambda i, j, k: p(k, j + 1, i), LOAD),
-            (lambda i, j, k: a2(k, j, i), LOAD),
-            (lambda i, j, k: p(k + 1, j, i), LOAD),
-            #    + b0*(p(i+1,j+1,k) - p(i+1,j-1,k) - p(i-1,j+1,k) + p(i-1,j-1,k))
-            (lambda i, j, k: b0(k, j, i), LOAD),
-            (lambda i, j, k: p(k, j + 1, i + 1), LOAD),
-            (lambda i, j, k: p(k, j - 1, i + 1), LOAD),
-            (lambda i, j, k: p(k, j + 1, i - 1), LOAD),
-            (lambda i, j, k: p(k, j - 1, i - 1), LOAD),
-            #    + b1*(p(i,j+1,k+1) - p(i,j-1,k+1) - p(i,j+1,k-1) + p(i,j-1,k-1))
-            (lambda i, j, k: b1(k, j, i), LOAD),
-            (lambda i, j, k: p(k + 1, j + 1, i), LOAD),
-            (lambda i, j, k: p(k + 1, j - 1, i), LOAD),
-            (lambda i, j, k: p(k - 1, j + 1, i), LOAD),
-            (lambda i, j, k: p(k - 1, j - 1, i), LOAD),
-            #    + b2*(p(i+1,j,k+1) - p(i-1,j,k+1) - p(i+1,j,k-1) + p(i-1,j,k-1))
-            (lambda i, j, k: b2(k, j, i), LOAD),
-            (lambda i, j, k: p(k + 1, j, i + 1), LOAD),
-            (lambda i, j, k: p(k + 1, j, i - 1), LOAD),
-            (lambda i, j, k: p(k - 1, j, i + 1), LOAD),
-            (lambda i, j, k: p(k - 1, j, i - 1), LOAD),
-            #    + c0*p(i-1,j,k) + c1*p(i,j-1,k) + c2*p(i,j,k-1)
-            (lambda i, j, k: c0(k, j, i), LOAD),
-            (lambda i, j, k: p(k, j, i - 1), LOAD),
-            (lambda i, j, k: c1(k, j, i), LOAD),
-            (lambda i, j, k: p(k, j - 1, i), LOAD),
-            (lambda i, j, k: c2(k, j, i), LOAD),
-            (lambda i, j, k: p(k - 1, j, i), LOAD),
-            # wrk = p + omega*(s0*a3 - p); p(i,j,k) is loaded once
-            (lambda i, j, k: a3(k, j, i), LOAD),
-            (lambda i, j, k: p(k, j, i), LOAD),
-            (lambda i, j, k: wrk(k, j, i), STORE),
-        ),
+        for item in items
     )
 
 
-_NESTS = {
-    "MMijk": _mm_ijk,
-    "MMTijk": _mmt_ijk,
-    "MMikj": _mm_ikj,
-    "MMTikj": _mmt_ikj,
-    "Jacobi2D": _jacobi2d,
-    "Cholesky": _cholesky,
-    "Crout": _crout,
-    "Himeno": _himeno,
-}
+def _value(term: _Term, env: dict):
+    name, offset = term
+    value = env[name] if name else 0
+    return value + offset if offset else value
 
 
 def trace_counts(spec: PatternSpec) -> TraceCounts:
-    """Closed-form load/store totals per pattern.
+    """Closed-form load/store totals per pattern, as published.
 
-    Exact for the four multiplication nests; the stencil figures cover
-    interior points only and the factorization figures are published
-    approximations, so those carry exact=False.
+    Exact for the four multiplication nests.  The stencils sweep interior
+    points only, which their published figures do not subtract, and the
+    factorization figures are approximations, so those carry exact=False.
     """
-    kind, m, n, p = spec.kind, spec.m, spec.n, spec.p
-    if kind == "MMijk":
-        return TraceCounts(2 * (1 << (3 * m)), 1 << (2 * m), True)
-    if kind == "MMTijk":
-        return TraceCounts(2 * (1 << (2 * m + n)), 1 << (2 * m), True)
-    if kind == "MMikj":
-        return TraceCounts(3 * (1 << (3 * m)), 1 << (3 * m), True)
-    if kind == "MMTikj":
-        return TraceCounts(3 * (1 << (2 * m + n)), 1 << (2 * m + n), True)
-    if kind == "Jacobi2D":
-        return TraceCounts(4 * (1 << (m + n)), 1 << (m + n), False)
-    if kind == "Cholesky":
-        return TraceCounts(2 * (1 << (2 * m)), (1 << (2 * m)) // 2, False)
-    if kind == "Crout":
-        return TraceCounts(7 * (1 << (2 * m)) // 2, 1 << (2 * m), False)
-    return TraceCounts(24 * (1 << (m + n + p)), 1 << (m + n + p), False)  # Himeno
+    kernel = _KERNELS[spec.kind]
+    loads, stores = kernel.counts(**_extents(spec))
+    return TraceCounts(loads, stores, kernel.exact)
 
 
 def write_trace(events: Iterable[AccessEvent], stream: IO[str]) -> int:

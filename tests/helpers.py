@@ -6,6 +6,7 @@ import random
 
 from bitweave.cachesim import CacheLevelSpec, HierarchySpec
 from bitweave.layout import Layout, Shape
+from bitweave.patterns import _KERNELS, PATTERN_KINDS, _Loop
 
 
 def random_layout(rng: random.Random, shape: Shape) -> Layout:
@@ -70,3 +71,35 @@ def single_level(
         first="L1",
         last="L1",
     )
+
+
+def walk_trace(spec, bindings) -> list[tuple[bool, int]]:
+    """Independent scalar oracle for the trace interpreter.
+
+    Runs the kind's table entry as plain nested Python loops, one event at a
+    time, and returns (store, byte address) per event, the address taken
+    from ArrayBinding.address.  Asserts that every subscript lies inside its
+    array's extents: numpy indexing would silently wrap a negative one.
+    """
+    env = {name.upper(): 1 << getattr(spec, name) for name in PATTERN_KINDS[spec.kind]}
+    events: list[tuple[bool, int]] = []
+
+    def value(term, env):
+        name, offset = term
+        return offset if name is None else env[name] + offset
+
+    def walk(items, env):
+        for item in items:
+            if isinstance(item, _Loop):
+                for x in range(value(item.start, env), value(item.stop, env)):
+                    walk(item.body, {**env, item.var: x})
+                continue
+            binding = bindings[item.array]
+            coord = tuple(value(term, env) for term in item.subscripts)
+            extents = binding.shape.extents
+            assert len(coord) == len(extents), (binding.name, coord)
+            assert all(0 <= c < e for c, e in zip(coord, extents)), (binding.name, coord)
+            events.append((item.store, binding.address(coord)))
+
+    walk((_KERNELS[spec.kind].nest,), env)
+    return events

@@ -167,6 +167,23 @@ class TestAccess:
         with pytest.raises(ValueError):
             state.access(LOAD, 62, 4)
 
+    @pytest.mark.parametrize(
+        "event", [("X", 0, 4), (LOAD, 62, 4), (STORE, 0, 0), (LOAD, -4, 4), (LOAD, 0, -1)]
+    )
+    def test_run_rejects_what_access_rejects(self, event):
+        state = build_hierarchy(load_cache_spec("haswell"))
+        with pytest.raises(ValueError) as from_access:
+            state.access(*event)
+        fresh = build_hierarchy(load_cache_spec("haswell"))
+        with pytest.raises(ValueError) as from_run:
+            fresh.run([(LOAD, 0, 4), event])
+        assert str(from_run.value) == str(from_access.value)
+
+    def test_run_rejects_addresses_beyond_64_bits(self):
+        state = build_hierarchy(single_level(sets=4, ways=2, line=64))
+        with pytest.raises(ValueError, match="64 bits"):
+            state.run([(LOAD, 1 << 64, 4)])
+
     def test_distinct_line_cold_misses_propagate(self):
         state = build_hierarchy(load_cache_spec("haswell"))
         n = 32

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from bitweave.cachespec import render_cache_spec
 from bitweave.cli import ENV_CACHE, main
-from bitweave.layout import layout_from_text
+from bitweave.layout import canonical_layout, layout_from_text
+from bitweave.patterns import PATTERN_KINDS, PatternSpec, generate_trace
 
 from helpers import single_level
 
@@ -196,6 +199,12 @@ class TestEvolve:
         assert main(argv) == 1
         assert "d:k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("contiguity", ["0:5", "5:1"])
+    def test_impossible_contiguity(self, contiguity, tiny_cache, capsys):
+        argv = ["evolve", "-p", "MMijk(2;4)", "-c", tiny_cache, "--contiguity", contiguity]
+        assert main(argv) == 1
+        assert "contiguity" in capsys.readouterr().err
+
 
 class TestSample:
     def test_rows_and_determinism(self, tmp_path, tiny_cache, capsys):
@@ -228,8 +237,25 @@ class TestBench:
         assert main(argv) == 0
         assert "best" in capsys.readouterr().out
 
-    def test_unsupported_kind(self, capsys):
-        argv = ["bench", "-l", "[0,1,0,1]", "-p", "Cholesky(2;4)", "--repeat", "1"]
+    # Extents of 2^2 are the smallest at which every kind's trace is non-empty.
+    @pytest.mark.parametrize("kind", sorted(PATTERN_KINDS))
+    def test_replays_the_whole_trace(self, kind, capsys):
+        spec = PatternSpec(kind, *[2] * len(PATTERN_KINDS[kind]))
+        layout = canonical_layout(spec.primary_shape())
+        argv = ["bench", "-l", layout.to_text(), "-p", str(spec), "--repeat", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "best" in out
+        accesses = int(re.search(r"\((\d+) accesses\)", out).group(1))
+        assert accesses == sum(1 for _ in generate_trace(spec, layout))
+
+    @pytest.mark.parametrize("pattern", ["MMijk(2)", "Nope(2;4)", "MMijk(2,2;4)"])
+    def test_malformed_pattern(self, pattern, capsys):
+        argv = ["bench", "-l", "[0,1,0,1]", "-p", pattern, "--repeat", "1"]
+        assert main(argv) == 1
+
+    def test_repeat_must_be_positive(self, capsys):
+        argv = ["bench", "-l", "[0,1,0,1]", "-p", "MMijk(2;4)", "--repeat", "0"]
         assert main(argv) == 1
 
 

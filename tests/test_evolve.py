@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import bitweave.evolve as evolve_module
 from bitweave.cachesim import LevelStats, SimStats
 from bitweave.fitness import FitnessValue, clear_cache, evaluate
 from bitweave.evolve import (
@@ -289,6 +290,15 @@ class TestRunEvolution:
         shape, pattern, hierarchy = self.tiny_setup()
         with pytest.raises(ValueError, match="does not match"):
             run_evolution(Shape((3, 3)), pattern, hierarchy, GAConfig(generations=0))
+
+    @pytest.mark.parametrize("contiguity", [(2, 1), (0, 8), (1, 16)])
+    def test_impossible_contiguity_rejected_before_evaluation(self, contiguity, monkeypatch):
+        shape, pattern, hierarchy = self.tiny_setup()
+        calls = []
+        monkeypatch.setattr(evolve_module, "evaluate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="contiguity"):
+            run_evolution(shape, pattern, hierarchy, GAConfig(contiguity=contiguity))
+        assert calls == []
 
     def test_seed_exempt_from_contiguity(self):
         shape, pattern, hierarchy = self.tiny_setup()

@@ -26,7 +26,7 @@ from bitweave.patterns import (
     write_trace,
 )
 
-from helpers import random_layout
+from helpers import random_layout, walk_trace
 
 
 def small_specs():
@@ -495,6 +495,14 @@ class TestChunks:
         )
         assert list(got) == expected
 
+    def test_bindings_of_another_pattern_rejected(self):
+        spec, other = PatternSpec("Jacobi2D", m=2, n=2), PatternSpec("MMijk", m=2)
+        bindings = bind_arrays(other, canonical_layout(other.primary_shape()))
+        with pytest.raises(ValueError, match="do not match"):
+            trace_chunks(spec, canonical_layout(spec.primary_shape()), bindings)
+        with pytest.raises(ValueError, match="do not match"):
+            trace_chunks(other, canonical_layout(other.primary_shape()), bindings[:2])
+
     def test_address_beyond_64_bits_rejected(self):
         spec = PatternSpec("MMijk", m=31, element_size=8)
         with pytest.raises(ValueError, match="64-bit"):
@@ -503,6 +511,37 @@ class TestChunks:
         ArrayBinding("X", canonical_layout(Shape((31, 31), 4)), 0)
         with pytest.raises(ValueError, match="64-bit"):
             ArrayBinding("X", canonical_layout(Shape((31, 31), 4)), 4)
+
+
+# Every kind at several sizes, covering empty nests, bodies longer than a
+# chunk, blocks of several triangular bodies and bodies walked one at a time.
+ORACLE_CASES = [
+    "MMijk(1;4)", "MMijk(3;8)",
+    "MMTijk(2,3;4)", "MMTijk(3,1;4)", "MMTijk(1,13;4)",
+    "MMikj(1;4)", "MMikj(3;4)",
+    "MMTikj(3,2;4)", "MMTikj(1,3;8)",
+    "Jacobi2D(1,1;4)", "Jacobi2D(2,3;4)", "Jacobi2D(4,2;4)", "Jacobi2D(2,13;4)",
+    "Cholesky(1;4)", "Cholesky(3;4)", "Cholesky(5;4)", "Cholesky(6;4)",
+    "Crout(1;4)", "Crout(3;4)", "Crout(5;4)", "Crout(6;8)",
+    "Himeno(2,2,2;4)", "Himeno(3,2,4;4)", "Himeno(2,3,5;8)",
+]
+
+
+class TestScalarOracle:
+    """trace_chunks against plain nested loops over the same table entry."""
+
+    def test_covers_every_kind(self):
+        assert {parse_pattern(text).kind for text in ORACLE_CASES} == set(PATTERN_KINDS)
+
+    @pytest.mark.parametrize("text", ORACLE_CASES)
+    def test_matches_trace_chunks(self, text):
+        spec = parse_pattern(text)
+        layout = seeded_layout(spec.primary_shape(), random.Random(text))
+        bindings = bind_arrays(spec, layout, line=16)
+        got = []
+        for addresses, stores in trace_chunks(spec, layout, bindings):
+            got += zip(stores.tolist(), addresses.tolist())
+        assert got == walk_trace(spec, bindings)
 
 
 def fill_matrix(binding, rows, cols, rng, flat):
