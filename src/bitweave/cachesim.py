@@ -13,19 +13,24 @@ traffic.
 
 Traces are simulated in chunks: a uint64 array of byte addresses plus a
 bool store mask, at most CHUNK_EVENTS events each.  Every link points to a
-level listed later, so nothing but the demand path ever installs into the
-first level.  An access whose previous access to the same first-level set
-within its chunk touched the same line is therefore a first-level hit that
-leaves the LRU order unchanged (the exact per-set form of stack-distance
-simulation); such repeats are counted in bulk and their store flags ORed
-into the access that heads their run, and only the rest are simulated one
-by one.
+level listed later, so only the first level's own misses install lines into
+it, and its hits, misses and victims over a chunk follow from each set's own
+access sequence, taken from the lines the set holds (LRU first) onward.  By
+the LRU stack-distance rule an access hits iff fewer than ``ways`` distinct
+lines of its set were touched since the previous access to its line.  Each
+miss, and each line held when the chunk starts, begins a residency that
+runs over the hits to its line until it is evicted.  A set evicts its
+residencies in the order of their last use, and only its last misses find
+it full, so sorting gives every victim and its dirty bit (the OR of the
+residency's stores).  That pass runs in numpy over the whole chunk; then
+only the first-level misses are walked one by one, in trace order: the fill
+from the next level, then the victim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -51,6 +56,12 @@ STORE = "S"
 # enough that a chunk's arrays and lists stay under about 1 MB.  Larger chunks
 # were no faster and raised peak memory by up to 4 MB.
 CHUNK_EVENTS = 1 << 13
+
+# The first-level pass counts distinct lines in reuse windows over blocks of
+# this many windows by this many positions, so its temporaries have a fixed
+# size whatever the trace.
+_SLAB_ROWS = 512
+_SLAB_COLUMNS = 16
 
 # (addresses, stores): uint64 byte addresses and a bool store mask, in trace order.
 Chunk = tuple[np.ndarray, np.ndarray]
@@ -262,73 +273,51 @@ class CacheState:
     def run_chunks(self, chunks: Iterable[Chunk]) -> None:
         """Stream a whole trace given as chunks; see the module docstring."""
         first = self._first
+        sets = first.sets
         shift = np.uint64(first.line_shift)
-        offset_mask = np.uint64(first.spec.line - 1)
         nsets = first.nsets
-        set_mask = np.uint64(nsets - 1) if _is_pow2(nsets) else None
         # A stable argsort radix-sorts keys of up to 16 bits.
         key_type = np.uint8 if nsets <= 1 << 8 else np.uint16 if nsets <= 1 << 16 else np.uint64
+        nxt = first.load_next
         for addresses, stores in chunks:
             n = len(addresses)
             if n == 0:
                 continue
-            lines = addresses >> shift
-            set_index = lines & set_mask if set_mask is not None else lines % np.uint64(nsets)
-            order = np.argsort(set_index.astype(key_type), kind="stable")
-            ordered = lines[order]
-            starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-            head_positions = order[starts]
-            # Each run of repeats is folded into its head: one access, dirty
-            # if any access of the run is a store.
-            dirty = np.zeros(n, dtype=bool)
-            dirty[head_positions] = np.logical_or.reduceat(stores[order], starts)
-            is_head = np.zeros(n, dtype=bool)
-            is_head[head_positions] = True
-            heads = np.flatnonzero(is_head)
             nstores = int(np.count_nonzero(stores))
             self.stores += nstores
             self.loads += n - nstores
-            first.hits += n - len(heads)
-            self._run_heads(
-                lines[heads].tolist(),
-                set_index[heads].tolist(),
-                (addresses[heads] & offset_mask).tolist(),
-                dirty[heads].tolist(),
-            )
-
-    def _run_heads(self, lines: list, set_index: list, offsets: list, dirty: list) -> None:
-        """The first-level path of access(), for accesses given as line,
-        set index, offset within the line and store flag."""
-        first = self._first
-        sets = first.sets
-        for index in set(set_index) - sets.keys():
-            sets[index] = {}
-        shift = first.line_shift
-        ways = first.ways
-        nxt = first.load_next
-        hits = 0
-        for line, index, offset, store in zip(lines, set_index, offsets, dirty):
-            s = sets[index]
-            if line in s:
-                if store:
-                    s.pop(line)
-                    s[line] = True
-                else:
-                    s[line] = s.pop(line)
-                hits += 1
-                continue
-            first.misses += 1
-            if nxt is None:
-                self.memory_accesses += 1
+            lines = addresses >> shift
+            keys = (lines % np.uint64(nsets)).astype(key_type)
+            if key_type is np.uint64:
+                touched = np.unique(keys)
             else:
-                self._demand(nxt, False, line << shift | offset, None)
+                touched = np.flatnonzero(np.bincount(keys, minlength=nsets)).astype(key_type)
+            touched_sets = touched.tolist()
+            misses, evicts, victims, victims_dirty, kept = _lru_pass(
+                lines,
+                keys,
+                stores,
+                touched,
+                [sets.get(index, {}) for index in touched_sets],
+                first.ways,
+            )
+            first.hits += n - len(misses)
+            first.misses += len(misses)
             # Nothing outside the demand path installs into the first level,
-            # so the set is as it was before the fill.
-            if len(s) >= ways:
-                vline = next(iter(s))
-                self._evict(first, vline, s.pop(vline))
-            s[line] = store
-        first.hits += hits
+            # so each miss's victim does not depend on the outer levels.
+            for address, evict, victim, dirty in zip(
+                addresses[misses].tolist(),
+                evicts.tolist(),
+                victims.tolist(),
+                victims_dirty.tolist(),
+            ):
+                if nxt is None:
+                    self.memory_accesses += 1
+                else:
+                    self._demand(nxt, False, address, None)
+                if evict:
+                    self._evict(first, victim, dirty)
+            sets.update(zip(touched_sets, kept))
 
     def _demand(
         self,
@@ -439,6 +428,165 @@ class CacheState:
 def build_hierarchy(spec: HierarchySpec) -> CacheState:
     """Fresh simulation state: all sets empty, all counters zero."""
     return CacheState(spec)
+
+
+def _lru_pass(
+    lines: np.ndarray,
+    keys: np.ndarray,
+    stores: np.ndarray,
+    touched: np.ndarray,
+    held: list[dict[int, bool]],
+    ways: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[dict[int, bool]]]:
+    """One chunk through an LRU level that sees demand accesses only.
+
+    ``lines``, ``keys`` (set indices) and ``stores`` describe the accesses,
+    ``touched`` lists their sets in ascending order and ``held`` what each
+    of those sets holds before the chunk: its lines in LRU order mapped to
+    their dirty bits.  Returns the positions of the misses in trace order;
+    for each miss whether it evicts, the line it evicts and that line's
+    dirty bit; and what each touched set holds afterwards, in the form of
+    ``held``.
+    """
+    nheld = sum(map(len, held))
+    held_lines = np.fromiter(chain.from_iterable(held), dtype=np.uint64, count=nheld)
+    held_dirty = np.fromiter(chain.from_iterable(map(dict.values, held)), dtype=bool, count=nheld)
+    held_counts = np.fromiter(map(len, held), dtype=np.int64, count=len(held))
+    all_keys = np.concatenate((np.repeat(touched, held_counts), keys))
+    # Each set's own sequence: the lines it holds, LRU first, as if just
+    # accessed in that order, then its accesses in trace order.
+    order = np.argsort(all_keys, kind="stable")
+    seq = np.concatenate((held_lines, lines))[order]
+    flags = np.concatenate((held_dirty, stores))[order]
+    # An access to the line its set's previous access touched is a hit with
+    # no access between, so it only adds its store flag to that access.  The
+    # rest of the pass runs over the first access of each such run.
+    heads = np.flatnonzero(np.append(True, seq[1:] != seq[:-1]))
+    flags = np.logical_or.reduceat(flags, heads)
+    order = order[heads]
+    seq = seq[heads]
+    total = len(seq)
+    # The same positions grouped by line, each line's in time order.
+    by_line = np.argsort(seq, kind="stable")
+    grouped = seq[by_line]
+    same = grouped[1:] == grouped[:-1]
+    firsts = np.flatnonzero(np.append(True, ~same))
+    line_set = np.searchsorted(touched, all_keys[order[by_line[firsts]]])
+    distinct = np.bincount(line_set, minlength=len(touched))
+    # In line order: a hit iff fewer than ``ways`` distinct lines were
+    # touched since the previous access to the line.  That holds at once if
+    # fewer than ``ways`` accesses lie between, or if the set sees at most
+    # ``ways`` lines in all; otherwise they are counted.
+    hit = np.append(False, same)
+    wide = np.flatnonzero(same & (np.diff(by_line) > ways)) + 1
+    wide = wide[distinct[line_set[np.searchsorted(firsts, wide, side="right") - 1]] > ways]
+    if len(wide):
+        prev = np.full(total, -1, dtype=np.int64)
+        prev[by_line[1:][same]] = by_line[:-1][same]
+        hit[wide] = _fewer_distinct(prev, by_line[wide], ways)
+
+    # A residency starts at each miss or held line and runs over the hits to
+    # its line after it; it is dirty if any of them is a store.
+    starts = np.flatnonzero(~hit)
+    ends = np.append(starts[1:], total) - 1
+    dirty = np.logical_or.reduceat(flags[by_line], starts)
+    last_use = by_line[ends]
+    # Positions run by set, then by time, so this orders the residencies by
+    # set and each set's by last use: the order in which LRU evicts them.
+    by_use = _argsort_positions(last_use, total)
+    last_use = last_use[by_use]
+    dirty = dirty[by_use]
+    res_lines = seq[last_use]
+    res_set = np.searchsorted(touched, all_keys[order[last_use]])
+    residencies = np.bincount(res_set, minlength=len(touched))
+    # A set keeps its last min(ways, distinct lines) residencies; the others
+    # are evicted, in order, by the misses that find it full: its last ones.
+    kept_counts = np.minimum(distinct, ways)
+    evicted = residencies - kept_counts
+    first_res = np.cumsum(residencies) - residencies
+    kept = np.flatnonzero(np.arange(len(last_use)) - first_res[res_set] >= evicted[res_set])
+
+    # The misses are the residencies' starts that are accesses, not held
+    # lines; taken by set and then by time.
+    is_miss = np.zeros(total, dtype=bool)
+    is_miss[by_line[starts]] = True
+    miss_seq = np.flatnonzero(is_miss & (order >= nheld))
+    miss_set = np.searchsorted(touched, all_keys[order[miss_seq]])
+    nmisses = np.bincount(miss_set, minlength=len(touched))
+    # How far past the last miss that finds a free way each miss lies.
+    beyond = np.arange(len(miss_seq)) - (np.cumsum(nmisses) - evicted)[miss_set]
+    misses = order[miss_seq] - nheld
+    by_time = _argsort_positions(misses, len(lines))
+    misses = misses[by_time]
+    beyond = beyond[by_time]
+    evicts = beyond >= 0
+    victim = np.where(evicts, first_res[miss_set[by_time]] + beyond, 0)
+    kept_lines = res_lines[kept].tolist()
+    kept_dirty = dirty[kept].tolist()
+    bounds = np.cumsum(kept_counts).tolist()
+    return (
+        misses,
+        evicts,
+        res_lines[victim],
+        dirty[victim],
+        [
+            dict(zip(kept_lines[start:stop], kept_dirty[start:stop]))
+            for start, stop in zip([0, *bounds], bounds)
+        ],
+    )
+
+
+def _argsort_positions(values: np.ndarray, size: int) -> np.ndarray:
+    """np.argsort of distinct integers in [0, size), by one scatter."""
+    slot = np.full(size, -1, dtype=np.intp)
+    slot[values] = np.arange(len(values))
+    return slot[slot >= 0]
+
+
+def _fewer_distinct(prev: np.ndarray, ends: np.ndarray, ways: int) -> np.ndarray:
+    """For each position k in ``ends``, whether fewer than ``ways`` distinct
+    lines lie strictly between prev[k] and k.
+
+    A position r in that window holds the first access to its line there
+    iff prev[r] < prev[k].  That holds for every r within _SLAB_COLUMNS
+    positions of prev[k] whose own previous access lies more than
+    _SLAB_COLUMNS back; if those alone reach ``ways``, the answer is no.
+    Past the window's first _SLAB_COLUMNS positions only such "far"
+    positions can qualify, so only they are scanned there.  Scans go
+    _SLAB_COLUMNS positions at a time, _SLAB_ROWS windows at once, until
+    ``ways`` first accesses are found or the window ends.
+    """
+    width = _SLAB_COLUMNS
+    columns = np.arange(1, width + 1)
+    last = len(prev) - 1
+    far = np.flatnonzero(np.arange(len(prev)) - prev > width)
+    far_prev = prev[far]
+    before = prev[ends]
+    sure = np.searchsorted(far, np.minimum(before + width, ends - 1), side="right") - (
+        np.searchsorted(far, before, side="right")
+    )
+    fewer = sure < ways
+    open_ = np.flatnonzero(fewer)
+    for begin in range(0, len(open_), _SLAB_ROWS):
+        rows = open_[begin : begin + _SLAB_ROWS]
+        end = ends[rows]
+        start = before[rows]
+        near = start[:, None] + columns
+        first = (prev[np.minimum(near, last)] < start[:, None]) & (near < end[:, None])
+        count = np.einsum("ij->i", first, dtype=np.intp)
+        lo = np.searchsorted(far, start + width + 1)
+        hi = np.searchsorted(far, end)
+        scan = np.flatnonzero((count < ways) & (lo < hi))
+        while len(scan):
+            index = lo[scan, None] + columns - 1
+            first = (far_prev[np.minimum(index, len(far) - 1)] < start[scan, None]) & (
+                index < hi[scan, None]
+            )
+            count[scan] += np.einsum("ij->i", first, dtype=np.intp)
+            lo[scan] += width
+            scan = scan[(count[scan] < ways) & (lo[scan] < hi[scan])]
+        fewer[rows] = count < ways
+    return fewer
 
 
 def _check_access(op: str, address: int, size: int, line: int) -> None:

@@ -11,6 +11,7 @@ on the hierarchy, so rankings are unaffected by it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from bitweave.cachesim import HierarchySpec, SimStats, build_hierarchy
 from bitweave.layout import Layout
@@ -23,7 +24,9 @@ __all__ = [
     "fitness_bound",
     "evaluate",
     "clear_cache",
+    "cache_info",
     "cache_size",
+    "CacheInfo",
 ]
 
 
@@ -61,7 +64,18 @@ def fitness_bound(spec: HierarchySpec) -> float:
     return 1.0 / (latency * latency)
 
 
+class CacheInfo(NamedTuple):
+    """evaluate()'s memo since the last clear_cache(): calls answered from
+    it, the other calls, and the results it holds."""
+
+    hits: int
+    misses: int
+    size: int
+
+
 _MEMO: dict[tuple[Layout, PatternSpec, HierarchySpec], FitnessValue] = {}
+_memo_hits = 0
+_memo_misses = 0
 
 
 def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
@@ -73,11 +87,15 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
     rejected, as are arrays whose addresses do not fit 64 bits.
     Results are memoized on (layout, pattern, spec); all three are immutable
     value objects, so repeated chromosomes cost a dict lookup.
+    cache_info() counts the calls answered from the memo and the others.
     """
+    global _memo_hits, _memo_misses
     key = (layout, pattern, spec)
     cached = _MEMO.get(key)
     if cached is not None:
+        _memo_hits += 1
         return cached
+    _memo_misses += 1
     smallest = min(spec.levels, key=lambda level: level.line)
     if pattern.element_size > smallest.line:
         raise ValueError(
@@ -96,7 +114,15 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
 
 
 def clear_cache() -> None:
+    """Empty the memo and zero its counters."""
+    global _memo_hits, _memo_misses
     _MEMO.clear()
+    _memo_hits = _memo_misses = 0
+
+
+def cache_info() -> CacheInfo:
+    """The memo's counters and size; see CacheInfo."""
+    return CacheInfo(_memo_hits, _memo_misses, len(_MEMO))
 
 
 def cache_size() -> int:

@@ -13,6 +13,8 @@ from bitweave.cachesim import (
     build_hierarchy,
 )
 from bitweave.cachespec import load_cache_spec
+from bitweave.layout import canonical_layout
+from bitweave.patterns import bind_arrays, parse_pattern, trace_chunks
 
 from helpers import RecencyListLRU, single_level
 
@@ -436,3 +438,143 @@ class TestRunMatchesAccess:
             [(addresses[:1000], stores[:1000]), (addresses[:0], stores[:0]), (addresses[1000:], stores[1000:])]
         )
         assert a.flush_writeback() == b.flush_writeback()
+
+
+def chunked(events, cuts):
+    """events as run_chunks chunks, cut at the given positions."""
+    addresses = np.array([addr for _, addr, _ in events], dtype=np.uint64)
+    stores = np.array([op == STORE for op, _, _ in events], dtype=bool)
+    bounds = [0, *sorted(cuts), len(events)]
+    return [(addresses[a:b], stores[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def set_cycles(draw):
+    """A first level of 1-16 ways, alone or with links to a second level,
+    and a trace that stays in one or two of its sets and cycles through
+    ways-1, ways or ways+1 lines there, with runs of repeats and reuse
+    windows longer than the first-level pass's slab width."""
+    ways = draw(st.integers(1, 16))
+    sets = draw(st.sampled_from((1, 3, 5, 64)))
+    links = st.sampled_from((None, "L2") if draw(st.booleans()) else (None,))
+    first = CacheLevelSpec(
+        name="L1",
+        sets=sets,
+        ways=ways,
+        line=16,
+        latency=1,
+        load_from=draw(links),
+        store_to=draw(links),
+        victim_to=draw(links),
+    )
+    second = CacheLevelSpec(name="L2", sets=2, ways=4, line=32, latency=2)
+    spec = HierarchySpec((first, second), memory_latency=100, first="L1", last="L2")
+    rng = draw(st.randoms(use_true_random=False))
+    homes = draw(st.lists(st.integers(0, sets - 1), min_size=1, max_size=2, unique=True))
+    events = []
+    for _ in range(draw(st.integers(1, 6))):
+        home = draw(st.sampled_from(homes))
+        count = max(1, ways + draw(st.sampled_from((-1, 0, 1))))
+        lines = [tag * sets + home for tag in rng.sample(range(2 * ways + 2), count)]
+        for _ in range(draw(st.integers(1, 4))):
+            for line in lines:
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    events.append((rng.choice((LOAD, STORE)), line * 16 + 4 * rng.randrange(4), 4))
+            if draw(st.booleans()):
+                # A long window: two lines alternate, then the others return.
+                pair = lines[-2:]
+                for k in range(draw(st.integers(0, 40))):
+                    events.append((rng.choice((LOAD, STORE)), pair[k % len(pair)] * 16, 4))
+    return spec, events
+
+
+def accessed(spec, events):
+    """A state that took the events one by one through access()."""
+    state = build_hierarchy(spec)
+    for event in events:
+        state.access(*event)
+    return state
+
+
+class TestFirstLevelPass:
+    """run_chunks' bulk first-level pass against per-event access()."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=set_cycles(), data=st.data())
+    def test_set_cycles(self, case, data):
+        spec, events = case
+        cuts = data.draw(st.lists(st.integers(0, len(events)), max_size=6))
+        expected = accessed(spec, events)
+        state = build_hierarchy(spec)
+        state.run_chunks(chunked(events, cuts))
+        # Replaying the trace shows the LRU order each set was left in.
+        assert [state.access(*e) for e in events] == [expected.access(*e) for e in events]
+        assert state.flush_writeback() == expected.flush_writeback()
+
+    def test_run_then_access_then_run(self):
+        rng = random.Random(3)
+        events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 11, 4), 4) for _ in range(4000)]
+        expected = build_hierarchy(three_level())
+        records = [expected.access(*event) for event in events]
+        state = build_hierarchy(three_level())
+        state.run(events[:1500])
+        assert [state.access(*event) for event in events[1500:1510]] == records[1500:1510]
+        state.run(events[1510:])
+        assert state.flush_writeback() == expected.flush_writeback()
+
+    @pytest.mark.parametrize("ways", [1, 2, 8, 16])
+    def test_lru_cycles_in_one_set(self, ways):
+        # One set of ``ways`` ways: cycling over ``ways`` lines misses only
+        # on the first pass; over ways+1 lines it misses every time.
+        rounds = 5
+        fits = [(LOAD, line * 64, 4) for _ in range(rounds) for line in range(ways)]
+        state = build_hierarchy(single_level(sets=1, ways=ways, line=64))
+        state.run_chunks(chunked(fits, [3, 7]))
+        stats = state.collect_stats().level("L1")
+        assert (stats.misses, stats.hits) == (ways, (rounds - 1) * ways)
+
+        over = [(STORE, line * 64, 4) for _ in range(rounds) for line in range(ways + 1)]
+        state = build_hierarchy(single_level(sets=1, ways=ways, line=64))
+        state.run_chunks(chunked(over, [5]))
+        stats = state.collect_stats()
+        assert (stats.level("L1").misses, stats.level("L1").hits) == (len(over), 0)
+        # Every store dirties its line and every eviction writes one back.
+        assert stats.level("L1").writebacks == stats.memory_writebacks == len(over) - ways
+        flushed = state.flush_writeback()
+        assert flushed.memory_writebacks == len(over)
+
+    def test_sets_beyond_16_bits(self):
+        # Four lines each in three sets of two ways; 5 and 65541 share
+        # their low 16 bits.
+        spec = single_level(sets=1 << 17, ways=2, line=16)
+        rng = random.Random(4)
+        events = [
+            (
+                rng.choice((LOAD, STORE)),
+                (rng.randrange(4) << 17 | rng.choice((5, 65541, (1 << 17) - 1))) << 4,
+                4,
+            )
+            for _ in range(3000)
+        ]
+        state = build_hierarchy(spec)
+        state.run(events)
+        assert state.flush_writeback() == accessed(spec, events).flush_writeback()
+
+    def test_only_first_level_misses_take_the_per_event_path(self):
+        pattern = parse_pattern("Jacobi2D(7,9;4)")
+        layout = canonical_layout(pattern.primary_shape())
+        chunks = trace_chunks(pattern, layout, bind_arrays(pattern, layout, line=64))
+        state = build_hierarchy(load_cache_spec("haswell"))
+        demand = state._demand
+        entered = []
+
+        def counted(lvl, *args):
+            if lvl.spec.name == "L2":
+                entered.append(lvl)
+            return demand(lvl, *args)
+
+        state._demand = counted
+        state.run_chunks(chunks)
+        stats = state.collect_stats()
+        assert len(entered) == stats.level("L1").misses == stats.level("L2").accesses
+        assert stats.level("L1").misses < stats.accesses // 20

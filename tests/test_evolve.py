@@ -8,7 +8,7 @@ import pytest
 
 import bitweave.evolve as evolve_module
 from bitweave.cachesim import LevelStats, SimStats
-from bitweave.fitness import FitnessValue, clear_cache, evaluate
+from bitweave.fitness import FitnessValue, cache_info, clear_cache, evaluate
 from bitweave.evolve import (
     EvolutionHistory,
     GAConfig,
@@ -299,6 +299,24 @@ class TestRunEvolution:
         with pytest.raises(ValueError, match="contiguity"):
             run_evolution(shape, pattern, hierarchy, GAConfig(contiguity=contiguity))
         assert calls == []
+
+    def test_memo_counts_every_evaluator_call(self, monkeypatch):
+        shape, pattern, hierarchy = self.tiny_setup()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(evolve_module, "evaluate", counted)
+        clear_cache()
+        run_evolution(shape, pattern, hierarchy, GAConfig())
+        info = cache_info()
+        assert len(calls) == 402  # 2 seeds + 20 generations of 20 offspring
+        assert info.hits + info.misses == len(calls)
+        assert info.misses == info.size == len(set(calls))
+        clear_cache()
+        assert cache_info() == (0, 0, 0)
 
     def test_seed_exempt_from_contiguity(self):
         shape, pattern, hierarchy = self.tiny_setup()

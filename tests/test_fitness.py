@@ -9,6 +9,7 @@ from bitweave.cachesim import LevelStats, SimStats, build_hierarchy
 from bitweave.cachespec import load_cache_spec
 from bitweave.fitness import (
     FitnessValue,
+    cache_info,
     cache_size,
     clear_cache,
     cycles,
@@ -201,6 +202,19 @@ class TestEvaluate:
         by_fitness = sorted(scored, key=lambda row: (-row[1], row[0]))
         by_raw = sorted(scored, key=lambda row: (-row[2], row[0]))
         assert [row[0] for row in by_fitness] == [row[0] for row in by_raw]
+
+    def test_cache_info_counts_hits_and_misses(self):
+        clear_cache()
+        assert cache_info() == (0, 0, 0)
+        spec = PatternSpec("MMijk", m=2)
+        hierarchy = single_level(4, 2, 16)
+        for layout in (canonical_layout(spec.primary_shape()), *enumerate_layouts(spec.primary_shape())):
+            evaluate(layout, spec, hierarchy)
+        info = cache_info()
+        assert info.misses == info.size == cache_size() == 6
+        assert info.hits == 1  # the canonical layout, enumerated again
+        clear_cache()
+        assert cache_info() == (0, 0, 0)
 
     def test_shape_mismatch_propagates(self):
         spec = PatternSpec("MMijk", m=2)
