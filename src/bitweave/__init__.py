@@ -46,20 +46,15 @@ from bitweave.layout import (
     Layout,
     Shape,
     canonical_layout,
-    contiguity_block,
     coordinate_array,
     count_layouts,
     enumerate_layouts,
     index_array,
-    inverse_index,
     layout_from_text,
-    layout_to_text,
-    linear_index,
     morton_layout,
     parse_ranks,
     random_layout,
     scatter_bits,
-    validate_layout,
 )
 from bitweave.patterns import (
     PATTERN_KINDS,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -73,15 +73,14 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class CacheLevelSpec:
-    """Geometry, policy, latency, and links of one cache level."""
+    """Geometry, latency, and links of one cache level; every level is
+    LRU, write-back and write-allocate."""
 
     name: str
     sets: int
     ways: int
     line: int
     latency: int
-    replacement: str = "LRU"
-    write_back: bool = True
     load_from: Optional[str] = None
     store_to: Optional[str] = None
     victim_to: Optional[str] = None
@@ -95,13 +94,6 @@ class CacheLevelSpec:
             raise ValueError(f"{self.name}: line size must be a power of two, got {self.line}")
         if self.latency < 1:
             raise ValueError(f"{self.name}: latency must be >= 1")
-        if self.replacement != "LRU":
-            raise ValueError(
-                f"{self.name}: replacement policy {self.replacement!r} not supported, "
-                "only LRU"
-            )
-        if not self.write_back:
-            raise ValueError(f"{self.name}: only write-back caches are supported")
 
     @property
     def capacity(self) -> int:
@@ -110,12 +102,11 @@ class CacheLevelSpec:
 
 @dataclass(frozen=True)
 class HierarchySpec:
-    """An ordered cache hierarchy plus the flat memory behind it."""
+    """An ordered cache hierarchy plus the flat memory behind it: accesses
+    enter the first level listed, and the last one is the outermost."""
 
     levels: tuple[CacheLevelSpec, ...]
     memory_latency: int
-    first: str
-    last: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -126,10 +117,6 @@ class HierarchySpec:
         names = [lvl.name for lvl in self.levels]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate level names in {names}")
-        if self.first != names[0]:
-            raise ValueError(f"first level {self.first!r} must be the innermost ({names[0]!r})")
-        if self.last != names[-1]:
-            raise ValueError(f"last level {self.last!r} must be the outermost ({names[-1]!r})")
         # Links point outward: victim cascades and flushes then end, and
         # nothing but the demand path installs into the first level.
         position = {name: k for k, name in enumerate(names)}
@@ -143,6 +130,14 @@ class HierarchySpec:
                     raise ValueError(
                         f"{lvl.name}: link to {link!r} must name a level listed after {lvl.name!r}"
                     )
+
+    @property
+    def first(self) -> str:
+        return self.levels[0].name
+
+    @property
+    def last(self) -> str:
+        return self.levels[-1].name
 
     def level(self, name: str) -> CacheLevelSpec:
         for lvl in self.levels:
@@ -240,7 +235,7 @@ class CacheState:
                 lvl.store_next = self._by_name[lvl.spec.store_to]
             if lvl.spec.victim_to:
                 lvl.victim_next = self._by_name[lvl.spec.victim_to]
-        self._first = self._by_name[spec.first]
+        self._first = self._levels[0]
         self._min_line = min(lvl.spec.line for lvl in self._levels)
         self.memory_accesses = 0
         self.memory_writebacks = 0
@@ -608,9 +603,13 @@ def _pack(events: Iterable[tuple[str, int, int]], line: int) -> Iterator[Chunk]:
         n = len(batch)
         ops = list(map(itemgetter(0), batch))
         try:
-            addresses = np.fromiter(map(itemgetter(1), batch), dtype=np.uint64, count=n)
+            # index() lets through only integers, as access() does; fromiter
+            # alone would take '4096' and 62.5.
+            addresses = np.fromiter(
+                map(index, map(itemgetter(1), batch)), dtype=np.uint64, count=n
+            )
             sizes = np.fromiter(map(itemgetter(2), batch), dtype=np.uint64, count=n)
-        except OverflowError:  # a negative value, or an address beyond 64 bits
+        except (OverflowError, TypeError):  # negative, beyond 64 bits, or not an integer
             valid = False
         else:
             valid = (

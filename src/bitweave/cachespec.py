@@ -19,14 +19,17 @@ The on-disk format is a small YAML document::
       latency: 200
 
 Parsing is strict: unknown or duplicate keys are rejected, and every error
-carries the source name and line number.  Two presets are bundled,
-``haswell`` and ``zen3``.
+carries the source name and line number.  ``replacement`` and ``write_back``
+must be ``LRU`` and ``true``, the only policy modelled, and ``memory.first``
+and ``memory.last`` must name the first and last levels listed.  Two
+presets are bundled, ``haswell`` and ``zen3``.
 """
 
 from __future__ import annotations
 
 import os
 from importlib import resources
+from typing import Collection
 
 import yaml
 
@@ -42,17 +45,6 @@ __all__ = [
 
 PRESETS = ("haswell", "zen3")
 
-_LEVEL_KEYS = (
-    "sets",
-    "ways",
-    "line",
-    "replacement",
-    "write_back",
-    "store_to",
-    "load_from",
-    "victim_to",
-    "latency",
-)
 _LEVEL_REQUIRED = ("sets", "ways", "line", "replacement", "write_back", "latency")
 _MEMORY_KEYS = ("first", "last", "latency")
 
@@ -84,7 +76,7 @@ def _mapping(ctx: _Ctx, node: yaml.Node, what: str) -> dict[str, tuple[yaml.Node
 def _check_keys(
     ctx: _Ctx,
     entries: dict[str, tuple[yaml.Node, yaml.Node]],
-    allowed: tuple[str, ...],
+    allowed: Collection[str],
     required: tuple[str, ...],
     what: str,
     where: yaml.Node,
@@ -118,6 +110,20 @@ def _str(ctx: _Ctx, node: yaml.Node, what: str) -> str:
     return node.value
 
 
+# Each level key with its parser, in the order the values are checked.
+_LEVEL_FIELDS = {
+    "sets": _int,
+    "ways": _int,
+    "line": _int,
+    "replacement": _str,
+    "write_back": _bool,
+    "load_from": _str,
+    "store_to": _str,
+    "victim_to": _str,
+    "latency": _int,
+}
+
+
 def parse_cache_spec(text: str, source: str = "<string>") -> HierarchySpec:
     """Parse a hierarchy configuration document into a HierarchySpec."""
     ctx = _Ctx(source)
@@ -141,33 +147,24 @@ def parse_cache_spec(text: str, source: str = "<string>") -> HierarchySpec:
     for name, (name_node, body) in levels_map.items():
         entries = _mapping(ctx, body, f"cache level {name!r}")
         _check_keys(
-            ctx, entries, _LEVEL_KEYS, _LEVEL_REQUIRED, f"cache level {name!r}", name_node
+            ctx, entries, _LEVEL_FIELDS, _LEVEL_REQUIRED, f"cache level {name!r}", name_node
         )
-
-        def value(key: str) -> yaml.Node:
-            return entries[key][1]
-
         try:
-            levels.append(
-                CacheLevelSpec(
-                    name=name,
-                    sets=_int(ctx, value("sets"), "sets"),
-                    ways=_int(ctx, value("ways"), "ways"),
-                    line=_int(ctx, value("line"), "line"),
-                    replacement=_str(ctx, value("replacement"), "replacement"),
-                    write_back=_bool(ctx, value("write_back"), "write_back"),
-                    load_from=_str(ctx, value("load_from"), "load_from")
-                    if "load_from" in entries
-                    else None,
-                    store_to=_str(ctx, value("store_to"), "store_to")
-                    if "store_to" in entries
-                    else None,
-                    victim_to=_str(ctx, value("victim_to"), "victim_to")
-                    if "victim_to" in entries
-                    else None,
-                    latency=_int(ctx, value("latency"), "latency"),
+            values = {
+                key: parse(ctx, entries[key][1], key)
+                for key, parse in _LEVEL_FIELDS.items()
+                if key in entries
+            }
+            replacement = values.pop("replacement")
+            write_back = values.pop("write_back")
+            levels.append(CacheLevelSpec(name=name, **values))
+            # The model has one policy; the keys stay so that a spec says so.
+            if replacement != "LRU":
+                raise ValueError(
+                    f"{name}: replacement policy {replacement!r} not supported, only LRU"
                 )
-            )
+            if not write_back:
+                raise ValueError(f"{name}: only write-back caches are supported")
         except ValueError as exc:
             if str(exc).startswith(source):
                 raise
@@ -177,12 +174,21 @@ def parse_cache_spec(text: str, source: str = "<string>") -> HierarchySpec:
     mem = _mapping(ctx, memory_node, "memory")
     _check_keys(ctx, mem, _MEMORY_KEYS, _MEMORY_KEYS, "memory", memory_node)
     try:
-        return HierarchySpec(
-            levels=tuple(levels),
-            memory_latency=_int(ctx, mem["latency"][1], "memory latency"),
-            first=_str(ctx, mem["first"][1], "first"),
-            last=_str(ctx, mem["last"][1], "last"),
-        )
+        memory_latency = _int(ctx, mem["latency"][1], "memory latency")
+        first = _str(ctx, mem["first"][1], "first")
+        last = _str(ctx, mem["last"][1], "last")
+        # The ends restate the list order.  HierarchySpec reports a bad
+        # latency before them, and bad links after them.
+        if memory_latency >= 1:
+            if first != levels[0].name:
+                raise ValueError(
+                    f"first level {first!r} must be the innermost ({levels[0].name!r})"
+                )
+            if last != levels[-1].name:
+                raise ValueError(
+                    f"last level {last!r} must be the outermost ({levels[-1].name!r})"
+                )
+        return HierarchySpec(tuple(levels), memory_latency)
     except ValueError as exc:
         if str(exc).startswith(source):
             raise
@@ -197,8 +203,8 @@ def render_cache_spec(spec: HierarchySpec) -> str:
         lines.append(f"    sets: {lvl.sets}")
         lines.append(f"    ways: {lvl.ways}")
         lines.append(f"    line: {lvl.line}")
-        lines.append(f"    replacement: {lvl.replacement}")
-        lines.append(f"    write_back: {'true' if lvl.write_back else 'false'}")
+        lines.append("    replacement: LRU")
+        lines.append("    write_back: true")
         if lvl.store_to is not None:
             lines.append(f"    store_to: {lvl.store_to}")
         if lvl.load_from is not None:

@@ -99,15 +99,10 @@ def initial_population(shape: Shape, evaluator: Evaluator) -> list[Individual]:
     return [Individual(layout, evaluator(layout)) for layout in layouts]
 
 
-def ox_crossover(
-    parent_a: Layout,
-    parent_b: Layout,
-    cut: Optional[tuple[int, int]] = None,
-    rng: Optional[random.Random] = None,
-) -> Layout:
+def ox_crossover(parent_a: Layout, parent_b: Layout, cut: tuple[int, int]) -> Layout:
     """Ordered crossover adapted to multiset chromosomes.
 
-    The child keeps parent_a's genes inside the cut window; the rest of
+    The child keeps parent_a's genes inside the cut window [i, j); the rest of
     parent_b, with the window's gene multiset removed, fills the remaining
     positions left to right in parent_b's order.  Removal consumes
     parent_b's occurrences inside the window first so that crossing a
@@ -117,14 +112,9 @@ def ox_crossover(
         raise ValueError("parents must share one shape")
     ranks_a, ranks_b = parent_a.ranks, parent_b.ranks
     total = len(ranks_a)
-    if cut is None:
-        if rng is None:
-            raise ValueError("either cut or rng is required")
-        i, j = sorted(rng.sample(range(total + 1), 2))
-    else:
-        i, j = cut
-        if not (0 <= i < j <= total):
-            raise ValueError(f"cut must satisfy 0 <= i < j <= {total}, got {cut}")
+    i, j = cut
+    if not (0 <= i < j <= total):
+        raise ValueError(f"cut must satisfy 0 <= i < j <= {total}, got {cut}")
     need: dict[int, int] = {}
     for g in ranks_a[i:j]:
         need[g] = need.get(g, 0) + 1
@@ -150,21 +140,12 @@ def ox_crossover(
     return Layout(tuple(out), parent_a.shape)
 
 
-def inversion_mutation(
-    layout: Layout,
-    segment: Optional[tuple[int, int]] = None,
-    rng: Optional[random.Random] = None,
-) -> Layout:
+def inversion_mutation(layout: Layout, segment: tuple[int, int]) -> Layout:
     """Reverse ranks[i:j]; multiplicities are preserved by construction."""
     total = len(layout.ranks)
-    if segment is None:
-        if rng is None:
-            raise ValueError("either segment or rng is required")
-        i, j = sorted(rng.sample(range(total + 1), 2))
-    else:
-        i, j = segment
-        if not (0 <= i < j <= total):
-            raise ValueError(f"segment must satisfy 0 <= i < j <= {total}, got {segment}")
+    i, j = segment
+    if not (0 <= i < j <= total):
+        raise ValueError(f"segment must satisfy 0 <= i < j <= {total}, got {segment}")
     ranks = list(layout.ranks)
     ranks[i:j] = ranks[i:j][::-1]
     return Layout(tuple(ranks), layout.shape)
@@ -187,13 +168,15 @@ def next_generation(
     if not population:
         raise ValueError("population is empty")
     weights = [ind.fitness.value for ind in population]
+    # Both operators cut at two distinct points of 0..total.
+    points = range(population[0].layout.shape.total_bits + 1)
     offspring: list[Individual] = []
     for _ in range(config.lambda_):
         for _attempt in range(_MAX_REJECTIONS):
             pa, pb = rng.choices(population, weights=weights, k=2)
-            child = ox_crossover(pa.layout, pb.layout, rng=rng)
+            child = ox_crossover(pa.layout, pb.layout, sorted(rng.sample(points, 2)))
             if rng.random() < config.mutation_rate:
-                child = inversion_mutation(child, rng=rng)
+                child = inversion_mutation(child, sorted(rng.sample(points, 2)))
             if _satisfies(child, config.contiguity):
                 break
         else:

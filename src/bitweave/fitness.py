@@ -11,6 +11,7 @@ on the hierarchy, so rankings are unaffected by it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from bitweave.cachesim import HierarchySpec, SimStats, build_hierarchy
@@ -54,13 +55,13 @@ def fitness(stats: SimStats, spec: HierarchySpec) -> FitnessValue:
     if accesses == 0:
         raise ValueError("fitness is undefined for an empty trace")
     total = cycles(stats, spec)
-    l1_latency = spec.level(spec.first).latency
+    l1_latency = spec.levels[0].latency
     return FitnessValue(value=accesses / (l1_latency * total), cycles=total, stats=stats)
 
 
 def fitness_bound(spec: HierarchySpec) -> float:
     """The all-hit upper bound 1/L1_lat^2."""
-    latency = spec.level(spec.first).latency
+    latency = spec.levels[0].latency
     return 1.0 / (latency * latency)
 
 
@@ -73,9 +74,9 @@ class CacheInfo(NamedTuple):
     size: int
 
 
-_MEMO: dict[tuple[Layout, PatternSpec, HierarchySpec], FitnessValue] = {}
-_memo_hits = 0
-_memo_misses = 0
+# Results the memo holds at most, least recently used dropped first.  A
+# default search evaluates a few hundred distinct layouts.
+MEMO_SIZE = 4096
 
 
 def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
@@ -85,17 +86,16 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
     so distinct arrays never share a line, as a real allocator would give.
     Elements larger than the smallest line would straddle lines and are
     rejected, as are arrays whose addresses do not fit 64 bits.
-    Results are memoized on (layout, pattern, spec); all three are immutable
-    value objects, so repeated chromosomes cost a dict lookup.
-    cache_info() counts the calls answered from the memo and the others.
+    Results are memoized on (layout, pattern, spec), the last MEMO_SIZE of
+    them; all three are immutable value objects, so repeated chromosomes
+    cost a lookup.  cache_info() counts the calls answered from the memo
+    and the others.
     """
-    global _memo_hits, _memo_misses
-    key = (layout, pattern, spec)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        _memo_hits += 1
-        return cached
-    _memo_misses += 1
+    return _evaluate(layout, pattern, spec)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
     smallest = min(spec.levels, key=lambda level: level.line)
     if pattern.element_size > smallest.line:
         raise ValueError(
@@ -107,23 +107,19 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
     chunks = trace_chunks(pattern, layout, bindings)
     state = build_hierarchy(spec)
     state.run_chunks(chunks)
-    stats = state.flush_writeback()
-    result = fitness(stats, spec)
-    _MEMO[key] = result
-    return result
+    return fitness(state.flush_writeback(), spec)
 
 
 def clear_cache() -> None:
     """Empty the memo and zero its counters."""
-    global _memo_hits, _memo_misses
-    _MEMO.clear()
-    _memo_hits = _memo_misses = 0
+    _evaluate.cache_clear()
 
 
 def cache_info() -> CacheInfo:
     """The memo's counters and size; see CacheInfo."""
-    return CacheInfo(_memo_hits, _memo_misses, len(_MEMO))
+    hits, misses, _, size = _evaluate.cache_info()
+    return CacheInfo(hits, misses, size)
 
 
 def cache_size() -> int:
-    return len(_MEMO)
+    return _evaluate.cache_info().currsize

@@ -29,16 +29,11 @@ __all__ = [
     "Shape",
     "Layout",
     "scatter_bits",
-    "validate_layout",
     "canonical_layout",
     "morton_layout",
     "random_layout",
-    "linear_index",
-    "inverse_index",
-    "contiguity_block",
     "count_layouts",
     "enumerate_layouts",
-    "layout_to_text",
     "parse_ranks",
     "layout_from_text",
     "index_array",
@@ -209,12 +204,8 @@ class Layout:
         return 1 << n
 
     def to_text(self) -> str:
-        return layout_to_text(self)
-
-
-def validate_layout(ranks: Sequence[int], shape: Shape) -> Layout:
-    """Check the multiset condition and return the layout if it holds."""
-    return Layout(tuple(ranks), shape)
+        """Render the rank sequence as ``[i_0,i_1,...]``, LSB first."""
+        return "[" + ",".join(str(r) for r in self.ranks) + "]"
 
 
 def canonical_layout(shape: Shape, axis_order: Sequence[int] | None = None) -> Layout:
@@ -253,18 +244,6 @@ def random_layout(shape: Shape, rng: random.Random) -> Layout:
     ranks = [d for d, b in enumerate(shape.bits) for _ in range(b)]
     rng.shuffle(ranks)
     return Layout(tuple(ranks), shape)
-
-
-def linear_index(layout: Layout, coord: Sequence[int]) -> int:
-    return layout.index(coord)
-
-
-def inverse_index(layout: Layout, index: int) -> Coordinate:
-    return layout.coordinate(index)
-
-
-def contiguity_block(layout: Layout, mode: int) -> int:
-    return layout.contiguity_block(mode)
 
 
 def count_layouts(shape: Shape) -> int:
@@ -306,13 +285,8 @@ def _enumerate(shape: Shape) -> Iterator[Layout]:
         seq[i + 1 :] = reversed(seq[i + 1 :])
 
 
-def layout_to_text(layout: Layout) -> str:
-    """Render the rank sequence as ``[i_0,i_1,...]``, LSB first."""
-    return "[" + ",".join(str(r) for r in layout.ranks) + "]"
-
-
 def parse_ranks(text: str) -> tuple[int, ...]:
-    """Parse a ``[i_0,i_1,...]`` rank sequence; inverse of layout_to_text."""
+    """Parse a ``[i_0,i_1,...]`` rank sequence; inverse of Layout.to_text."""
     stripped = text.strip()
     if not (stripped.startswith("[") and stripped.endswith("]")):
         raise ValueError(f"layout text must be bracketed like [0,1,0,1], got {text!r}")
@@ -345,7 +319,7 @@ def layout_from_text(text: str, element_size: int = 4) -> Layout:
 
 
 def index_array(layout: Layout, coords: np.ndarray) -> np.ndarray:
-    """Vectorized linear_index over an (N, ndim) array of coordinates.
+    """Vectorized Layout.index over an (N, ndim) array of coordinates.
 
     Built from per-output-bit gathers rather than per-dimension deposits, so
     it doubles as an independent cross-check of the scalar path.
@@ -363,7 +337,7 @@ def index_array(layout: Layout, coords: np.ndarray) -> np.ndarray:
 
 
 def coordinate_array(layout: Layout, indices: np.ndarray) -> np.ndarray:
-    """Vectorized inverse_index; returns an (N, ndim) uint64 array."""
+    """Vectorized Layout.coordinate; returns an (N, ndim) uint64 array."""
     indices = np.asarray(indices, dtype=np.uint64)
     if indices.ndim != 1:
         raise ValueError(f"expected a 1-D index array, got shape {indices.shape}")

@@ -18,6 +18,12 @@ def random_layout(rng: random.Random, shape: Shape) -> Layout:
     return Layout(tuple(seq), shape)
 
 
+def random_cut(rng: random.Random, total: int) -> tuple[int, int]:
+    """A cut (i, j) with 0 <= i < j <= total, drawn as next_generation does."""
+    i, j = sorted(rng.sample(range(total + 1), 2))
+    return i, j
+
+
 def naive_interleave(ranks: tuple[int, ...], coord: tuple[int, ...]) -> int:
     """Independent string-based oracle for the coordinate-to-index map.
 
@@ -59,6 +65,107 @@ class RecencyListLRU:
         return False
 
 
+class ReferenceHierarchy:
+    """Brute-force multi-level reference for write-back write-allocate LRU
+    hierarchies, written apart from the simulator under test.
+
+    Each set of each level is a plain list of [line, dirty] pairs, least
+    recently used first.  A demand access counts a hit or a miss at each
+    level it reaches along load_from and installs the line at every level
+    that missed.  A full set drops its first pair: into victim_to when the
+    level has one, else, when dirty, into store_to or memory.  flush()
+    writes every dirty line of every level, in list order, into store_to or
+    memory.
+    """
+
+    def __init__(self, spec) -> None:
+        self.levels = {level.name: level for level in spec.levels}
+        self.lists = {level.name: [[] for _ in range(level.sets)] for level in spec.levels}
+        # hits, misses, writebacks and victim installs per level
+        self.counts = {level.name: [0, 0, 0, 0] for level in spec.levels}
+        self.memory_accesses = self.memory_writebacks = self.loads = self.stores = 0
+
+    def access(self, store: bool, address: int) -> tuple[tuple[str, bool], ...]:
+        """One demand access from the first level; returns the same records
+        as CacheState.access."""
+        if store:
+            self.stores += 1
+        else:
+            self.loads += 1
+        record: list[tuple[str, bool]] = []
+        self._demand(next(iter(self.levels)), store, address, record)
+        return tuple(record)
+
+    def _find(self, name: str, address: int):
+        level = self.levels[name]
+        line = address // level.line
+        pairs = self.lists[name][line % level.sets]
+        for pair in pairs:
+            if pair[0] == line:
+                pairs.remove(pair)
+                pairs.append(pair)
+                return line, pairs, pair
+        return line, pairs, None
+
+    def _demand(self, name: str, store: bool, address: int, record: list) -> None:
+        _, _, pair = self._find(name, address)
+        if pair is not None:
+            pair[1] = pair[1] or store
+            self.counts[name][0] += 1
+            record.append((name, True))
+            return
+        self.counts[name][1] += 1
+        record.append((name, False))
+        source = self.levels[name].load_from
+        if source is None:
+            self.memory_accesses += 1
+            record.append(("memory", True))
+        else:
+            self._demand(source, False, address, record)
+        self._install(name, address, store)
+
+    def _install(self, name: str, address: int, dirty: bool) -> None:
+        line, pairs, pair = self._find(name, address)
+        if pair is not None:
+            pair[1] = pair[1] or dirty
+            return
+        level = self.levels[name]
+        if len(pairs) == level.ways:
+            victim, victim_dirty = pairs.pop(0)
+            victim_address = victim * level.line
+            if level.victim_to is not None:
+                self.counts[name][3] += 1
+                self._install(level.victim_to, victim_address, victim_dirty)
+            elif victim_dirty:
+                self._write_back(name, victim_address)
+        pairs.append([line, dirty])
+
+    def _write_back(self, name: str, address: int) -> None:
+        self.counts[name][2] += 1
+        target = self.levels[name].store_to
+        if target is None:
+            self.memory_writebacks += 1
+        else:
+            self._install(target, address, True)
+
+    def flush(self) -> tuple:
+        """Write back every dirty line; returns the counters in the shape of
+        dataclasses.astuple(SimStats)."""
+        for name, level in self.levels.items():
+            for pairs in self.lists[name]:
+                for pair in pairs:
+                    if pair[1]:
+                        pair[1] = False
+                        self._write_back(name, pair[0] * level.line)
+        return (
+            tuple((name, *counts) for name, counts in self.counts.items()),
+            self.memory_accesses,
+            self.memory_writebacks,
+            self.loads,
+            self.stores,
+        )
+
+
 def single_level(
     sets: int, ways: int, line: int, latency: int = 4, memory_latency: int = 100
 ) -> HierarchySpec:
@@ -68,8 +175,6 @@ def single_level(
             CacheLevelSpec(name="L1", sets=sets, ways=ways, line=line, latency=latency),
         ),
         memory_latency=memory_latency,
-        first="L1",
-        last="L1",
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bitweave.cachespec import load_cache_spec
 from bitweave.layout import canonical_layout
 from bitweave.patterns import bind_arrays, parse_pattern, trace_chunks
 
-from helpers import RecencyListLRU, single_level
+from helpers import RecencyListLRU, ReferenceHierarchy, single_level
 
 
 def three_level(victim: bool = True) -> HierarchySpec:
@@ -38,8 +39,6 @@ def three_level(victim: bool = True) -> HierarchySpec:
             CacheLevelSpec(name="L3", sets=8, ways=4, line=64, latency=36),
         ),
         memory_latency=200,
-        first="L1",
-        last="L3",
     )
 
 
@@ -52,14 +51,6 @@ class TestSpecs:
         with pytest.raises(ValueError):
             CacheLevelSpec(name="L1", sets=64, ways=8, line=64, latency=0)
 
-    def test_fifo_policy_rejected(self):
-        with pytest.raises(ValueError):
-            CacheLevelSpec(name="L1", sets=64, ways=8, line=64, latency=4, replacement="FIFO")
-
-    def test_write_through_rejected(self):
-        with pytest.raises(ValueError):
-            CacheLevelSpec(name="L1", sets=64, ways=8, line=64, latency=4, write_back=False)
-
     def test_dangling_link(self):
         with pytest.raises(ValueError):
             HierarchySpec(
@@ -69,8 +60,6 @@ class TestSpecs:
                     ),
                 ),
                 memory_latency=100,
-                first="L1",
-                last="L1",
             )
 
     def test_link_cycle(self):
@@ -85,8 +74,6 @@ class TestSpecs:
                     ),
                 ),
                 memory_latency=100,
-                first="L1",
-                last="L2",
             )
 
     @pytest.mark.parametrize("link", ["load_from", "store_to", "victim_to"])
@@ -99,8 +86,6 @@ class TestSpecs:
                     CacheLevelSpec(name="L2", sets=2, ways=2, line=64, latency=12, **{link: target}),
                 ),
                 memory_latency=100,
-                first="L1",
-                last="L2",
             )
 
     def test_store_to_earlier_level_rejected(self):
@@ -117,8 +102,6 @@ class TestSpecs:
                     CacheLevelSpec(name="L3", sets=4, ways=2, line=64, latency=36, store_to="L2"),
                 ),
                 memory_latency=200,
-                first="L1",
-                last="L3",
             )
 
     def test_duplicate_names(self):
@@ -129,8 +112,6 @@ class TestSpecs:
                     CacheLevelSpec(name="L1", sets=2, ways=2, line=64, latency=4),
                 ),
                 memory_latency=100,
-                first="L1",
-                last="L1",
             )
 
     def test_presets_build(self):
@@ -178,6 +159,16 @@ class TestAccess:
             state.access(*event)
         fresh = build_hierarchy(load_cache_spec("haswell"))
         with pytest.raises(ValueError) as from_run:
+            fresh.run([(LOAD, 0, 4), event])
+        assert str(from_run.value) == str(from_access.value)
+
+    @pytest.mark.parametrize("event", [(STORE, "4096", 4), (LOAD, 62.5, 1)])
+    def test_run_rejects_non_integer_addresses(self, event):
+        state = build_hierarchy(single_level(sets=4, ways=2, line=64))
+        with pytest.raises(TypeError) as from_access:
+            state.access(*event)
+        fresh = build_hierarchy(single_level(sets=4, ways=2, line=64))
+        with pytest.raises(TypeError) as from_run:
             fresh.run([(LOAD, 0, 4), event])
         assert str(from_run.value) == str(from_access.value)
 
@@ -347,8 +338,6 @@ class TestVictimCache:
                 CacheLevelSpec(name="L2", sets=4, ways=4, line=64, latency=12),
             ),
             memory_latency=100,
-            first="L1",
-            last="L2",
         )
         state = build_hierarchy(spec)
         state.access(LOAD, 0, 4)  # cold: install in L2 and L1
@@ -390,7 +379,7 @@ def hierarchies(draw):
                 victim_to=draw(link),
             )
         )
-    return HierarchySpec(tuple(levels), memory_latency=100, first=names[0], last=names[-1])
+    return HierarchySpec(tuple(levels), memory_latency=100)
 
 
 @st.composite
@@ -403,6 +392,30 @@ def traces(draw):
             op = STORE if draw(st.booleans()) else LOAD
             events.append((op, line * 16 + 4 * draw(st.integers(0, 3)), 4))
     return events
+
+
+class TestReferenceHierarchy:
+    """The simulator against an independent multi-level reference: links,
+    victims, mixed line sizes and flush."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=hierarchies(), events=traces())
+    def test_run_and_flush(self, spec, events):
+        reference = ReferenceHierarchy(spec)
+        for op, addr, _ in events:
+            reference.access(op == STORE, addr)
+        state = build_hierarchy(spec)
+        state.run(events)
+        assert astuple(state.flush_writeback()) == reference.flush()
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=hierarchies(), events=traces())
+    def test_access_records(self, spec, events):
+        reference = ReferenceHierarchy(spec)
+        state = build_hierarchy(spec)
+        for op, addr, size in events:
+            assert state.access(op, addr, size) == reference.access(op == STORE, addr)
+        assert astuple(state.flush_writeback()) == reference.flush()
 
 
 class TestRunMatchesAccess:
@@ -468,7 +481,7 @@ def set_cycles(draw):
         victim_to=draw(links),
     )
     second = CacheLevelSpec(name="L2", sets=2, ways=4, line=32, latency=2)
-    spec = HierarchySpec((first, second), memory_latency=100, first="L1", last="L2")
+    spec = HierarchySpec((first, second), memory_latency=100)
     rng = draw(st.randoms(use_true_random=False))
     homes = draw(st.lists(st.integers(0, sets - 1), min_size=1, max_size=2, unique=True))
     events = []

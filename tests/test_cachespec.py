@@ -20,7 +20,7 @@ class TestPresets:
         assert (l2.store_to, l2.load_from, l2.victim_to) == ("L3", "L3", "L3")
         assert (l3.sets, l3.ways, l3.line, l3.latency) == (25600, 16, 64, 36)
         assert (l3.store_to, l3.load_from, l3.victim_to) == (None, None, None)
-        assert all(lvl.replacement == "LRU" and lvl.write_back for lvl in spec.levels)
+        assert render_cache_spec(spec).count("replacement: LRU\n    write_back: true\n") == 3
         assert (spec.first, spec.last, spec.memory_latency) == ("L1", "L3", 200)
 
     def test_zen3_fields(self):
@@ -103,3 +103,42 @@ class TestParsing:
         with pytest.raises(ValueError) as err:
             parse_cache_spec(text)
         assert "memory" in str(err.value)
+
+    def test_fifo_policy_rejected(self):
+        text = GOOD.replace("replacement: LRU", "replacement: FIFO", 2)
+        text = text.replace("replacement: FIFO", "replacement: LRU", 1)
+        with pytest.raises(ValueError) as err:
+            parse_cache_spec(text, source="cache.yaml")
+        assert str(err.value) == "cache.yaml:11: L2: replacement policy 'FIFO' not supported, only LRU"
+
+    def test_write_through_rejected(self):
+        text = GOOD.replace("write_back: true", "write_back: false", 1)
+        with pytest.raises(ValueError) as err:
+            parse_cache_spec(text, source="cache.yaml")
+        assert str(err.value) == "cache.yaml:2: L1: only write-back caches are supported"
+
+    def test_level_geometry_reported_before_policy(self):
+        text = GOOD.replace("replacement: LRU", "replacement: FIFO", 1)
+        text = text.replace("    latency: 4\n", "    latency: 0\n")
+        with pytest.raises(ValueError) as err:
+            parse_cache_spec(text, source="cache.yaml")
+        assert str(err.value) == "cache.yaml:2: L1: latency must be >= 1"
+
+    def test_wrong_first_level(self):
+        with pytest.raises(ValueError) as err:
+            parse_cache_spec(GOOD.replace("first: L1", "first: L2"), source="cache.yaml")
+        assert str(err.value) == "cache.yaml:29: first level 'L2' must be the innermost ('L1')"
+
+    def test_wrong_last_level(self):
+        with pytest.raises(ValueError) as err:
+            parse_cache_spec(GOOD.replace("last: L3", "last: L2"), source="cache.yaml")
+        assert str(err.value) == "cache.yaml:29: last level 'L2' must be the outermost ('L3')"
+
+    def test_memory_errors_in_order(self):
+        # A bad latency is reported before a wrong end, a wrong end before a
+        # bad link.
+        wrong_first = GOOD.replace("first: L1", "first: L2")
+        with pytest.raises(ValueError, match="memory latency must be >= 1"):
+            parse_cache_spec(wrong_first.replace("  latency: 200", "  latency: 0"))
+        with pytest.raises(ValueError, match="must be the innermost"):
+            parse_cache_spec(wrong_first.replace("store_to: L2", "store_to: L4", 1))

@@ -22,7 +22,7 @@ from bitweave.evolve import (
 )
 from bitweave.layout import Layout, Shape, canonical_layout, enumerate_layouts
 
-from helpers import random_layout, single_level
+from helpers import random_cut, random_layout, single_level
 
 _DUMMY_STATS = SimStats(
     levels=(LevelStats("L1", 1, 0, 0, 0),),
@@ -120,7 +120,7 @@ class TestCrossover:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="share one shape"):
-            ox_crossover(canonical_layout(Shape((2, 2))), canonical_layout(Shape((1, 3))))
+            ox_crossover(canonical_layout(Shape((2, 2))), canonical_layout(Shape((1, 3))), (0, 2))
 
     def test_multiset_closure_random(self):
         rng = random.Random(17)
@@ -128,21 +128,16 @@ class TestCrossover:
             shape = Shape(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4))))
             a = random_layout(rng, shape)
             b = random_layout(rng, shape)
-            child = ox_crossover(a, b, rng=rng)
+            child = ox_crossover(a, b, random_cut(rng, shape.total_bits))
             assert Counter(child.ranks) == Counter(a.ranks)
 
     def test_rng_determinism(self):
         shape = Shape((3, 3))
         a = Layout((0, 1, 0, 1, 0, 1), shape)
         b = Layout((1, 1, 1, 0, 0, 0), shape)
-        first = ox_crossover(a, b, rng=random.Random(9))
-        second = ox_crossover(a, b, rng=random.Random(9))
+        first = ox_crossover(a, b, random_cut(random.Random(9), 6))
+        second = ox_crossover(a, b, random_cut(random.Random(9), 6))
         assert first == second
-
-    def test_needs_cut_or_rng(self):
-        a = canonical_layout(Shape((2, 2)))
-        with pytest.raises(ValueError, match="cut or rng"):
-            ox_crossover(a, a)
 
 
 class TestMutation:
@@ -163,7 +158,7 @@ class TestMutation:
         for _ in range(1000):
             shape = Shape(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4))))
             layout = random_layout(rng, shape)
-            mutated = inversion_mutation(layout, rng=rng)
+            mutated = inversion_mutation(layout, random_cut(rng, shape.total_bits))
             assert Counter(mutated.ranks) == Counter(layout.ranks)
 
     def test_bad_segment(self):

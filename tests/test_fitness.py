@@ -216,6 +216,21 @@ class TestEvaluate:
         clear_cache()
         assert cache_info() == (0, 0, 0)
 
+    def test_memo_keeps_the_last_4096_results(self):
+        clear_cache()
+        spec = PatternSpec("MMijk", m=1)
+        layout = canonical_layout(spec.primary_shape())
+        first = evaluate(layout, spec, single_level(1, 1, 16, memory_latency=1))
+        for latency in range(2, 4098):
+            evaluate(layout, spec, single_level(1, 1, 16, memory_latency=latency))
+        info = cache_info()
+        assert (info.misses, info.size) == (4097, 4096)
+        # The first result was dropped; evaluating it again simulates anew.
+        again = evaluate(layout, spec, single_level(1, 1, 16, memory_latency=1))
+        assert again == first and again is not first
+        assert cache_info().misses == 4098
+        clear_cache()
+
     def test_shape_mismatch_propagates(self):
         spec = PatternSpec("MMijk", m=2)
         wrong = canonical_layout(Shape((2, 3)))

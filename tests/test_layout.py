@@ -8,19 +8,14 @@ from bitweave.layout import (
     Layout,
     Shape,
     canonical_layout,
-    contiguity_block,
     coordinate_array,
     count_layouts,
     enumerate_layouts,
     index_array,
-    inverse_index,
     layout_from_text,
-    layout_to_text,
-    linear_index,
     morton_layout,
     parse_ranks,
     scatter_bits,
-    validate_layout,
 )
 
 from helpers import naive_interleave, random_layout
@@ -54,23 +49,23 @@ class TestShape:
 
 class TestValidateLayout:
     def test_nine_bit_three_dim_sequence_is_valid(self):
-        lay = validate_layout([1, 1, 2, 0, 0, 1, 2, 0, 2], Shape((3, 3, 3)))
+        lay = Layout([1, 1, 2, 0, 0, 1, 2, 0, 2], Shape((3, 3, 3)))
         assert lay.ranks == (1, 1, 2, 0, 0, 1, 2, 0, 2)
 
     def test_multiplicity_violation(self):
         with pytest.raises(ValueError):
-            validate_layout([0, 0], Shape((1, 1)))
+            Layout([0, 0], Shape((1, 1)))
 
     def test_balanced_interleave_is_valid(self):
-        assert validate_layout([0, 1, 0, 1], Shape((2, 2))).ranks == (0, 1, 0, 1)
+        assert Layout([0, 1, 0, 1], Shape((2, 2))).ranks == (0, 1, 0, 1)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            validate_layout([0, 1], Shape((2, 2)))
+            Layout([0, 1], Shape((2, 2)))
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
-            validate_layout([0, 2, 0, 2], Shape((2, 2)))
+            Layout([0, 2, 0, 2], Shape((2, 2)))
 
 
 class TestConstructors:
@@ -104,43 +99,43 @@ class TestConstructors:
         for _ in range(50):
             bits = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
             lay = morton_layout(Shape(bits))
-            assert validate_layout(lay.ranks, lay.shape).ranks == lay.ranks
+            assert Layout(lay.ranks, lay.shape).ranks == lay.ranks
 
 
 class TestLinearIndex:
     def test_morton_8x8_example(self):
         lay = Layout((0, 1, 0, 1, 0, 1), Shape((3, 3)))
-        assert linear_index(lay, (3, 5)) == 39
+        assert lay.index((3, 5)) == 39
 
     def test_three_dim_interleave_example(self):
         lay = Layout((1, 1, 2, 0, 0, 1, 2, 0, 2), Shape((3, 3, 3)))
-        assert linear_index(lay, (3, 5, 4)) == 313
+        assert lay.index((3, 5, 4)) == 313
 
     def test_three_dim_morton_example(self):
         lay = morton_layout(Shape((3, 3, 3)))
-        assert linear_index(lay, (3, 5, 4)) == 395
+        assert lay.index((3, 5, 4)) == 395
 
     def test_row_major_is_x_plus_8y(self):
         lay = Layout((0, 0, 0, 1, 1, 1), Shape((3, 3)))
         for x in range(8):
             for y in range(8):
-                assert linear_index(lay, (x, y)) == x + 8 * y
+                assert lay.index((x, y)) == x + 8 * y
 
     def test_small_interleave_by_hand(self):
         lay = Layout((0, 1, 0, 1), Shape((2, 2)))
-        assert linear_index(lay, (2, 3)) == 14
+        assert lay.index((2, 3)) == 14
 
     def test_coordinate_out_of_bounds(self):
         lay = morton_layout(Shape((2, 2)))
         with pytest.raises(ValueError):
-            linear_index(lay, (4, 0))
+            lay.index((4, 0))
         with pytest.raises(ValueError):
-            linear_index(lay, (0, -1))
+            lay.index((0, -1))
 
     def test_wrong_arity(self):
         lay = morton_layout(Shape((2, 2)))
         with pytest.raises(ValueError):
-            linear_index(lay, (1, 1, 1))
+            lay.index((1, 1, 1))
 
     def test_matches_naive_oracle_randomized(self):
         rng = random.Random(0xBEE5)
@@ -151,7 +146,7 @@ class TestLinearIndex:
             lay = random_layout(rng, shape)
             for _ in range(20):
                 coord = tuple(rng.randrange(1 << b) for b in bits)
-                assert linear_index(lay, coord) == naive_interleave(lay.ranks, coord)
+                assert lay.index(coord) == naive_interleave(lay.ranks, coord)
 
     def test_matches_naive_oracle_wide_shapes(self):
         # Shapes near the 62-bit cap exercise values beyond 32 bits.
@@ -161,28 +156,28 @@ class TestLinearIndex:
             lay = random_layout(rng, shape)
             for _ in range(20):
                 coord = tuple(rng.randrange(1 << b) for b in shape.bits)
-                idx = linear_index(lay, coord)
+                idx = lay.index(coord)
                 assert idx == naive_interleave(lay.ranks, coord)
-                assert inverse_index(lay, idx) == coord
+                assert lay.coordinate(idx) == coord
 
 
 class TestInverseIndex:
     def test_morton_example_inverse(self):
         lay = Layout((0, 1, 0, 1, 0, 1), Shape((3, 3)))
-        assert inverse_index(lay, 39) == (3, 5)
+        assert lay.coordinate(39) == (3, 5)
 
     def test_zero_maps_to_origin(self):
         lay = Layout((0, 0, 0, 1, 1, 1), Shape((3, 3)))
-        assert inverse_index(lay, 0) == (0, 0)
+        assert lay.coordinate(0) == (0, 0)
 
     def test_three_dim_example_inverse(self):
         lay = Layout((1, 1, 2, 0, 0, 1, 2, 0, 2), Shape((3, 3, 3)))
-        assert inverse_index(lay, 313) == (3, 5, 4)
+        assert lay.coordinate(313) == (3, 5, 4)
 
     def test_index_out_of_range(self):
         lay = morton_layout(Shape((2, 2)))
         with pytest.raises(ValueError):
-            inverse_index(lay, 16)
+            lay.coordinate(16)
 
     def test_round_trip_exhaustive_small(self):
         rng = random.Random(3)
@@ -191,7 +186,7 @@ class TestInverseIndex:
             for _ in range(10):
                 lay = random_layout(rng, shape)
                 for idx in range(shape.num_elements):
-                    assert linear_index(lay, inverse_index(lay, idx)) == idx
+                    assert lay.index(lay.coordinate(idx)) == idx
 
 
 class TestBijectivity:
@@ -202,7 +197,7 @@ class TestBijectivity:
             for _ in range(10):
                 lay = random_layout(rng, shape)
                 image = {
-                    linear_index(lay, coord)
+                    lay.index(coord)
                     for coord in itertools.product(*(range(e) for e in shape.extents))
                 }
                 assert image == set(range(shape.num_elements))
@@ -226,7 +221,7 @@ class TestRankSignificance:
             lo[d] = (base[d] & ~((1 << j) | (1 << jp))) | (1 << j)
             hi = list(base)
             hi[d] = (base[d] & ~((1 << j) | (1 << jp))) | (1 << jp)
-            assert linear_index(lay, tuple(hi)) > linear_index(lay, tuple(lo))
+            assert lay.index(tuple(hi)) > lay.index(tuple(lo))
 
     def test_deposit_is_monotone_per_dimension(self):
         rng = random.Random(29)
@@ -250,33 +245,33 @@ class TestCanonicalArithmetic:
                 acc *= e
             for coord in itertools.product(*(range(e) for e in shape.extents)):
                 expect = sum(s * x for s, x in zip(strides, coord))
-                assert linear_index(lay, coord) == expect
+                assert lay.index(coord) == expect
 
     def test_minor_axis_steps_are_consecutive(self):
         shape = Shape((3, 3))
         lay = canonical_layout(shape, (0, 1))
         for y in range(8):
             for x in range(7):
-                assert linear_index(lay, (x + 1, y)) == linear_index(lay, (x, y)) + 1
+                assert lay.index((x + 1, y)) == lay.index((x, y)) + 1
 
 
 class TestContiguityBlock:
     def test_full_run(self):
         lay = Layout((0, 0, 0, 1, 1, 1), Shape((3, 3)))
-        assert contiguity_block(lay, 0) == 8
+        assert lay.contiguity_block(0) == 8
 
     def test_two_bit_prefix(self):
         lay = Layout((1, 1, 2, 0, 0, 1, 2, 0, 2), Shape((3, 3, 3)))
-        assert contiguity_block(lay, 1) == 4
+        assert lay.contiguity_block(1) == 4
 
     def test_no_prefix(self):
         lay = Layout((0, 1, 0, 1, 0, 1), Shape((3, 3)))
-        assert contiguity_block(lay, 1) == 1
+        assert lay.contiguity_block(1) == 1
 
     def test_mode_out_of_range(self):
         lay = morton_layout(Shape((2, 2)))
         with pytest.raises(ValueError):
-            contiguity_block(lay, 2)
+            lay.contiguity_block(2)
 
     def test_canonical_minor_axis_has_full_block(self):
         rng = random.Random(31)
@@ -287,7 +282,7 @@ class TestContiguityBlock:
             rng.shuffle(order)
             shape = Shape(bits)
             lay = canonical_layout(shape, order)
-            assert contiguity_block(lay, order[0]) == 1 << bits[order[0]]
+            assert lay.contiguity_block(order[0]) == 1 << bits[order[0]]
 
 
 class TestCountLayouts:
@@ -338,12 +333,12 @@ class TestEnumerateLayouts:
 class TestTextFormat:
     def test_render(self):
         lay = Layout((1, 1, 2, 0, 0, 1, 2, 0, 2), Shape((3, 3, 3)))
-        assert layout_to_text(lay) == "[1,1,2,0,0,1,2,0,2]"
+        assert lay.to_text() == "[1,1,2,0,0,1,2,0,2]"
 
     def test_parse_round_trip(self):
         text = "[1,1,2,0,0,1,2,0,2]"
         lay = layout_from_text(text)
-        assert layout_to_text(lay) == text
+        assert lay.to_text() == text
         assert lay.shape.bits == (3, 3, 3)
 
     def test_parse_tolerates_spaces(self):
@@ -354,7 +349,7 @@ class TestTextFormat:
         for _ in range(100):
             bits = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
             lay = random_layout(rng, Shape(bits))
-            again = layout_from_text(layout_to_text(lay))
+            again = layout_from_text(lay.to_text())
             assert again.ranks == lay.ranks
             assert again.shape.bits == lay.shape.bits
 
@@ -384,7 +379,7 @@ class TestBatchIndexing:
             )
             idx = index_array(lay, coords)
             for row, want in zip(coords, idx):
-                assert linear_index(lay, tuple(int(c) for c in row)) == int(want)
+                assert lay.index(tuple(int(c) for c in row)) == int(want)
             back = coordinate_array(lay, idx)
             assert np.array_equal(back, coords)
 
