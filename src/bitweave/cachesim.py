@@ -12,25 +12,38 @@ tracked separately so the cycle model can stay a pure function of demand
 traffic.
 
 Traces are simulated in chunks: a uint64 array of byte addresses plus a
-bool store mask, at most CHUNK_EVENTS events each.  Every link points to a
-level listed later, so only the first level's own misses install lines into
-it, and its hits, misses and victims over a chunk follow from each set's own
-access sequence, taken from the lines the set holds (LRU first) onward.  By
-the LRU stack-distance rule an access hits iff fewer than ``ways`` distinct
-lines of its set were touched since the previous access to its line.  Each
-miss, and each line held when the chunk starts, begins a residency that
-runs over the hits to its line until it is evicted.  A set evicts its
-residencies in the order of their last use, and only its last misses find
-it full, so sorting gives every victim and its dirty bit (the OR of the
-residency's stores).  That pass runs in numpy over the whole chunk; then
-only the first-level misses are walked one by one, in trace order: the fill
-from the next level, then the victim.
+bool store mask, at most CHUNK_EVENTS events each.  Demand accesses, fills,
+victim installs and write-backs are all one LRU operation, "touch this line
+with dirty bit d"; they differ only in what they count and send on.  Every
+link points to a level listed later, so each level's input is fixed by the
+levels before it, and the levels run one at a time, in list order, each as
+one bulk pass over its input.  Within a pass a set's hits, misses and
+victims follow from its own sequence of touches, taken from the lines the
+set holds (LRU first) onward.  By the LRU stack-distance rule a touch hits
+iff fewer than ``ways`` distinct lines of its set were touched since the
+previous touch of its line.  Each miss, and each line held when the pass
+starts, begins a residency that runs over the hits to its line until it is
+evicted.  A set evicts its residencies in the order of their last use, and
+only its last misses find it full, so sorting gives every victim and its
+dirty bit (the OR of the residency's dirty bits).  A counted miss sends a
+load of its byte address to ``load_from``; then its victim goes on.
+
+The first level takes each chunk at once; an outer level's input waits until
+it holds CHUNK_EVENTS events, and then it and every level before it run.
+Events carry merge keys: an access's key is its trace position, a fill keeps
+the key of the touch that missed, and a victim adds its level's slot bit, so
+that where several levels feed one, sorting by key merges their events into
+the order the per-event recursion produces.  flush_writeback is the same
+cascade: once a level has run all of its input, its dirty lines, by
+ascending set and in LRU order within a set, go to its store_to level as
+dirty installs keyed after everything sent before them.  access() simulates
+one access on its own, recursively: the per-event reference path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
 from operator import index, itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -114,6 +127,10 @@ class HierarchySpec:
             raise ValueError("hierarchy needs at least one cache level")
         if self.memory_latency < 1:
             raise ValueError("memory latency must be >= 1")
+        # The simulator's merge keys hold a trace position above one bit
+        # per level.
+        if len(self.levels) > 32:
+            raise ValueError(f"at most 32 cache levels, got {len(self.levels)}")
         names = [lvl.name for lvl in self.levels]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate level names in {names}")
@@ -188,14 +205,17 @@ class SimStats:
 
 
 class _Level:
-    """Mutable per-level state: counters, and the sets touched so far, each
-    a dict of its lines in LRU order (MRU last) mapped to their dirty bits."""
+    """Mutable per-level state: counters; the sets touched so far, each a
+    dict of its lines in LRU order (MRU last) mapped to their dirty bits;
+    and the input events waiting for the level's next pass."""
 
     __slots__ = (
         "spec",
         "nsets",
         "ways",
         "line_shift",
+        "key_type",
+        "slot",
         "sets",
         "hits",
         "misses",
@@ -204,13 +224,22 @@ class _Level:
         "load_next",
         "store_next",
         "victim_next",
+        "pending",
+        "npending",
     )
 
-    def __init__(self, spec: CacheLevelSpec) -> None:
+    def __init__(self, spec: CacheLevelSpec, slot: int) -> None:
         self.spec = spec
         self.nsets = spec.sets
         self.ways = spec.ways
         self.line_shift = spec.line.bit_length() - 1
+        # A stable argsort radix-sorts set keys of up to 16 bits.
+        self.key_type = (
+            np.uint8 if spec.sets <= 1 << 8 else np.uint16 if spec.sets <= 1 << 16 else np.uint64
+        )
+        # What the merge key of a victim sent by this level adds to the key
+        # of the touch that evicted it; its fill adds nothing.
+        self.slot = np.uint64(slot)
         self.sets: dict[int, dict[int, bool]] = {}
         self.hits = 0
         self.misses = 0
@@ -219,6 +248,20 @@ class _Level:
         self.load_next: Optional[_Level] = None
         self.store_next: Optional[_Level] = None
         self.victim_next: Optional[_Level] = None
+        # (byte addresses, dirty bits, demand flags, merge keys) arrays
+        self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        self.npending = 0
+
+    def send(
+        self, addresses: np.ndarray, dirty: np.ndarray | bool, demand: bool, keys: np.ndarray
+    ) -> None:
+        """Queue touches of these byte addresses for the level's next pass:
+        counted ones if ``demand``, else installs; ``dirty`` is one bit for
+        all or one per address."""
+        n = len(addresses)
+        if n:
+            self.pending.append((addresses, np.broadcast_to(dirty, n), np.full(n, demand), keys))
+            self.npending += n
 
 
 class CacheState:
@@ -226,32 +269,46 @@ class CacheState:
 
     def __init__(self, spec: HierarchySpec) -> None:
         self.spec = spec
-        self._levels = [_Level(lvl) for lvl in spec.levels]
-        self._by_name = {lvl.spec.name: lvl for lvl in self._levels}
+        depth = len(spec.levels) - 1
+        self._levels = [
+            _Level(lvl, 1 << max(depth - 1 - k, 0)) for k, lvl in enumerate(spec.levels)
+        ]
+        by_name = {lvl.spec.name: lvl for lvl in self._levels}
         for lvl in self._levels:
             if lvl.spec.load_from:
-                lvl.load_next = self._by_name[lvl.spec.load_from]
+                lvl.load_next = by_name[lvl.spec.load_from]
             if lvl.spec.store_to:
-                lvl.store_next = self._by_name[lvl.spec.store_to]
+                lvl.store_next = by_name[lvl.spec.store_to]
             if lvl.spec.victim_to:
-                lvl.victim_next = self._by_name[lvl.spec.victim_to]
+                lvl.victim_next = by_name[lvl.spec.victim_to]
         self._first = self._levels[0]
         self._min_line = min(lvl.spec.line for lvl in self._levels)
+        # A merge key is a position above one slot bit per level that can
+        # send an event on.  Positions count the events that entered the
+        # first level, then the lines flushed, since no input last waited;
+        # so no input waits while the position is 0.
+        self._key_shift = np.uint64(depth)
+        self._position_limit = 1 << (64 - depth)
+        self._position = 0
         self.memory_accesses = 0
         self.memory_writebacks = 0
         self.loads = 0
         self.stores = 0
 
-    # -- demand path ----------------------------------------------------
+    # -- per-event reference path -----------------------------------------
 
     def access(
         self, op: str, address: int, size: int = 1
     ) -> tuple[tuple[str, bool], ...]:
         """Issue one demand access; returns ((level, hit), ..., ('memory', True)?).
 
-        The access must not straddle a line boundary at any level.
+        The access must not straddle a line boundary at any level.  It is
+        simulated on its own, one recursive step per level it reaches: the
+        reference path that tests hold run() and run_chunks() to.  Both
+        paths share the state, so calls to either may be mixed.
         """
         _check_access(op, address, size, self._min_line)
+        self._drain(everything=True)
         if op == STORE:
             self.stores += 1
         else:
@@ -260,66 +317,8 @@ class CacheState:
         self._demand(self._first, op == STORE, address, record)
         return tuple(record)
 
-    def run(self, events: Iterable[tuple[str, int, int]]) -> None:
-        """Stream a whole trace of (op, address, size) tuples; same semantics
-        and checks as access() in a tight loop."""
-        self.run_chunks(_pack(events, self._min_line))
-
-    def run_chunks(self, chunks: Iterable[Chunk]) -> None:
-        """Stream a whole trace given as chunks; see the module docstring."""
-        first = self._first
-        sets = first.sets
-        shift = np.uint64(first.line_shift)
-        nsets = first.nsets
-        # A stable argsort radix-sorts keys of up to 16 bits.
-        key_type = np.uint8 if nsets <= 1 << 8 else np.uint16 if nsets <= 1 << 16 else np.uint64
-        nxt = first.load_next
-        for addresses, stores in chunks:
-            n = len(addresses)
-            if n == 0:
-                continue
-            nstores = int(np.count_nonzero(stores))
-            self.stores += nstores
-            self.loads += n - nstores
-            lines = addresses >> shift
-            keys = (lines % np.uint64(nsets)).astype(key_type)
-            if key_type is np.uint64:
-                touched = np.unique(keys)
-            else:
-                touched = np.flatnonzero(np.bincount(keys, minlength=nsets)).astype(key_type)
-            touched_sets = touched.tolist()
-            misses, evicts, victims, victims_dirty, kept = _lru_pass(
-                lines,
-                keys,
-                stores,
-                touched,
-                [sets.get(index, {}) for index in touched_sets],
-                first.ways,
-            )
-            first.hits += n - len(misses)
-            first.misses += len(misses)
-            # Nothing outside the demand path installs into the first level,
-            # so each miss's victim does not depend on the outer levels.
-            for address, evict, victim, dirty in zip(
-                addresses[misses].tolist(),
-                evicts.tolist(),
-                victims.tolist(),
-                victims_dirty.tolist(),
-            ):
-                if nxt is None:
-                    self.memory_accesses += 1
-                else:
-                    self._demand(nxt, False, address, None)
-                if evict:
-                    self._evict(first, victim, dirty)
-            sets.update(zip(touched_sets, kept))
-
     def _demand(
-        self,
-        lvl: _Level,
-        is_store: bool,
-        addr: int,
-        record: Optional[list[tuple[str, bool]]],
+        self, lvl: _Level, is_store: bool, addr: int, record: list[tuple[str, bool]]
     ) -> None:
         line = addr >> lvl.line_shift
         s = lvl.sets.get(line % lvl.nsets)
@@ -330,23 +329,18 @@ class CacheState:
             else:
                 s[line] = s.pop(line)
             lvl.hits += 1
-            if record is not None:
-                record.append((lvl.spec.name, True))
+            record.append((lvl.spec.name, True))
             return
         lvl.misses += 1
-        if record is not None:
-            record.append((lvl.spec.name, False))
+        record.append((lvl.spec.name, False))
         nxt = lvl.load_next
         if nxt is None:
             self.memory_accesses += 1
-            if record is not None:
-                record.append(("memory", True))
+            record.append(("memory", True))
         else:
             # The fill fetch is a load regardless of the original op.
             self._demand(nxt, False, addr, record)
         self._install(lvl, line, is_store)
-
-    # -- fills, victims, write-backs (never touch hit/miss counters) -----
 
     def _install(self, lvl: _Level, line: int, dirty: bool) -> None:
         index = line % lvl.nsets
@@ -375,33 +369,156 @@ class CacheState:
             else:
                 self.memory_writebacks += 1
 
+    # -- bulk path: one pass per level --------------------------------------
+
+    def run(self, events: Iterable[tuple[str, int, int]]) -> None:
+        """Stream a whole trace of (op, address, size) tuples; same semantics
+        and checks as access() in a tight loop."""
+        self.run_chunks(_pack(events, self._min_line))
+
+    def run_chunks(self, chunks: Iterable[Chunk]) -> None:
+        """Stream a whole trace given as chunks; see the module docstring.
+
+        Each chunk goes through the first level at once.  An outer level's
+        input waits until it holds CHUNK_EVENTS events; then it and every
+        level before it run.  Input still waiting runs before anything
+        reads or changes the state: access(), collect_stats() and
+        flush_writeback().
+        """
+        first = self._first
+        for addresses, stores in chunks:
+            n = len(addresses)
+            if n == 0:
+                continue
+            nstores = int(np.count_nonzero(stores))
+            self.stores += nstores
+            self.loads += n - nstores
+            self._pass(first, addresses, stores, None, self._keys(n))
+            self._drain(everything=False)
+
+    def _keys(self, n: int) -> np.ndarray:
+        """Merge keys for the next ``n`` positions."""
+        if self._position + n > self._position_limit:
+            self._drain(everything=True)
+        keys = np.arange(self._position, self._position + n, dtype=np.uint64) << self._key_shift
+        self._position += n
+        return keys
+
+    def _drain(self, everything: bool) -> None:
+        """Run the outer levels in list order; unless ``everything``, stop at
+        the first level with no level from it on holding CHUNK_EVENTS events.
+        Links point outward, so nothing that a level yet to run sends can
+        reach a level that has run."""
+        if not self._position:
+            return
+        levels = self._levels
+        for k in range(1, len(levels)):
+            if not everything and all(lvl.npending < CHUNK_EVENTS for lvl in levels[k:]):
+                return
+            self._run_pending(levels[k])
+        self._position = 0
+
+    def _run_pending(self, lvl: _Level) -> None:
+        """Pass all of the level's input through it in merge-key order."""
+        if not lvl.pending:
+            return
+        addresses, dirty, demand, keys = map(np.concatenate, zip(*lvl.pending))
+        lvl.pending = []
+        lvl.npending = 0
+        order = np.argsort(keys, kind="stable")
+        # At most CHUNK_EVENTS touches per pass, as at the first level.
+        for start in range(0, len(order), CHUNK_EVENTS):
+            part = order[start : start + CHUNK_EVENTS]
+            self._pass(lvl, addresses[part], dirty[part], demand[part], keys[part])
+
+    def _pass(
+        self,
+        lvl: _Level,
+        addresses: np.ndarray,
+        dirty: np.ndarray,
+        demand: Optional[np.ndarray],
+        keys: np.ndarray,
+    ) -> None:
+        """Touch each address's line at ``lvl`` with its dirty bit, in order;
+        ``demand`` (None: all) marks the touches that count a hit or a miss.
+        Sends each counted miss's fill and then each victim on."""
+        lines = addresses >> np.uint64(lvl.line_shift)
+        set_keys = (lines % np.uint64(lvl.nsets)).astype(lvl.key_type)
+        if lvl.key_type is np.uint64:
+            touched = np.unique(set_keys)
+        else:
+            seen = np.zeros(lvl.nsets, dtype=bool)
+            seen[set_keys] = True
+            touched = np.flatnonzero(seen).astype(lvl.key_type)
+        misses, evicts, victims, victims_dirty = _lru_pass(
+            lines, set_keys, dirty, touched, lvl.sets, lvl.ways
+        )
+        if demand is None:
+            fills = misses
+            counted = len(lines)
+        else:
+            fills = misses[demand[misses]]
+            counted = int(np.count_nonzero(demand))
+        lvl.misses += len(fills)
+        lvl.hits += counted - len(fills)
+        if lvl.load_next is None:
+            self.memory_accesses += len(fills)
+        else:
+            lvl.load_next.send(addresses[fills], False, True, keys[fills])
+        # A victim goes to victim_to, clean or dirty; else a dirty one is
+        # written back to store_to or memory.
+        if lvl.victim_next is not None:
+            sent, target = evicts, lvl.victim_next
+            lvl.victim_installs += int(np.count_nonzero(sent))
+        else:
+            sent, target = evicts & victims_dirty, lvl.store_next
+            written = int(np.count_nonzero(sent))
+            lvl.writebacks += written
+            if target is None:
+                self.memory_writebacks += written
+        if target is not None:
+            target.send(
+                victims[sent] << np.uint64(lvl.line_shift),
+                victims_dirty[sent],
+                False,
+                keys[misses[sent]] | lvl.slot,
+            )
+
     # -- flush and reporting ---------------------------------------------
 
     def flush_writeback(self) -> SimStats:
         """Write every dirty line toward memory; leaves all caches clean.
 
-        Levels are flushed first to last, each set in ascending order.
-        Links point outward, so dirt pushed into an outer level is flushed
-        onward in the same pass.  Returns the post-flush stats, which are the
-        ones the cycle model consumes.
+        Levels are flushed first to last.  Once a level has passed all of
+        its input, its dirty lines, each set in ascending order and each
+        set's in LRU order, are marked clean and sent to its store_to level
+        as installs of dirty lines, after everything sent there before.
+        Returns the post-flush stats, which are the ones the cycle model
+        consumes.
         """
         for lvl in self._levels:
-            store_next = lvl.store_next
-            for index in sorted(lvl.sets):
-                s = lvl.sets[index]
-                dirty_lines = [line for line, dirty in s.items() if dirty]
-                for line in dirty_lines:
-                    s[line] = False
-                    lvl.writebacks += 1
-                    if store_next is not None:
-                        self._install(
-                            store_next, (line << lvl.line_shift) >> store_next.line_shift, True
-                        )
-                    else:
-                        self.memory_writebacks += 1
+            self._run_pending(lvl)
+            # The sets that hold a dirty line, in ascending order.
+            indices = sorted(compress(lvl.sets, map(any, map(dict.values, lvl.sets.values()))))
+            if not indices:
+                continue
+            _, lines, dirty = _flatten(list(map(lvl.sets.__getitem__, indices)))
+            n = int(np.count_nonzero(dirty))
+            lvl.writebacks += n
+            # A clean copy replaces each set with a dirty line, which frees
+            # the old dict as it goes; built from an iterator, the copy is
+            # no larger than a dict built line by line.
+            old = map(lvl.sets.__getitem__, indices)
+            lvl.sets.update(zip(indices, map(dict.fromkeys, map(iter, old), repeat(False))))
+            if lvl.store_next is None:
+                self.memory_writebacks += n
+            else:
+                addresses = lines[dirty] << np.uint64(lvl.line_shift)
+                lvl.store_next.send(addresses, True, False, self._keys(n))
         return self.collect_stats()
 
     def collect_stats(self) -> SimStats:
+        self._drain(everything=True)
         return SimStats(
             levels=tuple(
                 LevelStats(
@@ -428,33 +545,56 @@ def build_hierarchy(spec: HierarchySpec) -> CacheState:
 def _lru_pass(
     lines: np.ndarray,
     keys: np.ndarray,
-    stores: np.ndarray,
+    dirty: np.ndarray,
     touched: np.ndarray,
-    held: list[dict[int, bool]],
+    sets: dict[int, dict[int, bool]],
     ways: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[dict[int, bool]]]:
-    """One chunk through an LRU level that sees demand accesses only.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A sequence of touches through one LRU level.
 
-    ``lines``, ``keys`` (set indices) and ``stores`` describe the accesses,
-    ``touched`` lists their sets in ascending order and ``held`` what each
-    of those sets holds before the chunk: its lines in LRU order mapped to
-    their dirty bits.  Returns the positions of the misses in trace order;
-    for each miss whether it evicts, the line it evicts and that line's
-    dirty bit; and what each touched set holds afterwards, in the form of
-    ``held``.
+    A touch moves its line to MRU and ORs ``dirty`` into the line's dirty
+    bit; when the line is absent it misses, evicting the set's LRU line if
+    the set is full.  ``lines``, ``keys`` (set indices) and ``dirty``
+    describe the touches and ``touched`` lists their sets in ascending
+    order.  ``sets`` maps a set index to the lines the set holds in LRU
+    order, mapped to their dirty bits, and is brought up to date.  Returns
+    the positions of the misses in order, and for each miss whether it
+    evicts, the line it evicts and that line's dirty bit.
     """
-    nheld = sum(map(len, held))
-    held_lines = np.fromiter(chain.from_iterable(held), dtype=np.uint64, count=nheld)
-    held_dirty = np.fromiter(chain.from_iterable(map(dict.values, held)), dtype=bool, count=nheld)
-    held_counts = np.fromiter(map(len, held), dtype=np.int64, count=len(held))
+    touched_sets = touched.tolist()
+    misses, evicts, victims, victims_dirty, kept_lines, kept_dirty, kept_counts = _lru_arrays(
+        lines, keys, dirty, touched, _flatten(list(map(sets.get, touched_sets, repeat({})))), ways
+    )
+    # One new dict per touched set from one iterator over all kept pairs,
+    # built once the arrays' temporaries are gone.  The loop runs in C,
+    # which matters where a pass touches thousands of sets; each set's old
+    # dict is freed as its new one replaces it.
+    kept_pairs = zip(kept_lines.tolist(), kept_dirty.tolist())
+    sets.update(zip(touched_sets, map(dict, map(islice, repeat(kept_pairs), kept_counts.tolist()))))
+    return misses, evicts, victims, victims_dirty
+
+
+def _lru_arrays(
+    lines: np.ndarray,
+    keys: np.ndarray,
+    dirty: np.ndarray,
+    touched: np.ndarray,
+    held: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ways: int,
+) -> tuple[np.ndarray, ...]:
+    """_lru_pass on arrays; ``held`` is what _flatten gives for the touched
+    sets.  Returns _lru_pass's results, then the lines each touched set
+    keeps, in order, their dirty bits and how many each set keeps."""
+    held_counts, held_lines, held_dirty = held
+    nheld = len(held_lines)
     all_keys = np.concatenate((np.repeat(touched, held_counts), keys))
     # Each set's own sequence: the lines it holds, LRU first, as if just
     # accessed in that order, then its accesses in trace order.
     order = np.argsort(all_keys, kind="stable")
     seq = np.concatenate((held_lines, lines))[order]
-    flags = np.concatenate((held_dirty, stores))[order]
+    flags = np.concatenate((held_dirty, dirty))[order]
     # An access to the line its set's previous access touched is a hit with
-    # no access between, so it only adds its store flag to that access.  The
+    # no access between, so it only adds its dirty bit to that access.  The
     # rest of the pass runs over the first access of each such run.
     heads = np.flatnonzero(np.append(True, seq[1:] != seq[:-1]))
     flags = np.logical_or.reduceat(flags, heads)
@@ -481,16 +621,16 @@ def _lru_pass(
         hit[wide] = _fewer_distinct(prev, by_line[wide], ways)
 
     # A residency starts at each miss or held line and runs over the hits to
-    # its line after it; it is dirty if any of them is a store.
+    # its line after it; it is dirty if any of them is.
     starts = np.flatnonzero(~hit)
     ends = np.append(starts[1:], total) - 1
-    dirty = np.logical_or.reduceat(flags[by_line], starts)
+    res_dirty = np.logical_or.reduceat(flags[by_line], starts)
     last_use = by_line[ends]
     # Positions run by set, then by time, so this orders the residencies by
     # set and each set's by last use: the order in which LRU evicts them.
     by_use = _argsort_positions(last_use, total)
     last_use = last_use[by_use]
-    dirty = dirty[by_use]
+    res_dirty = res_dirty[by_use]
     res_lines = seq[last_use]
     res_set = np.searchsorted(touched, all_keys[order[last_use]])
     residencies = np.bincount(res_set, minlength=len(touched))
@@ -516,19 +656,24 @@ def _lru_pass(
     beyond = beyond[by_time]
     evicts = beyond >= 0
     victim = np.where(evicts, first_res[miss_set[by_time]] + beyond, 0)
-    kept_lines = res_lines[kept].tolist()
-    kept_dirty = dirty[kept].tolist()
-    bounds = np.cumsum(kept_counts).tolist()
     return (
         misses,
         evicts,
         res_lines[victim],
-        dirty[victim],
-        [
-            dict(zip(kept_lines[start:stop], kept_dirty[start:stop]))
-            for start, stop in zip([0, *bounds], bounds)
-        ],
+        res_dirty[victim],
+        res_lines[kept],
+        res_dirty[kept],
+        kept_counts,
     )
+
+
+def _flatten(held: list[dict[int, bool]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sets' line counts, and all their lines and dirty bits in order."""
+    counts = np.fromiter(map(len, held), dtype=np.int64, count=len(held))
+    total = int(counts.sum())
+    lines = np.fromiter(chain.from_iterable(held), dtype=np.uint64, count=total)
+    dirty = np.fromiter(chain.from_iterable(map(dict.values, held)), dtype=bool, count=total)
+    return counts, lines, dirty
 
 
 def _argsort_positions(values: np.ndarray, size: int) -> np.ndarray:
@@ -585,10 +730,12 @@ def _fewer_distinct(prev: np.ndarray, ends: np.ndarray, ways: int) -> np.ndarray
 
 
 def _check_access(op: str, address: int, size: int, line: int) -> None:
-    """Reject an access that is neither a load nor a store, has a negative
-    address or a size below 1, or straddles a ``line``-byte line."""
+    """Reject an access that is neither a load nor a store, has an address
+    or size that is not an integer (TypeError), a negative address or a size
+    below 1, or straddles a ``line``-byte line."""
     if op not in (LOAD, STORE):
         raise ValueError(f"op must be {LOAD!r} or {STORE!r}, got {op!r}")
+    address, size = index(address), index(size)
     if address < 0 or size < 1:
         raise ValueError(f"bad access address={address} size={size}")
     if (address & (line - 1)) + size > line:
@@ -604,11 +751,11 @@ def _pack(events: Iterable[tuple[str, int, int]], line: int) -> Iterator[Chunk]:
         ops = list(map(itemgetter(0), batch))
         try:
             # index() lets through only integers, as access() does; fromiter
-            # alone would take '4096' and 62.5.
+            # alone would take '4096', 62.5 and a size of 1.5.
             addresses = np.fromiter(
                 map(index, map(itemgetter(1), batch)), dtype=np.uint64, count=n
             )
-            sizes = np.fromiter(map(itemgetter(2), batch), dtype=np.uint64, count=n)
+            sizes = np.fromiter(map(index, map(itemgetter(2), batch)), dtype=np.uint64, count=n)
         except (OverflowError, TypeError):  # negative, beyond 64 bits, or not an integer
             valid = False
         else:

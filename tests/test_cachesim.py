@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitweave.cachesim import (
+    CHUNK_EVENTS,
     LOAD,
     STORE,
     CacheLevelSpec,
@@ -40,6 +41,29 @@ def three_level(victim: bool = True) -> HierarchySpec:
         ),
         memory_latency=200,
     )
+
+
+def deep(count: int) -> HierarchySpec:
+    """``count`` small levels, each loading from and storing to the next,
+    with every other one sending its victims two levels on."""
+    names = [f"L{k + 1}" for k in range(count)]
+    levels = []
+    for k, name in enumerate(names):
+        nxt = names[k + 1] if k + 1 < count else None
+        victim = names[k + 2] if k % 2 == 0 and k + 2 < count else None
+        levels.append(
+            CacheLevelSpec(
+                name=name,
+                sets=2,
+                ways=1 + k % 3,
+                line=64,
+                latency=k + 1,
+                load_from=nxt,
+                store_to=nxt,
+                victim_to=victim,
+            )
+        )
+    return HierarchySpec(tuple(levels), memory_latency=1000)
 
 
 class TestSpecs:
@@ -103,6 +127,11 @@ class TestSpecs:
                 ),
                 memory_latency=200,
             )
+
+    def test_at_most_32_levels(self):
+        assert len(deep(32).levels) == 32
+        with pytest.raises(ValueError, match="at most 32 cache levels"):
+            deep(33)
 
     def test_duplicate_names(self):
         with pytest.raises(ValueError):
@@ -171,6 +200,17 @@ class TestAccess:
         with pytest.raises(TypeError) as from_run:
             fresh.run([(LOAD, 0, 4), event])
         assert str(from_run.value) == str(from_access.value)
+
+    @pytest.mark.parametrize("event", [(LOAD, 0, 1.5), (STORE, 128, 2.5), (LOAD, 192, "4")])
+    def test_rejects_non_integer_sizes(self, event):
+        state = build_hierarchy(load_cache_spec("haswell"))
+        with pytest.raises(TypeError) as from_access:
+            state.access(*event)
+        fresh = build_hierarchy(load_cache_spec("haswell"))
+        with pytest.raises(TypeError) as from_run:
+            fresh.run([(LOAD, 0, 4), event])
+        assert str(from_run.value) == str(from_access.value)
+        assert state.collect_stats().accesses == 0
 
     def test_run_rejects_addresses_beyond_64_bits(self):
         state = build_hierarchy(single_level(sets=4, ways=2, line=64))
@@ -394,9 +434,82 @@ def traces(draw):
     return events
 
 
+@st.composite
+def outer_hierarchies(draw):
+    """A small first level in front of two levels of up to 16 ways, with set
+    counts hierarchies() never draws: not powers of two, and 2^17, whose
+    set keys pass 16 bits.  The first level may send to both outer levels,
+    so the third can be fed by two."""
+    lines = st.sampled_from((16, 32, 64))
+    outer = st.sampled_from((None, "L2", "L3"))
+    first = CacheLevelSpec(
+        name="L1",
+        sets=draw(st.sampled_from((1, 2, 4))),
+        ways=draw(st.integers(1, 4)),
+        line=draw(lines),
+        latency=1,
+        load_from=draw(st.sampled_from(("L2", "L3"))),
+        store_to=draw(outer),
+        victim_to=draw(outer),
+    )
+    last = st.sampled_from((None, "L3"))
+    second = CacheLevelSpec(
+        name="L2",
+        sets=draw(st.sampled_from((3, 5, 16, 64))),
+        ways=draw(st.integers(1, 16)),
+        line=draw(lines),
+        latency=2,
+        load_from=draw(last),
+        store_to=draw(last),
+        victim_to=draw(last),
+    )
+    third = CacheLevelSpec(
+        name="L3",
+        sets=draw(st.sampled_from((3, 5, 64, 1 << 17))),
+        ways=draw(st.integers(1, 16)),
+        line=draw(lines),
+        latency=3,
+    )
+    return HierarchySpec((first, second, third), memory_latency=100)
+
+
+@st.composite
+def long_traces(draw):
+    """At least 2 * CHUNK_EVENTS accesses, so that both chunk and outer-level
+    buffer boundaries fall inside.  Each phase walks a footprint of 4 to 1024
+    lines at one stride (strides of 2^16 lines and more spread it over set
+    keys past 16 bits), in order or shuffled, for about 2048 accesses, so
+    that reuse lands at every level."""
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    events = []
+    while len(events) < 2 * CHUNK_EVENTS:
+        stride = rng.choice((1, 3, 64, 1 << 16, (1 << 16) + 1))
+        base = rng.randrange(1 << 20)
+        footprint = rng.choice((4, 16, 64, 256, 1024))
+        lines = [base + k * stride for k in range(footprint)]
+        stores = rng.choice((0.0, 0.3, 1.0))
+        for _ in range(rng.randint(1, 2048 // footprint)):
+            for line in rng.sample(lines, footprint) if rng.random() < 0.5 else lines:
+                op = STORE if rng.random() < stores else LOAD
+                events.append((op, line * 64 + 4 * rng.randrange(16), 4))
+    return events
+
+
 class TestReferenceHierarchy:
     """The simulator against an independent multi-level reference: links,
     victims, mixed line sizes and flush."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=outer_hierarchies(), events=long_traces(), data=st.data())
+    def test_outer_level_geometries(self, spec, events, data):
+        reference = ReferenceHierarchy(spec)
+        for op, addr, _ in events:
+            reference.access(op == STORE, addr)
+        cut = data.draw(st.integers(0, len(events)))
+        state = build_hierarchy(spec)
+        state.run(events[:cut])
+        state.run(events[cut:])
+        assert astuple(state.flush_writeback()) == reference.flush()
 
     @settings(max_examples=300, deadline=None)
     @given(spec=hierarchies(), events=traces())
@@ -438,6 +551,30 @@ class TestRunMatchesAccess:
         for start, end in zip([0, *cuts], [*cuts, len(events)]):
             split.run(events[start:end])
         assert split.flush_writeback() == expected
+
+    def test_deepest_hierarchy(self):
+        # 32 levels use every bit of the merge keys below the position.
+        rng = random.Random(11)
+        events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 12, 4), 4) for _ in range(3000)]
+        expected = build_hierarchy(deep(32))
+        for event in events:
+            expected.access(*event)
+        state = build_hierarchy(deep(32))
+        state.run(events)
+        assert state.flush_writeback() == expected.flush_writeback()
+
+    def test_positions_restart_when_keys_run_out(self):
+        # With room for only 100 positions per key, every chunk first runs
+        # all waiting input and restarts the positions.
+        rng = random.Random(12)
+        events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 13, 8), 8) for _ in range(3000)]
+        expected = build_hierarchy(three_level())
+        for event in events:
+            expected.access(*event)
+        state = build_hierarchy(three_level())
+        state._position_limit = 100
+        state.run_chunks(chunked(events, range(0, 3000, 70)))
+        assert state.flush_writeback() == expected.flush_writeback()
 
     def test_chunks_and_tuples_agree(self):
         rng = random.Random(17)
@@ -573,21 +710,24 @@ class TestFirstLevelPass:
         state.run(events)
         assert state.flush_writeback() == accessed(spec, events).flush_writeback()
 
-    def test_only_first_level_misses_take_the_per_event_path(self):
+    def test_bulk_run_never_enters_the_per_event_path(self):
         pattern = parse_pattern("Jacobi2D(7,9;4)")
         layout = canonical_layout(pattern.primary_shape())
         chunks = trace_chunks(pattern, layout, bind_arrays(pattern, layout, line=64))
         state = build_hierarchy(load_cache_spec("haswell"))
-        demand = state._demand
         entered = []
 
-        def counted(lvl, *args):
-            if lvl.spec.name == "L2":
-                entered.append(lvl)
-            return demand(lvl, *args)
+        def refuse(name):
+            def entry(*args):
+                entered.append(name)
 
-        state._demand = counted
+            return entry
+
+        for name in ("_demand", "_install", "_evict"):
+            setattr(state, name, refuse(name))
         state.run_chunks(chunks)
         stats = state.collect_stats()
-        assert len(entered) == stats.level("L1").misses == stats.level("L2").accesses
+        assert stats.level("L2").accesses == stats.level("L1").misses
         assert stats.level("L1").misses < stats.accesses // 20
+        assert state.flush_writeback().memory_writebacks > 0
+        assert entered == []
