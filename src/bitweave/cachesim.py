@@ -108,10 +108,6 @@ class CacheLevelSpec:
         if self.latency < 1:
             raise ValueError(f"{self.name}: latency must be >= 1")
 
-    @property
-    def capacity(self) -> int:
-        return self.sets * self.ways * self.line
-
 
 @dataclass(frozen=True)
 class HierarchySpec:
@@ -322,24 +318,19 @@ class CacheState:
     ) -> None:
         line = addr >> lvl.line_shift
         s = lvl.sets.get(line % lvl.nsets)
-        if s is not None and line in s:
-            if is_store:
-                s.pop(line)
-                s[line] = True
-            else:
-                s[line] = s.pop(line)
+        hit = s is not None and line in s
+        record.append((lvl.spec.name, hit))
+        if hit:
             lvl.hits += 1
-            record.append((lvl.spec.name, True))
-            return
-        lvl.misses += 1
-        record.append((lvl.spec.name, False))
-        nxt = lvl.load_next
-        if nxt is None:
-            self.memory_accesses += 1
-            record.append(("memory", True))
         else:
-            # The fill fetch is a load regardless of the original op.
-            self._demand(nxt, False, addr, record)
+            lvl.misses += 1
+            nxt = lvl.load_next
+            if nxt is None:
+                self.memory_accesses += 1
+                record.append(("memory", True))
+            else:
+                # The fill fetch is a load regardless of the original op.
+                self._demand(nxt, False, addr, record)
         self._install(lvl, line, is_store)
 
     def _install(self, lvl: _Level, line: int, dirty: bool) -> None:

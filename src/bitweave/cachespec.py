@@ -230,7 +230,7 @@ def load_cache_spec(name_or_path: str) -> HierarchySpec:
     """Load a hierarchy from a preset name or a configuration file path."""
     if name_or_path in PRESETS:
         return parse_cache_spec(preset_text(name_or_path), source=f"preset:{name_or_path}")
-    if os.path.exists(name_or_path):
+    if os.path.isfile(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as fh:
             return parse_cache_spec(fh.read(), source=name_or_path)
     raise ValueError(

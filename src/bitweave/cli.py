@@ -21,10 +21,9 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from bitweave.cachesim import HierarchySpec
 from bitweave.cachespec import PRESETS, load_cache_spec
 from bitweave.evolve import GAConfig, run_evolution, write_history_csv
-from bitweave.fitness import FitnessValue, evaluate
+from bitweave.fitness import FitnessValue, evaluate, place_arrays
 from bitweave.layout import (
     Layout,
     Shape,
@@ -48,19 +47,11 @@ DEFAULT_CACHE = "haswell"
 __all__ = ["main", "build_parser", "ENV_CACHE"]
 
 
-def _parse_bits(text: str) -> tuple[int, ...]:
-    try:
-        bits = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"bits must be comma-separated integers, got {text!r}") from None
-    return bits
-
-
-def _parse_coord(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"coordinate must be comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
 def _parse_contiguity(text: str) -> tuple[int, int]:
@@ -76,19 +67,16 @@ def _parse_contiguity(text: str) -> tuple[int, int]:
     return dim, 1 << k
 
 
-def _hierarchy(args: argparse.Namespace) -> HierarchySpec:
-    name = args.cache or os.environ.get(ENV_CACHE) or DEFAULT_CACHE
-    return load_cache_spec(name)
+def _cache_name(args: argparse.Namespace) -> str:
+    return args.cache or os.environ.get(ENV_CACHE) or DEFAULT_CACHE
 
 
 def _pattern_layout(args: argparse.Namespace) -> tuple[PatternSpec, Layout]:
-    pattern = parse_pattern(args.pattern)
-    layout = layout_from_text(args.layout, element_size=pattern.element_size)
-    return pattern, layout
+    return parse_pattern(args.pattern), layout_from_text(args.layout)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    shape = Shape(_parse_bits(args.bits), args.element_size)
+    shape = Shape(_parse_ints(args.bits, "bits"))
     count = count_layouts(shape)
     print(count)
     if count <= args.cap:
@@ -98,9 +86,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    layout = layout_from_text(args.layout, element_size=args.element_size)
+    layout = layout_from_text(args.layout)
     if args.coord is not None:
-        print(layout.index(_parse_coord(args.coord)))
+        print(layout.index(_parse_ints(args.coord, "coordinate")))
     else:
         print(",".join(str(x) for x in layout.coordinate(args.index)))
     return 0
@@ -127,12 +115,12 @@ def _print_report(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     pattern, layout = _pattern_layout(args)
-    hierarchy = _hierarchy(args)
+    cache_name = _cache_name(args)
+    hierarchy = load_cache_spec(cache_name)
     result = evaluate(layout, pattern, hierarchy)
-    _print_report(layout, pattern, args.cache or os.environ.get(ENV_CACHE) or DEFAULT_CACHE, result)
+    _print_report(layout, pattern, cache_name, result)
     if args.trace:
-        line = max(level.line for level in hierarchy.levels)
-        bindings = bind_arrays(pattern, layout, line=line)
+        bindings = place_arrays(pattern, layout, hierarchy)
         with open(args.trace, "w") as fh:
             count = write_trace(generate_trace(pattern, layout, bindings), fh)
         print(f"trace    {args.trace} ({count} events)")
@@ -141,7 +129,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     pattern = parse_pattern(args.pattern)
-    hierarchy = _hierarchy(args)
+    hierarchy = load_cache_spec(_cache_name(args))
     contiguity = _parse_contiguity(args.contiguity) if args.contiguity else None
     config = GAConfig(
         mu=args.mu,
@@ -167,7 +155,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
     pattern = parse_pattern(args.pattern)
-    hierarchy = _hierarchy(args)
+    hierarchy = load_cache_spec(_cache_name(args))
     shape = pattern.primary_shape()
     rng = random.Random(args.seed)
     out_dir = Path(args.out)
@@ -239,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum_p = sub.add_parser("enumerate", help="count and list the layouts of a shape")
     enum_p.add_argument("--bits", required=True, help="per-dimension bit widths, e.g. 3,3")
-    enum_p.add_argument("--element-size", type=int, default=4, help="element size in bytes")
     enum_p.add_argument(
         "--cap", type=int, default=1000, help="list layouts only when the count is at most this"
     )
@@ -247,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     index_p = sub.add_parser("index", help="map a coordinate to its linear index or back")
     index_p.add_argument("--layout", "-l", required=True, help='rank sequence, e.g. "[0,1,0,1]"')
-    index_p.add_argument("--element-size", type=int, default=4)
     group = index_p.add_mutually_exclusive_group(required=True)
     group.add_argument("--coord", help="comma-separated coordinate, e.g. 3,5")
     group.add_argument("--index", type=int, help="linear element index")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from bitweave.cachesim import HierarchySpec, SimStats, build_hierarchy
 from bitweave.layout import Layout
-from bitweave.patterns import PatternSpec, bind_arrays, trace_chunks
+from bitweave.patterns import ArrayBinding, PatternSpec, bind_arrays, trace_chunks
 
 __all__ = [
     "FitnessValue",
@@ -24,6 +24,7 @@ __all__ = [
     "fitness",
     "fitness_bound",
     "evaluate",
+    "place_arrays",
     "clear_cache",
     "cache_info",
     "cache_size",
@@ -79,13 +80,30 @@ class CacheInfo(NamedTuple):
 MEMO_SIZE = 4096
 
 
-def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
-    """Simulate the kernel's trace under the layout and score it.
+def place_arrays(
+    pattern: PatternSpec, layout: Layout, spec: HierarchySpec
+) -> tuple[ArrayBinding, ...]:
+    """Bind the pattern's arrays as they sit in memory under ``spec``.
 
     Arrays are placed at line-size alignment (the hierarchy's largest line)
     so distinct arrays never share a line, as a real allocator would give.
     Elements larger than the smallest line would straddle lines and are
     rejected, as are arrays whose addresses do not fit 64 bits.
+    """
+    smallest = min(spec.levels, key=lambda level: level.line)
+    if pattern.element_size > smallest.line:
+        raise ValueError(
+            f"{pattern}: {pattern.element_size}-byte elements straddle the "
+            f"{smallest.line}-byte lines of {smallest.name}"
+        )
+    line = max(level.line for level in spec.levels)
+    return bind_arrays(pattern, layout, line=line)
+
+
+def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
+    """Simulate the kernel's trace, its arrays placed by place_arrays, under
+    the layout and score it.
+
     Results are memoized on (layout, pattern, spec), the last MEMO_SIZE of
     them; all three are immutable value objects, so repeated chromosomes
     cost a lookup.  cache_info() counts the calls answered from the memo
@@ -96,15 +114,7 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
-    smallest = min(spec.levels, key=lambda level: level.line)
-    if pattern.element_size > smallest.line:
-        raise ValueError(
-            f"{pattern}: {pattern.element_size}-byte elements straddle the "
-            f"{smallest.line}-byte lines of {smallest.name}"
-        )
-    line = max(level.line for level in spec.levels)
-    bindings = bind_arrays(pattern, layout, line=line)
-    chunks = trace_chunks(pattern, layout, bindings)
+    chunks = trace_chunks(pattern, layout, place_arrays(pattern, layout, spec))
     state = build_hierarchy(spec)
     state.run_chunks(chunks)
     return fitness(state.flush_writeback(), spec)

@@ -42,13 +42,10 @@ __all__ = [
 
 Coordinate = tuple[int, ...]
 
-# Linear indices and byte addresses must stay below 2^64 after scaling by
-# the element size, so the total bit budget is capped.
+# Linear element indices stay machine-word sized.  Byte addresses also
+# depend on the element size, which belongs to the arrays of a pattern;
+# ArrayBinding checks that those fit 64 bits.
 MAX_TOTAL_BITS = 62
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 def scatter_bits(value: int, mask: int) -> int:
@@ -69,14 +66,12 @@ def scatter_bits(value: int, mask: int) -> int:
 
 @dataclass(frozen=True)
 class Shape:
-    """Per-dimension bit counts plus the element size in bytes.
+    """Per-dimension bit counts: dimension d has extent 2^{bits[d]}.
 
-    Dimension d has extent 2^{bits[d]}.  ``element_size`` is typically 4 or
-    8 (single/double precision); any power of two is accepted.
+    A shape counts elements, not bytes; the element size is the pattern's.
     """
 
     bits: tuple[int, ...]
-    element_size: int = 4
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
@@ -88,10 +83,8 @@ class Shape:
         if self.total_bits > MAX_TOTAL_BITS:
             raise ValueError(
                 f"total bits {self.total_bits} exceeds {MAX_TOTAL_BITS}; "
-                "indices would overflow 64-bit addresses"
+                "linear indices must stay machine-word sized"
             )
-        if not _is_pow2(int(self.element_size)):
-            raise ValueError(f"element_size must be a power of two, got {self.element_size}")
 
     @property
     def ndim(self) -> int:
@@ -108,10 +101,6 @@ class Shape:
     @property
     def num_elements(self) -> int:
         return 1 << self.total_bits
-
-    @property
-    def nbytes(self) -> int:
-        return self.num_elements * self.element_size
 
 
 @dataclass(frozen=True)
@@ -299,11 +288,11 @@ def parse_ranks(text: str) -> tuple[int, ...]:
         raise ValueError(f"layout text has a non-integer rank: {text!r}") from None
 
 
-def layout_from_text(text: str, element_size: int = 4) -> Layout:
+def layout_from_text(text: str) -> Layout:
     """Build a layout from its textual form; the shape follows from the ranks.
 
     Dimension d gets as many bits as d occurs in the sequence, so the text
-    alone pins the shape up to the element size.
+    alone pins the shape.
     """
     ranks = parse_ranks(text)
     ndim = max(ranks) + 1
@@ -315,7 +304,7 @@ def layout_from_text(text: str, element_size: int = 4) -> Layout:
     for d, b in enumerate(bits):
         if b == 0:
             raise ValueError(f"layout text {text!r} never names dimension {d}")
-    return Layout(ranks, Shape(tuple(bits), element_size))
+    return Layout(ranks, Shape(tuple(bits)))
 
 
 def index_array(layout: Layout, coords: np.ndarray) -> np.ndarray:

@@ -265,8 +265,9 @@ class PatternSpec:
         for name, value in given.items():
             if value is not None:
                 raise ValueError(f"{self.kind} takes no parameter {name}")
-        if self.element_size < 1:
-            raise ValueError(f"element size must be >= 1, got {self.element_size}")
+        size = self.element_size
+        if size < 1 or size & (size - 1):
+            raise ValueError(f"{self.kind}: element size must be a power of two, got {size}")
 
     @property
     def params(self) -> tuple[int, ...]:
@@ -281,7 +282,7 @@ class PatternSpec:
         return self.arrays()[0][1]
 
     def primary_shape(self) -> Shape:
-        return Shape(self.primary_bits, self.element_size)
+        return Shape(self.primary_bits)
 
     def arrays(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """(name, shape bits) of every array, in binding order."""
@@ -320,15 +321,19 @@ def parse_pattern(text: str) -> PatternSpec:
 
 @dataclass(frozen=True)
 class ArrayBinding:
-    """One named array placed at a base byte address with its interleave."""
+    """One named array placed at a base byte address with its interleave
+    and its element size in bytes."""
 
     name: str
     layout: Layout
     base: int
+    element_size: int
 
     def __post_init__(self) -> None:
         if self.base < 0:
             raise ValueError(f"{self.name}: negative base address")
+        if self.element_size < 1:
+            raise ValueError(f"{self.name}: element size must be >= 1, got {self.element_size}")
         if self.end > 1 << 64:
             raise ValueError(
                 f"{self.name}: highest address {self.end - 1:#x} does not fit "
@@ -341,14 +346,14 @@ class ArrayBinding:
 
     @property
     def nbytes(self) -> int:
-        return self.shape.nbytes
+        return self.shape.num_elements * self.element_size
 
     @property
     def end(self) -> int:
         return self.base + self.nbytes
 
     def address(self, coord: tuple[int, ...]) -> int:
-        return self.base + self.layout.index(coord) * self.shape.element_size
+        return self.base + self.layout.index(coord) * self.element_size
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, ...]:
@@ -359,7 +364,7 @@ class ArrayBinding:
         never overlap.
         """
         shape = self.shape
-        shift = shape.element_size.bit_length() - 1
+        size = np.uint64(self.element_size)
         out = []
         for d, b in enumerate(shape.bits):
             if b > _MAX_TABLE_BITS:
@@ -369,7 +374,7 @@ class ArrayBinding:
                 )
             coords = np.zeros((1 << b, shape.ndim), dtype=np.uint64)
             coords[:, d] = np.arange(1 << b, dtype=np.uint64)
-            out.append(index_array(self.layout, coords) << np.uint64(shift))
+            out.append(index_array(self.layout, coords) * size)
         return tuple(out)
 
 
@@ -386,11 +391,6 @@ def bind_arrays(spec: PatternSpec, layout: Layout, line: int = 1) -> tuple[Array
             f"layout shape bits {layout.shape.bits} do not match "
             f"{spec.kind} arrays {spec.primary_bits}"
         )
-    if layout.shape.element_size != spec.element_size:
-        raise ValueError(
-            f"layout element size {layout.shape.element_size} != pattern "
-            f"element size {spec.element_size}"
-        )
     if line < 1 or (line & (line - 1)):
         raise ValueError(f"line must be a power of two, got {line}")
     bindings = []
@@ -398,8 +398,8 @@ def bind_arrays(spec: PatternSpec, layout: Layout, line: int = 1) -> tuple[Array
     for name, bits in spec.arrays():
         lay = layout if bits == layout.shape.bits else _adapt_layout(layout, bits)
         base = (cursor + line - 1) & ~(line - 1)
-        bindings.append(ArrayBinding(name=name, layout=lay, base=base))
-        cursor = base + lay.shape.nbytes
+        bindings.append(ArrayBinding(name, lay, base, spec.element_size))
+        cursor = bindings[-1].end
     return tuple(bindings)
 
 
@@ -427,7 +427,7 @@ def _adapt_layout(layout: Layout, bits: tuple[int, ...]) -> Layout:
     for d, want in enumerate(bits):
         if have[d] < want:
             ranks.extend([d] * (want - have[d]))
-    return Layout(tuple(ranks), Shape(tuple(bits), layout.shape.element_size))
+    return Layout(tuple(ranks), Shape(tuple(bits)))
 
 
 def trace_chunks(
@@ -444,7 +444,7 @@ def trace_chunks(
     """
     if bindings is None:
         bindings = bind_arrays(spec, layout)
-    given = [(b.name, b.shape.bits, b.shape.element_size) for b in bindings]
+    given = [(b.name, b.shape.bits, b.element_size) for b in bindings]
     if given != [(name, bits, spec.element_size) for name, bits in spec.arrays()]:
         names = [b.name for b in bindings]
         raise ValueError(f"bindings {names} do not match the arrays of {spec}")

@@ -50,9 +50,10 @@ class TestParsing:
         path.write_text(GOOD)
         assert load_cache_spec(str(path)) == load_cache_spec("haswell")
 
-    def test_missing_file(self):
-        with pytest.raises(ValueError):
-            load_cache_spec("/no/such/file.yaml")
+    def test_missing_file(self, tmp_path):
+        for path in ("/no/such/file.yaml", str(tmp_path)):
+            with pytest.raises(ValueError, match="nor an existing file"):
+                load_cache_spec(path)
 
     def test_unknown_key_rejected_with_line(self):
         text = GOOD.replace("    latency: 4\n", "    latency: 4\n    prefetch: on\n")

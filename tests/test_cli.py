@@ -4,10 +4,18 @@ import re
 
 import pytest
 
-from bitweave.cachespec import render_cache_spec
+from bitweave.cachesim import CacheLevelSpec, HierarchySpec, build_hierarchy
+from bitweave.cachespec import load_cache_spec, render_cache_spec
 from bitweave.cli import ENV_CACHE, main
 from bitweave.layout import canonical_layout, layout_from_text
-from bitweave.patterns import PATTERN_KINDS, PatternSpec, generate_trace
+from bitweave.patterns import (
+    PATTERN_KINDS,
+    PatternSpec,
+    generate_trace,
+    parse_pattern,
+    read_trace,
+    trace_counts,
+)
 
 from helpers import single_level
 
@@ -21,6 +29,19 @@ def clean_env(monkeypatch):
 def tiny_cache(tmp_path):
     path = tmp_path / "tiny.yaml"
     path.write_text(render_cache_spec(single_level(4, 2, 16, latency=4, memory_latency=100)))
+    return str(path)
+
+
+@pytest.fixture
+def victim_cache(tmp_path):
+    """Three levels with growing lines and a victim link from L2 to L3."""
+    path = tmp_path / "victim.yaml"
+    levels = (
+        CacheLevelSpec("L1", 4, 2, 16, 4, load_from="L2", store_to="L2"),
+        CacheLevelSpec("L2", 8, 2, 32, 12, load_from="L3", store_to="L3", victim_to="L3"),
+        CacheLevelSpec("L3", 16, 4, 64, 40),
+    )
+    path.write_text(render_cache_spec(HierarchySpec(levels, 200)))
     return str(path)
 
 
@@ -54,6 +75,9 @@ class TestEnumerate:
         assert main(["enumerate", "--bits", "3,x"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_no_element_size_option(self, capsys):
+        assert main(["enumerate", "--bits", "2,2", "--element-size", "4"]) == 1
+
 
 class TestIndex:
     def test_coord_to_index(self, capsys):
@@ -72,6 +96,14 @@ class TestIndex:
 
     def test_out_of_range(self, capsys):
         assert main(["index", "-l", "[0,1]", "--coord", "2,0"]) == 1
+
+    def test_bad_coord(self, capsys):
+        assert main(["index", "-l", "[0,1]", "--coord", "1,y"]) == 1
+        assert "coordinate must be" in capsys.readouterr().err
+
+    def test_no_element_size_option(self, capsys):
+        argv = ["index", "-l", "[0,1]", "--coord", "1,1", "--element-size", "4"]
+        assert main(argv) == 1
 
 
 class TestSimulate:
@@ -109,6 +141,11 @@ class TestSimulate:
     def test_bad_pattern(self, capsys):
         assert main(["simulate", "-l", "[0,1]", "-p", "Nope(1;4)", "-c", "haswell"]) == 1
 
+    def test_directory_as_cache_is_usage_error(self, tmp_path, capsys):
+        argv = ["simulate", "-l", "[0,1,0,1]", "-p", "MMijk(2;4)", "-c", str(tmp_path)]
+        assert main(argv) == 1
+        assert "nor an existing file" in capsys.readouterr().err
+
     def test_straddling_element_rejected(self, capsys):
         argv = ["simulate", "-l", "[0,1,0,1]", "-p", "MMijk(2;128)", "-c", "haswell"]
         assert main(argv) == 1
@@ -138,17 +175,39 @@ class TestSimulate:
         assert main(["simulate", "-l", "[0,1,0,1]", "-p", "MMijk(2;4)"]) == 0
         assert "cache    haswell" in capsys.readouterr().out
 
-    def test_trace_export(self, tmp_path, tiny_cache, capsys):
-        trace = tmp_path / "trace.txt"
-        argv = [
-            "simulate", "-l", "[0,1,0,1]", "-p", "MMijk(2;4)",
-            "-c", tiny_cache, "--trace", str(trace),
+    def test_trace_export(self, tmp_path, tiny_cache, victim_cache, capsys):
+        # The exported trace is the one simulated: replaying the file gives
+        # the printed counters of every level.  MMijk(1;4)'s 16-byte arrays
+        # sit 64 bytes apart there, and the last case sends L2 victims to L3.
+        cases = [
+            (tiny_cache, "[0,1,0,1]", "MMijk(2;4)"),
+            (victim_cache, "[0,1]", "MMijk(1;4)"),
+            (victim_cache, "[0,1,0,1,0,1]", "MMijk(3;4)"),
         ]
-        assert main(argv) == 0
-        lines = trace.read_text().splitlines()
-        assert len(lines) == 2 * 2**6 + 2**4
-        assert all(line.split()[0] in ("L", "S") for line in lines)
-        assert all(line.split()[1].startswith("0x") for line in lines)
+        for cache, layout, pattern in cases:
+            trace = tmp_path / "trace.txt"
+            argv = ["simulate", "-l", layout, "-p", pattern, "-c", cache, "--trace", str(trace)]
+            assert main(argv) == 0
+            report = capsys.readouterr().out
+            lines = trace.read_text().splitlines()
+            counts = trace_counts(parse_pattern(pattern))
+            assert len(lines) == counts.loads + counts.stores
+            assert all(line.split()[0] in ("L", "S") for line in lines)
+            assert all(line.split()[1].startswith("0x") for line in lines)
+            state = build_hierarchy(load_cache_spec(cache))
+            with open(trace) as fh:
+                state.run(read_trace(fh, size=4))
+            stats = state.flush_writeback()
+            for level in stats.levels:
+                assert (
+                    f"{level.name:<8} hits={level.hits} misses={level.misses} "
+                    f"writebacks={level.writebacks} victim_installs={level.victim_installs}\n"
+                ) in report
+            assert (
+                f"memory   accesses={stats.memory_accesses} "
+                f"writebacks={stats.memory_writebacks}\n"
+            ) in report
+        assert stats.level("L2").victim_installs > 0
 
 
 class TestEvolve:
@@ -271,3 +330,16 @@ class TestExitCodes:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "-l", "[0,1,0,1]"],
+            ["evolve", "--generations", "1"],
+            ["sample", "--count", "1"],
+        ],
+    )
+    def test_non_pow2_element_size(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "-p", "MMijk(2;3)"]) == 1
+        assert "element size must be a power of two" in capsys.readouterr().err

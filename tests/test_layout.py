@@ -23,12 +23,11 @@ from helpers import naive_interleave, random_layout
 
 class TestShape:
     def test_basic_properties(self):
-        s = Shape((3, 5, 4), element_size=8)
+        s = Shape((3, 5, 4))
         assert s.ndim == 3
         assert s.total_bits == 12
         assert s.extents == (8, 32, 16)
         assert s.num_elements == 4096
-        assert s.nbytes == 32768
 
     def test_rejects_zero_bits(self):
         with pytest.raises(ValueError):
@@ -41,10 +40,6 @@ class TestShape:
     def test_rejects_over_62_bits(self):
         with pytest.raises(ValueError):
             Shape((32, 31))
-
-    def test_rejects_non_pow2_element_size(self):
-        with pytest.raises(ValueError):
-            Shape((2, 2), element_size=6)
 
 
 class TestValidateLayout:
@@ -151,7 +146,7 @@ class TestLinearIndex:
     def test_matches_naive_oracle_wide_shapes(self):
         # Shapes near the 62-bit cap exercise values beyond 32 bits.
         rng = random.Random(7)
-        shape = Shape((20, 21, 21), element_size=8)
+        shape = Shape((20, 21, 21))
         for _ in range(10):
             lay = random_layout(rng, shape)
             for _ in range(20):

@@ -93,6 +93,13 @@ class TestParse:
         with pytest.raises(ValueError):
             PatternSpec("MMijk", m=2, element_size=0)
 
+    def test_rejects_non_pow2_element_size(self):
+        for size in (3, 6, 12):
+            with pytest.raises(ValueError, match="element size"):
+                PatternSpec("MMijk", m=2, element_size=size)
+            with pytest.raises(ValueError, match="element size"):
+                parse_pattern(f"MMijk(2;{size})")
+
 
 class TestShapes:
     def test_primary_bits(self):
@@ -105,7 +112,12 @@ class TestShapes:
         assert PatternSpec("Himeno", m=2, n=3, p=4).primary_bits == (4, 3, 2)
 
     def test_primary_shape_element_size(self):
-        assert PatternSpec("MMijk", m=3, element_size=8).primary_shape() == Shape((3, 3), 8)
+        # The shape counts elements; the bytes per element go to the arrays.
+        spec = PatternSpec("MMijk", m=3, element_size=8)
+        assert spec.primary_shape() == Shape((3, 3))
+        arrays = bind_arrays(spec, canonical_layout(spec.primary_shape()))
+        assert [a.element_size for a in arrays] == [8, 8, 8]
+        assert [a.nbytes for a in arrays] == [512, 512, 512]
 
     def test_array_names(self):
         names = [name for name, _ in PatternSpec("Himeno", m=2, n=2, p=2).arrays()]
@@ -163,8 +175,10 @@ class TestBind:
 
     def test_element_size_mismatch(self):
         spec = PatternSpec("MMijk", m=2, element_size=8)
-        with pytest.raises(ValueError, match="element size"):
-            bind_arrays(spec, canonical_layout(Shape((2, 2), 4)))
+        layout = canonical_layout(spec.primary_shape())
+        bindings = bind_arrays(PatternSpec("MMijk", m=2, element_size=4), layout)
+        with pytest.raises(ValueError, match="do not match"):
+            trace_chunks(spec, layout, bindings)
 
     def test_bad_line(self):
         spec = PatternSpec("MMijk", m=2)
@@ -190,15 +204,21 @@ class TestBind:
         assert arrays[2].layout.ranks == (0, 1, 0, 1, 1, 0)
         assert arrays[2].shape.bits == (3, 3)
 
+    def test_binding_rejects_non_positive_element_size(self):
+        layout = canonical_layout(Shape((2, 2)))
+        for size in (0, -4):
+            with pytest.raises(ValueError, match="element size"):
+                ArrayBinding("X", layout, 0, size)
+
     def test_table_width_cap(self):
-        binding = ArrayBinding("X", canonical_layout(Shape((25, 1))), 0)
+        binding = ArrayBinding("X", canonical_layout(Shape((25, 1))), 0, 4)
         with pytest.raises(ValueError, match="bits per dimension"):
             binding.tables
 
     def test_tables_deposit_and_scale(self):
         rng = random.Random(3)
-        layout = random_layout(rng, Shape((3, 4, 2), 8))
-        tables = ArrayBinding("X", layout, 0).tables
+        layout = random_layout(rng, Shape((3, 4, 2)))
+        tables = ArrayBinding("X", layout, 0, 8).tables
         for table, bits, mask in zip(tables, layout.shape.bits, layout.deposit_masks):
             assert table.dtype == np.uint64
             assert table.tolist() == [scatter_bits(x, mask) * 8 for x in range(1 << bits)]
@@ -508,9 +528,9 @@ class TestChunks:
         with pytest.raises(ValueError, match="64-bit"):
             trace_chunks(spec, canonical_layout(spec.primary_shape()))
         # 2^62 elements of 4 bytes end exactly at 2^64
-        ArrayBinding("X", canonical_layout(Shape((31, 31), 4)), 0)
+        ArrayBinding("X", canonical_layout(Shape((31, 31))), 0, 4)
         with pytest.raises(ValueError, match="64-bit"):
-            ArrayBinding("X", canonical_layout(Shape((31, 31), 4)), 4)
+            ArrayBinding("X", canonical_layout(Shape((31, 31))), 4, 4)
 
 
 # Every kind at several sizes, covering empty nests, bodies longer than a

@@ -1,13 +1,26 @@
-"""The README's Python snippets run as written."""
+"""The README's Python snippets and shell commands run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from bitweave.cli import ENV_CACHE, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def python_blocks():
     return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
+def command_line_commands():
+    """The ``bitweave`` commands of the "Command line" section's shell block,
+    continuation lines joined and comments dropped."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line, comments=True) for line in joined.splitlines()
+            if line.startswith("bitweave ")]
 
 
 def test_library_example_and_memo_reset_run_as_written(capsys):
@@ -19,3 +32,17 @@ def test_library_example_and_memo_reset_run_as_written(capsys):
     assert namespace["best"].fitness.value > 0
     assert "clear_cache" in namespace
     assert capsys.readouterr().out.startswith("[")
+
+
+def test_command_line_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_CACHE, raising=False)
+    commands = command_line_commands()
+    assert [argv[1] for argv in commands] == [
+        "enumerate", "index", "index", "simulate", "simulate", "evolve", "sample", "bench",
+    ]
+    for argv in commands:
+        assert main(argv[1:]) == 0, shlex.join(argv)
+    out = capsys.readouterr().out
+    assert "\n39\n3,5\n" in out  # the index examples print what they claim
+    assert (tmp_path / "runs" / "mm5" / "history.csv").is_file()
