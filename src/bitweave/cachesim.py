@@ -38,12 +38,20 @@ cascade: once a level has run all of its input, its dirty lines, by
 ascending set and in LRU order within a set, go to its store_to level as
 dirty installs keyed after everything sent before them.  access() simulates
 one access on its own, recursively: the per-event reference path.
+
+A level keeps its contents in numpy arrays only.  The first time a set is
+touched it gets the next free row of a ``tags`` and a ``dirty`` array of
+``ways`` columns, which hold its lines LRU first; ``fill`` counts the lines
+of each row and ``row`` maps a set to its row.  Rows double as needed, up to
+one per set, so memory follows the sets a run touches, not the geometry.  A
+pass reads the rows of the sets it touches with one mask and writes back
+what they keep with one scatter; access() reads and writes one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import islice
 from operator import index, itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -201,9 +209,14 @@ class SimStats:
 
 
 class _Level:
-    """Mutable per-level state: counters; the sets touched so far, each a
-    dict of its lines in LRU order (MRU last) mapped to their dirty bits;
-    and the input events waiting for the level's next pass."""
+    """Mutable per-level state: counters; the lines of the sets touched so
+    far, in rows of ``tags`` and ``dirty`` (see the module docstring); and
+    the input events waiting for the level's next pass.
+
+    ``row[s]`` is set s's row, -1 for a set never touched.  Row r holds
+    ``fill[r]`` lines, LRU first, in ``tags[r]`` and their dirty bits in
+    ``dirty[r]``; the columns past them are stale.
+    """
 
     __slots__ = (
         "spec",
@@ -212,7 +225,11 @@ class _Level:
         "line_shift",
         "key_type",
         "slot",
-        "sets",
+        "row",
+        "tags",
+        "dirty",
+        "fill",
+        "nrows",
         "hits",
         "misses",
         "writebacks",
@@ -236,7 +253,12 @@ class _Level:
         # What the merge key of a victim sent by this level adds to the key
         # of the touch that evicted it; its fill adds nothing.
         self.slot = np.uint64(slot)
-        self.sets: dict[int, dict[int, bool]] = {}
+        # Row numbers fit 32 bits: 2^31 rows of tags alone would take 16 GB.
+        self.row = np.full(spec.sets, -1, dtype=np.int32)
+        self.tags = np.zeros((0, spec.ways), dtype=np.uint64)
+        self.dirty = np.zeros((0, spec.ways), dtype=bool)
+        self.fill = np.zeros(0, dtype=np.intp)
+        self.nrows = 0
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -247,6 +269,43 @@ class _Level:
         # (byte addresses, dirty bits, demand flags, merge keys) arrays
         self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self.npending = 0
+
+    def rows(self, sets: np.ndarray) -> np.ndarray:
+        """The rows of these distinct sets; a set never touched gets the
+        next free row."""
+        rows = self.row[sets]
+        new = np.flatnonzero(rows < 0)
+        if len(new):
+            end = self.nrows + len(new)
+            self._reserve(end)
+            rows[new] = np.arange(self.nrows, end)
+            self.row[sets[new]] = rows[new]
+            self.nrows = end
+        return rows
+
+    def row_of(self, index: int) -> int:
+        """rows() for one set."""
+        r = int(self.row[index])
+        if r < 0:
+            r = self.row[index] = self.nrows
+            self._reserve(r + 1)
+            self.nrows = r + 1
+        return r
+
+    def _reserve(self, needed: int) -> None:
+        """Room for ``needed`` rows: the capacity at least doubles when it
+        grows, and never passes one row per set."""
+        capacity = len(self.fill)
+        if needed <= capacity:
+            return
+        capacity = min(max(needed, 2 * capacity), self.nsets)
+        tags = np.zeros((capacity, self.ways), dtype=np.uint64)
+        dirty = np.zeros((capacity, self.ways), dtype=bool)
+        fill = np.zeros(capacity, dtype=np.intp)
+        tags[: self.nrows] = self.tags[: self.nrows]
+        dirty[: self.nrows] = self.dirty[: self.nrows]
+        fill[: self.nrows] = self.fill[: self.nrows]
+        self.tags, self.dirty, self.fill = tags, dirty, fill
 
     def send(
         self, addresses: np.ndarray, dirty: np.ndarray | bool, demand: bool, keys: np.ndarray
@@ -317,8 +376,8 @@ class CacheState:
         self, lvl: _Level, is_store: bool, addr: int, record: list[tuple[str, bool]]
     ) -> None:
         line = addr >> lvl.line_shift
-        s = lvl.sets.get(line % lvl.nsets)
-        hit = s is not None and line in s
+        r = int(lvl.row[line % lvl.nsets])
+        hit = r >= 0 and line in lvl.tags[r, : lvl.fill[r]].tolist()
         record.append((lvl.spec.name, hit))
         if hit:
             lvl.hits += 1
@@ -334,19 +393,30 @@ class CacheState:
         self._install(lvl, line, is_store)
 
     def _install(self, lvl: _Level, line: int, dirty: bool) -> None:
-        index = line % lvl.nsets
-        s = lvl.sets.get(index)
-        if s is None:
-            s = lvl.sets[index] = {}
-        elif line in s:
-            prev = s.pop(line)
-            s[line] = prev or dirty
-            return
-        if len(s) >= lvl.ways:
-            vline = next(iter(s))
-            vdirty = s.pop(vline)
-            self._evict(lvl, vline, vdirty)
-        s[line] = dirty
+        r = lvl.row_of(line % lvl.nsets)
+        n = int(lvl.fill[r])
+        tags, flags = lvl.tags[r], lvl.dirty[r]
+        held = tags[:n].tolist()
+        victim = None
+        if line in held:
+            k = held.index(line)
+            dirty = dirty or bool(flags[k])
+        elif n < lvl.ways:
+            k = n
+            n += 1
+            lvl.fill[r] = n
+        else:
+            k = 0
+            victim = held[0], bool(flags[0])
+        # Way k leaves, the ways after it move down one, and the line goes
+        # in last, as MRU.
+        if k < n - 1:
+            tags[k : n - 1] = tags[k + 1 : n]
+            flags[k : n - 1] = flags[k + 1 : n]
+        tags[n - 1] = line
+        flags[n - 1] = dirty
+        if victim is not None:
+            self._evict(lvl, *victim)
 
     def _evict(self, lvl: _Level, vline: int, vdirty: bool) -> None:
         vaddr = vline << lvl.line_shift
@@ -441,9 +511,7 @@ class CacheState:
             seen = np.zeros(lvl.nsets, dtype=bool)
             seen[set_keys] = True
             touched = np.flatnonzero(seen).astype(lvl.key_type)
-        misses, evicts, victims, victims_dirty = _lru_pass(
-            lines, set_keys, dirty, touched, lvl.sets, lvl.ways
-        )
+        misses, evicts, victims, victims_dirty = _lru_pass(lvl, lines, set_keys, dirty, touched)
         if demand is None:
             fills = misses
             counted = len(lines)
@@ -489,22 +557,20 @@ class CacheState:
         """
         for lvl in self._levels:
             self._run_pending(lvl)
-            # The sets that hold a dirty line, in ascending order.
-            indices = sorted(compress(lvl.sets, map(any, map(dict.values, lvl.sets.values()))))
-            if not indices:
+            # The dirty lines the level holds, by ascending set and in LRU
+            # order within a set.
+            rows = lvl.row[np.flatnonzero(lvl.row >= 0)]
+            held = lvl.dirty[rows] & (np.arange(lvl.ways) < lvl.fill[rows, None])
+            n = int(np.count_nonzero(held))
+            if not n:
                 continue
-            _, lines, dirty = _flatten(list(map(lvl.sets.__getitem__, indices)))
-            n = int(np.count_nonzero(dirty))
+            lines = lvl.tags[rows][held]
+            lvl.dirty[:] = False
             lvl.writebacks += n
-            # A clean copy replaces each set with a dirty line, which frees
-            # the old dict as it goes; built from an iterator, the copy is
-            # no larger than a dict built line by line.
-            old = map(lvl.sets.__getitem__, indices)
-            lvl.sets.update(zip(indices, map(dict.fromkeys, map(iter, old), repeat(False))))
             if lvl.store_next is None:
                 self.memory_writebacks += n
             else:
-                addresses = lines[dirty] << np.uint64(lvl.line_shift)
+                addresses = lines << np.uint64(lvl.line_shift)
                 lvl.store_next.send(addresses, True, False, self._keys(n))
         return self.collect_stats()
 
@@ -534,12 +600,7 @@ def build_hierarchy(spec: HierarchySpec) -> CacheState:
 
 
 def _lru_pass(
-    lines: np.ndarray,
-    keys: np.ndarray,
-    dirty: np.ndarray,
-    touched: np.ndarray,
-    sets: dict[int, dict[int, bool]],
-    ways: int,
+    lvl: _Level, lines: np.ndarray, keys: np.ndarray, dirty: np.ndarray, touched: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A sequence of touches through one LRU level.
 
@@ -547,21 +608,26 @@ def _lru_pass(
     bit; when the line is absent it misses, evicting the set's LRU line if
     the set is full.  ``lines``, ``keys`` (set indices) and ``dirty``
     describe the touches and ``touched`` lists their sets in ascending
-    order.  ``sets`` maps a set index to the lines the set holds in LRU
-    order, mapped to their dirty bits, and is brought up to date.  Returns
-    the positions of the misses in order, and for each miss whether it
-    evicts, the line it evicts and that line's dirty bit.
+    order.  The lines those sets hold are read from the level's rows, and
+    the lines they keep written back, LRU first.  Returns the positions of
+    the misses in order, and for each miss whether it evicts, the line it
+    evicts and that line's dirty bit.
     """
-    touched_sets = touched.tolist()
+    rows = lvl.rows(touched)
+    counts = lvl.fill[rows]
+    held = np.arange(lvl.ways) < counts[:, None]
     misses, evicts, victims, victims_dirty, kept_lines, kept_dirty, kept_counts = _lru_arrays(
-        lines, keys, dirty, touched, _flatten(list(map(sets.get, touched_sets, repeat({})))), ways
+        lines,
+        keys,
+        dirty,
+        touched,
+        (counts, lvl.tags[rows][held], lvl.dirty[rows][held]),
+        lvl.ways,
     )
-    # One new dict per touched set from one iterator over all kept pairs,
-    # built once the arrays' temporaries are gone.  The loop runs in C,
-    # which matters where a pass touches thousands of sets; each set's old
-    # dict is freed as its new one replaces it.
-    kept_pairs = zip(kept_lines.tolist(), kept_dirty.tolist())
-    sets.update(zip(touched_sets, map(dict, map(islice, repeat(kept_pairs), kept_counts.tolist()))))
+    kept, columns = np.nonzero(np.arange(lvl.ways) < kept_counts[:, None])
+    lvl.tags[rows[kept], columns] = kept_lines
+    lvl.dirty[rows[kept], columns] = kept_dirty
+    lvl.fill[rows] = kept_counts
     return misses, evicts, victims, victims_dirty
 
 
@@ -573,9 +639,10 @@ def _lru_arrays(
     held: tuple[np.ndarray, np.ndarray, np.ndarray],
     ways: int,
 ) -> tuple[np.ndarray, ...]:
-    """_lru_pass on arrays; ``held`` is what _flatten gives for the touched
-    sets.  Returns _lru_pass's results, then the lines each touched set
-    keeps, in order, their dirty bits and how many each set keeps."""
+    """_lru_pass on arrays; ``held`` is the touched sets' line counts, and
+    all their lines and dirty bits, set by set, LRU first.  Returns
+    _lru_pass's results, then the lines each touched set keeps, in order,
+    their dirty bits and how many each set keeps."""
     held_counts, held_lines, held_dirty = held
     nheld = len(held_lines)
     all_keys = np.concatenate((np.repeat(touched, held_counts), keys))
@@ -658,15 +725,6 @@ def _lru_arrays(
     )
 
 
-def _flatten(held: list[dict[int, bool]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sets' line counts, and all their lines and dirty bits in order."""
-    counts = np.fromiter(map(len, held), dtype=np.int64, count=len(held))
-    total = int(counts.sum())
-    lines = np.fromiter(chain.from_iterable(held), dtype=np.uint64, count=total)
-    dirty = np.fromiter(chain.from_iterable(map(dict.values, held)), dtype=bool, count=total)
-    return counts, lines, dirty
-
-
 def _argsort_positions(values: np.ndarray, size: int) -> np.ndarray:
     """np.argsort of distinct integers in [0, size), by one scatter."""
     slot = np.full(size, -1, dtype=np.intp)
@@ -723,12 +781,14 @@ def _fewer_distinct(prev: np.ndarray, ends: np.ndarray, ways: int) -> np.ndarray
 def _check_access(op: str, address: int, size: int, line: int) -> None:
     """Reject an access that is neither a load nor a store, has an address
     or size that is not an integer (TypeError), a negative address or a size
-    below 1, or straddles a ``line``-byte line."""
+    below 1, an address of 2^64 or more, or straddles a ``line``-byte line."""
     if op not in (LOAD, STORE):
         raise ValueError(f"op must be {LOAD!r} or {STORE!r}, got {op!r}")
     address, size = index(address), index(size)
     if address < 0 or size < 1:
         raise ValueError(f"bad access address={address} size={size}")
+    if address >> 64:
+        raise ValueError("trace addresses must fit in 64 bits")
     if (address & (line - 1)) + size > line:
         raise ValueError(f"access at {address:#x} size {size} straddles a {line}-byte line")
 

@@ -157,6 +157,10 @@ class ReferenceHierarchy:
                     if pair[1]:
                         pair[1] = False
                         self._write_back(name, pair[0] * level.line)
+        return self.stats()
+
+    def stats(self) -> tuple:
+        """The counters in the shape of dataclasses.astuple(SimStats)."""
         return (
             tuple((name, *counts) for name, counts in self.counts.items()),
             self.memory_accesses,

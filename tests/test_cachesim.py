@@ -1,3 +1,4 @@
+import importlib
 import random
 from dataclasses import astuple
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitweave import cachesim
 from bitweave.cachesim import (
     CHUNK_EVENTS,
     LOAD,
@@ -180,7 +182,16 @@ class TestAccess:
             state.access(LOAD, 62, 4)
 
     @pytest.mark.parametrize(
-        "event", [("X", 0, 4), (LOAD, 62, 4), (STORE, 0, 0), (LOAD, -4, 4), (LOAD, 0, -1)]
+        "event",
+        [
+            ("X", 0, 4),
+            (LOAD, 62, 4),
+            (STORE, 0, 0),
+            (LOAD, -4, 4),
+            (LOAD, 0, -1),
+            (LOAD, 1 << 64, 4),
+            (STORE, 1 << 70, 4),
+        ],
     )
     def test_run_rejects_what_access_rejects(self, event):
         state = build_hierarchy(load_cache_spec("haswell"))
@@ -731,3 +742,93 @@ class TestFirstLevelPass:
         assert stats.level("L1").misses < stats.accesses // 20
         assert state.flush_writeback().memory_writebacks > 0
         assert entered == []
+
+
+def wide_outer() -> HierarchySpec:
+    """A small first level in front of one with 2^17 sets."""
+    return HierarchySpec(
+        levels=(
+            CacheLevelSpec(
+                name="L1", sets=4, ways=2, line=64, latency=1, load_from="L2", store_to="L2"
+            ),
+            CacheLevelSpec(name="L2", sets=1 << 17, ways=2, line=64, latency=2),
+        ),
+        memory_latency=100,
+    )
+
+
+class TestRowStorage:
+    """Each level holds one row per set it has touched, and its row storage
+    grows mid-run without changing any result."""
+
+    def test_rows_grow_mid_run(self):
+        spec = wide_outer()
+        rng = random.Random(8)
+        reference = ReferenceHierarchy(spec)
+        state = build_hierarchy(spec)
+        outer = state._levels[1]
+        capacities = []
+        lines: list[int] = []
+        for phase in range(8):
+            # Each phase brings lines of sets never touched before, spread
+            # past 16 bits of set index, and returns to some old ones.
+            new = [(1 << 17) * rng.randrange(4) + len(lines) * 37 + k for k in range(16 << phase)]
+            lines += new
+            picked = new + rng.sample(lines, min(len(lines), 64))
+            events = [
+                (rng.choice((LOAD, STORE)), line * 64 + 4 * rng.randrange(16), 4)
+                for line in picked
+                for _ in range(rng.choice((1, 1, 2)))
+            ]
+            rng.shuffle(events)
+            for op, addr, _ in events:
+                reference.access(op == STORE, addr)
+            state.run_chunks(chunked(events, sorted(rng.sample(range(len(events)), 3))))
+            # access() runs the waiting outer input first.
+            for op, addr, size in rng.sample(events, 5):
+                assert state.access(op, addr, size) == reference.access(op == STORE, addr)
+            assert astuple(state.collect_stats()) == reference.stats()
+            assert outer.nrows == len({line % (1 << 17) for line in lines})
+            capacities.append(len(outer.fill))
+        assert len(set(capacities)) >= 5
+        assert astuple(state.flush_writeback()) == reference.flush()
+
+    def test_one_access_holds_one_row(self):
+        state = build_hierarchy(wide_outer())
+        state.access(STORE, 1 << 40, 4)
+        for level in state._levels:
+            assert level.nrows == 1
+            assert level.tags.shape == (1, 2) and level.dirty.shape == (1, 2)
+
+    def test_evaluate_holds_a_row_per_touched_set(self, monkeypatch):
+        states = []
+        touched: dict[int, set[int]] = {}
+
+        def build(spec):
+            states.append(cachesim.CacheState(spec))
+            return states[-1]
+
+        def spy(lvl, lines, keys, dirty, sets):
+            touched.setdefault(id(lvl), set()).update(sets.tolist())
+            return lru_pass(lvl, lines, keys, dirty, sets)
+
+        # bitweave.fitness the attribute is the function; this is the module.
+        fitness = importlib.import_module("bitweave.fitness")
+        lru_pass = cachesim._lru_pass
+        monkeypatch.setattr(fitness, "build_hierarchy", build)
+        monkeypatch.setattr(cachesim, "_lru_pass", spy)
+        fitness.clear_cache()
+        try:
+            pattern = parse_pattern("Jacobi2D(7,9;4)")
+            fitness.evaluate(
+                canonical_layout(pattern.primary_shape()), pattern, load_cache_spec("zen3")
+            )
+        finally:
+            fitness.clear_cache()
+        (state,) = states
+        for level in state._levels:
+            assert level.nrows == len(touched[id(level)])
+            assert sorted(touched[id(level)]) == np.flatnonzero(level.row >= 0).tolist()
+            assert len(level.fill) < 2 * level.nrows
+        # The zen3 L3 has 32768 sets; the run touches far fewer.
+        assert state._levels[-1].nrows < state._levels[-1].nsets // 2
