@@ -39,17 +39,20 @@ ascending set and in LRU order within a set, go to its store_to level as
 dirty installs keyed after everything sent before them.  access() simulates
 one access on its own, recursively: the per-event reference path.
 
-A level keeps its contents in numpy arrays only.  The first time a set is
-touched it gets the next free row of a ``tags`` and a ``dirty`` array of
-``ways`` columns, which hold its lines LRU first; ``fill`` counts the lines
-of each row and ``row`` maps a set to its row.  Rows double as needed, up to
-one per set, so memory follows the sets a run touches, not the geometry.  A
-pass reads the rows of the sets it touches with one mask and writes back
-what they keep with one scatter; access() reads and writes one row.
+A level keeps its contents in numpy arrays only, allocated with the level:
+a ``tags`` and a ``dirty`` table of one row per set and ``ways`` columns,
+which hold each set's lines LRU first, and ``fill``, which counts the lines
+of each row.  The columns past a row's fill are stale and never read, so the
+tables start uninitialised and only the rows of sets a run touches are ever
+written.  A pass reads the rows of the sets it touches with one mask and
+writes back what they keep with one scatter; access() reads and writes one
+row.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from itertools import islice
 from operator import index, itemgetter
@@ -92,6 +95,16 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def _integer(spec: object, field: str, what: str) -> None:
+    """Store the spec's ``field`` as an int, or raise TypeError if it is not
+    an integer: the cycle model is exact integer arithmetic."""
+    value = getattr(spec, field)
+    try:
+        object.__setattr__(spec, field, index(value))
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CacheLevelSpec:
     """Geometry, latency, and links of one cache level; every level is
@@ -109,6 +122,8 @@ class CacheLevelSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("cache level needs a name")
+        for field in ("sets", "ways", "line", "latency"):
+            _integer(self, field, f"{self.name}: {field}")
         if self.sets < 1 or self.ways < 1:
             raise ValueError(f"{self.name}: sets and ways must be >= 1")
         if not _is_pow2(self.line):
@@ -129,6 +144,7 @@ class HierarchySpec:
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("hierarchy needs at least one cache level")
+        _integer(self, "memory_latency", "memory latency")
         if self.memory_latency < 1:
             raise ValueError("memory latency must be >= 1")
         # The simulator's merge keys hold a trace position above one bit
@@ -208,14 +224,27 @@ class SimStats:
         return self.loads + self.stores
 
 
-class _Level:
-    """Mutable per-level state: counters; the lines of the sets touched so
-    far, in rows of ``tags`` and ``dirty`` (see the module docstring); and
-    the input events waiting for the level's next pass.
+def _table(shape: tuple[int, int], dtype: type) -> np.ndarray:
+    """An uninitialised table.  numpy advises a buffer of 4 MiB or more onto
+    2 MiB huge pages, so one touched set would hold 2 MiB; such a table is a
+    memory mapping of its own, which takes pages only as they are written."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if size < 1 << 22:
+        return np.empty(shape, dtype=dtype)
+    try:
+        buffer = mmap.mmap(-1, size)
+    except OSError as exc:
+        raise MemoryError(f"cannot map {size} bytes for a cache level: {exc.strerror}") from None
+    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
 
-    ``row[s]`` is set s's row, -1 for a set never touched.  Row r holds
-    ``fill[r]`` lines, LRU first, in ``tags[r]`` and their dirty bits in
-    ``dirty[r]``; the columns past them are stale.
+
+class _Level:
+    """Mutable per-level state: counters; the lines each set holds (see the
+    module docstring); and the input events waiting for the level's next
+    pass.
+
+    Set s holds ``fill[s]`` lines, LRU first, in ``tags[s]`` and their dirty
+    bits in ``dirty[s]``; the columns past them are stale.
     """
 
     __slots__ = (
@@ -225,11 +254,9 @@ class _Level:
         "line_shift",
         "key_type",
         "slot",
-        "row",
         "tags",
         "dirty",
         "fill",
-        "nrows",
         "hits",
         "misses",
         "writebacks",
@@ -253,12 +280,9 @@ class _Level:
         # What the merge key of a victim sent by this level adds to the key
         # of the touch that evicted it; its fill adds nothing.
         self.slot = np.uint64(slot)
-        # Row numbers fit 32 bits: 2^31 rows of tags alone would take 16 GB.
-        self.row = np.full(spec.sets, -1, dtype=np.int32)
-        self.tags = np.zeros((0, spec.ways), dtype=np.uint64)
-        self.dirty = np.zeros((0, spec.ways), dtype=bool)
-        self.fill = np.zeros(0, dtype=np.intp)
-        self.nrows = 0
+        self.tags = _table((spec.sets, spec.ways), np.uint64)
+        self.dirty = _table((spec.sets, spec.ways), np.bool_)
+        self.fill = np.zeros(spec.sets, dtype=np.intp)
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -269,43 +293,6 @@ class _Level:
         # (byte addresses, dirty bits, demand flags, merge keys) arrays
         self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self.npending = 0
-
-    def rows(self, sets: np.ndarray) -> np.ndarray:
-        """The rows of these distinct sets; a set never touched gets the
-        next free row."""
-        rows = self.row[sets]
-        new = np.flatnonzero(rows < 0)
-        if len(new):
-            end = self.nrows + len(new)
-            self._reserve(end)
-            rows[new] = np.arange(self.nrows, end)
-            self.row[sets[new]] = rows[new]
-            self.nrows = end
-        return rows
-
-    def row_of(self, index: int) -> int:
-        """rows() for one set."""
-        r = int(self.row[index])
-        if r < 0:
-            r = self.row[index] = self.nrows
-            self._reserve(r + 1)
-            self.nrows = r + 1
-        return r
-
-    def _reserve(self, needed: int) -> None:
-        """Room for ``needed`` rows: the capacity at least doubles when it
-        grows, and never passes one row per set."""
-        capacity = len(self.fill)
-        if needed <= capacity:
-            return
-        capacity = min(max(needed, 2 * capacity), self.nsets)
-        tags = np.zeros((capacity, self.ways), dtype=np.uint64)
-        dirty = np.zeros((capacity, self.ways), dtype=bool)
-        fill = np.zeros(capacity, dtype=np.intp)
-        tags[: self.nrows] = self.tags[: self.nrows]
-        dirty[: self.nrows] = self.dirty[: self.nrows]
-        fill[: self.nrows] = self.fill[: self.nrows]
-        self.tags, self.dirty, self.fill = tags, dirty, fill
 
     def send(
         self, addresses: np.ndarray, dirty: np.ndarray | bool, demand: bool, keys: np.ndarray
@@ -376,8 +363,8 @@ class CacheState:
         self, lvl: _Level, is_store: bool, addr: int, record: list[tuple[str, bool]]
     ) -> None:
         line = addr >> lvl.line_shift
-        r = int(lvl.row[line % lvl.nsets])
-        hit = r >= 0 and line in lvl.tags[r, : lvl.fill[r]].tolist()
+        s = line % lvl.nsets
+        hit = line in lvl.tags[s, : lvl.fill[s]].tolist()
         record.append((lvl.spec.name, hit))
         if hit:
             lvl.hits += 1
@@ -393,9 +380,9 @@ class CacheState:
         self._install(lvl, line, is_store)
 
     def _install(self, lvl: _Level, line: int, dirty: bool) -> None:
-        r = lvl.row_of(line % lvl.nsets)
-        n = int(lvl.fill[r])
-        tags, flags = lvl.tags[r], lvl.dirty[r]
+        s = line % lvl.nsets
+        n = int(lvl.fill[s])
+        tags, flags = lvl.tags[s], lvl.dirty[s]
         held = tags[:n].tolist()
         victim = None
         if line in held:
@@ -404,7 +391,7 @@ class CacheState:
         elif n < lvl.ways:
             k = n
             n += 1
-            lvl.fill[r] = n
+            lvl.fill[s] = n
         else:
             k = 0
             victim = held[0], bool(flags[0])
@@ -559,13 +546,13 @@ class CacheState:
             self._run_pending(lvl)
             # The dirty lines the level holds, by ascending set and in LRU
             # order within a set.
-            rows = lvl.row[np.flatnonzero(lvl.row >= 0)]
+            rows = np.flatnonzero(lvl.fill)
             held = lvl.dirty[rows] & (np.arange(lvl.ways) < lvl.fill[rows, None])
             n = int(np.count_nonzero(held))
             if not n:
                 continue
             lines = lvl.tags[rows][held]
-            lvl.dirty[:] = False
+            lvl.dirty[rows] = False
             lvl.writebacks += n
             if lvl.store_next is None:
                 self.memory_writebacks += n
@@ -608,42 +595,16 @@ def _lru_pass(
     bit; when the line is absent it misses, evicting the set's LRU line if
     the set is full.  ``lines``, ``keys`` (set indices) and ``dirty``
     describe the touches and ``touched`` lists their sets in ascending
-    order.  The lines those sets hold are read from the level's rows, and
-    the lines they keep written back, LRU first.  Returns the positions of
-    the misses in order, and for each miss whether it evicts, the line it
-    evicts and that line's dirty bit.
+    order.  The lines those sets hold are read from their rows of the
+    level's tables, and the lines they keep written back, LRU first.
+    Returns the positions of the misses in order, and for each miss whether
+    it evicts, the line it evicts and that line's dirty bit.
     """
-    rows = lvl.rows(touched)
-    counts = lvl.fill[rows]
-    held = np.arange(lvl.ways) < counts[:, None]
-    misses, evicts, victims, victims_dirty, kept_lines, kept_dirty, kept_counts = _lru_arrays(
-        lines,
-        keys,
-        dirty,
-        touched,
-        (counts, lvl.tags[rows][held], lvl.dirty[rows][held]),
-        lvl.ways,
-    )
-    kept, columns = np.nonzero(np.arange(lvl.ways) < kept_counts[:, None])
-    lvl.tags[rows[kept], columns] = kept_lines
-    lvl.dirty[rows[kept], columns] = kept_dirty
-    lvl.fill[rows] = kept_counts
-    return misses, evicts, victims, victims_dirty
-
-
-def _lru_arrays(
-    lines: np.ndarray,
-    keys: np.ndarray,
-    dirty: np.ndarray,
-    touched: np.ndarray,
-    held: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ways: int,
-) -> tuple[np.ndarray, ...]:
-    """_lru_pass on arrays; ``held`` is the touched sets' line counts, and
-    all their lines and dirty bits, set by set, LRU first.  Returns
-    _lru_pass's results, then the lines each touched set keeps, in order,
-    their dirty bits and how many each set keeps."""
-    held_counts, held_lines, held_dirty = held
+    ways = lvl.ways
+    held_counts = lvl.fill[touched]
+    held = np.arange(ways) < held_counts[:, None]
+    held_lines = lvl.tags[touched][held]
+    held_dirty = lvl.dirty[touched][held]
     nheld = len(held_lines)
     all_keys = np.concatenate((np.repeat(touched, held_counts), keys))
     # Each set's own sequence: the lines it holds, LRU first, as if just
@@ -714,15 +675,13 @@ def _lru_arrays(
     beyond = beyond[by_time]
     evicts = beyond >= 0
     victim = np.where(evicts, first_res[miss_set[by_time]] + beyond, 0)
-    return (
-        misses,
-        evicts,
-        res_lines[victim],
-        res_dirty[victim],
-        res_lines[kept],
-        res_dirty[kept],
-        kept_counts,
-    )
+
+    # Each touched set's row takes the residencies it keeps, LRU first.
+    rows, columns = np.nonzero(np.arange(ways) < kept_counts[:, None])
+    lvl.tags[touched[rows], columns] = res_lines[kept]
+    lvl.dirty[touched[rows], columns] = res_dirty[kept]
+    lvl.fill[touched] = kept_counts
+    return misses, evicts, res_lines[victim], res_dirty[victim]
 
 
 def _argsort_positions(values: np.ndarray, size: int) -> np.ndarray:

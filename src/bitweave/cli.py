@@ -296,6 +296,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # A cache geometry too large to hold, for one.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

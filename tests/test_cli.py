@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
+import errno
 import re
 
 import pytest
 
+from bitweave import cachesim
 from bitweave.cachesim import CacheLevelSpec, HierarchySpec, build_hierarchy
 from bitweave.cachespec import load_cache_spec, render_cache_spec
 from bitweave.cli import ENV_CACHE, main
@@ -327,6 +329,27 @@ class TestExitCodes:
 
     def test_missing_required(self, capsys):
         assert main(["simulate"]) == 1
+
+    def test_unallocatable_geometry(self, tmp_path, monkeypatch, capsys):
+        # The kernel refuses a mapping for 2^34 sets, as it does without
+        # overcommit; a real request could succeed under overcommit and
+        # then exhaust memory, so none is made.
+        path = tmp_path / "huge.yaml"
+        path.write_text(render_cache_spec(single_level(1 << 34, 2, 64)))
+        mapping = cachesim.mmap.mmap
+
+        def refuse(fileno, length, *args, **kwargs):
+            if length >= 1 << 34:
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            return mapping(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(cachesim.mmap, "mmap", refuse)
+        assert main(["simulate", "-l", "[0,0,1,1]", "-p", "MMijk(2;4)", "-c", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: out of memory: cannot map 274877906944 bytes for a cache level:"
+            " Cannot allocate memory\n"
+        )
 
     def test_no_command(self, capsys):
         assert main([]) == 1
