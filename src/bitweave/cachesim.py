@@ -12,12 +12,13 @@ tracked separately so the cycle model can stay a pure function of demand
 traffic.
 
 Traces are simulated in chunks: a uint64 array of byte addresses plus a
-bool store mask, at most CHUNK_EVENTS events each.  Demand accesses, fills,
-victim installs and write-backs are all one LRU operation, "touch this line
-with dirty bit d"; they differ only in what they count and send on.  Every
-link points to a level listed later, so each level's input is fixed by the
-levels before it, and the levels run one at a time, in list order, each as
-one bulk pass over its input.  Within a pass a set's hits, misses and
+bool store mask of the same length; patterns.trace_chunks cuts a kernel's
+trace into chunks of CHUNK_EVENTS events.  Demand accesses, fills, victim
+installs and write-backs are all one LRU operation, "touch this line with
+dirty bit d"; they differ only in what they count and send on.  Every link
+points to a level listed later, so each level's input is fixed by the
+levels before it, and the levels run one at a time, in list order, each in
+bulk passes over its input.  Within a pass a set's hits, misses and
 victims follow from its own sequence of touches, taken from the lines the
 set holds (LRU first) onward.  By the LRU stack-distance rule a touch hits
 iff fewer than ``ways`` distinct lines of its set were touched since the
@@ -28,16 +29,20 @@ only its last misses find it full, so sorting gives every victim and its
 dirty bit (the OR of the residency's dirty bits).  A counted miss sends a
 load of its byte address to ``load_from``; then its victim goes on.
 
-The first level takes each chunk at once; an outer level's input waits until
-it holds CHUNK_EVENTS events, and then it and every level before it run.
+The first level takes each chunk at once, as one pass.  An outer level's
+input waits until it holds _OUTER_EVENTS events, and then it and every level
+before it run, each in passes of at most _OUTER_EVENTS events: misses and
+victims repeat less than accesses, so outer passes gain little from length.
 Events carry merge keys: an access's key is its trace position, a fill keeps
 the key of the touch that missed, and a victim adds its level's slot bit, so
 that where several levels feed one, sorting by key merges their events into
-the order the per-event recursion produces.  flush_writeback is the same
-cascade: once a level has run all of its input, its dirty lines, by
-ascending set and in LRU order within a set, go to its store_to level as
-dirty installs keyed after everything sent before them.  access() simulates
-one access on its own, recursively: the per-event reference path.
+the order the per-event recursion produces.  A first-level pass computes the
+keys of the events it sends on only, and a pass frees each of its arrays
+after its last use.  flush_writeback is the same cascade: once a level has
+run all of its input, its dirty lines, by ascending set and in LRU order
+within a set, go to its store_to level as dirty installs keyed after
+everything sent before them.  access() simulates one access on its own,
+recursively: the per-event reference path.
 
 A level keeps its contents in numpy arrays only, allocated with the level:
 a ``tags`` and a ``dirty`` table of one row per set and ``ways`` columns,
@@ -76,10 +81,21 @@ __all__ = [
 LOAD = "L"
 STORE = "S"
 
-# Events per trace chunk: enough to amortise the per-chunk numpy calls, few
-# enough that a chunk's arrays and lists stay under about 1 MB.  Larger chunks
-# were no faster and raised peak memory by up to 4 MB.
-CHUNK_EVENTS = 1 << 13
+# Events per trace chunk, and so per first-level pass.  A pass pays about 80
+# numpy calls and re-reads every line its touched sets hold (up to 512 at a
+# 64-set, 8-way L1) whatever its length; at 2^13 events a mostly-hitting
+# kernel had fewer misses per pass than held lines.  On a 2-core Xeon, 2^15
+# took 27% off the resident benchmark's wall time against 2^13, and 2^14
+# was 17% slower than 2^15; a first-level pass of 2^15 events allocates
+# about 2 MiB at its peak.
+CHUNK_EVENTS = 1 << 15
+
+# Events per outer-level pass, how many an outer level's input waits for,
+# and tuples per chunk in run().  An outer pass sees misses and victims,
+# which repeat less than accesses, so it gains little from length but grows
+# in memory: at 2^15 an L2 pass of Himeno(3,5,5;4) row-major on haswell
+# allocated 2.4 MiB at its peak, against 0.85 MiB at 2^13.
+_OUTER_EVENTS = 1 << 13
 
 # The first-level pass counts distinct lines in reuse windows over blocks of
 # this many windows by this many positions, so its temporaries have a fixed
@@ -427,41 +443,44 @@ class CacheState:
     def run_chunks(self, chunks: Iterable[Chunk]) -> None:
         """Stream a whole trace given as chunks; see the module docstring.
 
-        Each chunk goes through the first level at once.  An outer level's
-        input waits until it holds CHUNK_EVENTS events; then it and every
-        level before it run.  Input still waiting runs before anything
+        A chunk is a 1-D uint64 array of byte addresses and a bool store
+        mask of the same length; anything else raises before the chunk
+        counts.  Each chunk goes through the first level at once.  An outer
+        level's input waits until it holds _OUTER_EVENTS events; then it and
+        every level before it run.  Input still waiting runs before anything
         reads or changes the state: access(), collect_stats() and
         flush_writeback().
         """
         first = self._first
         for addresses, stores in chunks:
+            _check_chunk(addresses, stores)
             n = len(addresses)
             if n == 0:
                 continue
             nstores = int(np.count_nonzero(stores))
             self.stores += nstores
             self.loads += n - nstores
-            self._pass(first, addresses, stores, None, self._keys(n))
+            self._pass(first, addresses, stores, None, self._advance(n))
             self._drain(everything=False)
 
-    def _keys(self, n: int) -> np.ndarray:
-        """Merge keys for the next ``n`` positions."""
+    def _advance(self, n: int) -> int:
+        """The position of the first of the next ``n`` events."""
         if self._position + n > self._position_limit:
             self._drain(everything=True)
-        keys = np.arange(self._position, self._position + n, dtype=np.uint64) << self._key_shift
+        start = self._position
         self._position += n
-        return keys
+        return start
 
     def _drain(self, everything: bool) -> None:
         """Run the outer levels in list order; unless ``everything``, stop at
-        the first level with no level from it on holding CHUNK_EVENTS events.
+        the first level with no level from it on holding _OUTER_EVENTS events.
         Links point outward, so nothing that a level yet to run sends can
         reach a level that has run."""
         if not self._position:
             return
         levels = self._levels
         for k in range(1, len(levels)):
-            if not everything and all(lvl.npending < CHUNK_EVENTS for lvl in levels[k:]):
+            if not everything and all(lvl.npending < _OUTER_EVENTS for lvl in levels[k:]):
                 return
             self._run_pending(levels[k])
         self._position = 0
@@ -474,9 +493,8 @@ class CacheState:
         lvl.pending = []
         lvl.npending = 0
         order = np.argsort(keys, kind="stable")
-        # At most CHUNK_EVENTS touches per pass, as at the first level.
-        for start in range(0, len(order), CHUNK_EVENTS):
-            part = order[start : start + CHUNK_EVENTS]
+        for start in range(0, len(order), _OUTER_EVENTS):
+            part = order[start : start + _OUTER_EVENTS]
             self._pass(lvl, addresses[part], dirty[part], demand[part], keys[part])
 
     def _pass(
@@ -485,32 +503,31 @@ class CacheState:
         addresses: np.ndarray,
         dirty: np.ndarray,
         demand: Optional[np.ndarray],
-        keys: np.ndarray,
+        keys: np.ndarray | int,
     ) -> None:
         """Touch each address's line at ``lvl`` with its dirty bit, in order;
-        ``demand`` (None: all) marks the touches that count a hit or a miss.
-        Sends each counted miss's fill and then each victim on."""
-        lines = addresses >> np.uint64(lvl.line_shift)
-        set_keys = (lines % np.uint64(lvl.nsets)).astype(lvl.key_type)
-        if lvl.key_type is np.uint64:
-            touched = np.unique(set_keys)
+        ``demand`` (None: all) marks the touches that count a hit or a miss,
+        and ``keys`` holds their merge keys or, for touches at consecutive
+        positions, the first position.  Sends each counted miss's fill and
+        then each victim on."""
+        misses, evicts, victims, victims_dirty = _lru_pass(lvl, addresses, dirty)
+        if isinstance(keys, np.ndarray):
+            miss_keys = keys[misses]
         else:
-            seen = np.zeros(lvl.nsets, dtype=bool)
-            seen[set_keys] = True
-            touched = np.flatnonzero(seen).astype(lvl.key_type)
-        misses, evicts, victims, victims_dirty = _lru_pass(lvl, lines, set_keys, dirty, touched)
+            miss_keys = (misses.astype(np.uint64) + np.uint64(keys)) << self._key_shift
         if demand is None:
-            fills = misses
-            counted = len(lines)
+            fills, fill_keys = misses, miss_keys
+            counted = len(addresses)
         else:
-            fills = misses[demand[misses]]
+            counted_misses = demand[misses]
+            fills, fill_keys = misses[counted_misses], miss_keys[counted_misses]
             counted = int(np.count_nonzero(demand))
         lvl.misses += len(fills)
         lvl.hits += counted - len(fills)
         if lvl.load_next is None:
             self.memory_accesses += len(fills)
         else:
-            lvl.load_next.send(addresses[fills], False, True, keys[fills])
+            lvl.load_next.send(addresses[fills], False, True, fill_keys)
         # A victim goes to victim_to, clean or dirty; else a dirty one is
         # written back to store_to or memory.
         if lvl.victim_next is not None:
@@ -527,7 +544,7 @@ class CacheState:
                 victims[sent] << np.uint64(lvl.line_shift),
                 victims_dirty[sent],
                 False,
-                keys[misses[sent]] | lvl.slot,
+                miss_keys[sent] | lvl.slot,
             )
 
     # -- flush and reporting ---------------------------------------------
@@ -558,7 +575,9 @@ class CacheState:
                 self.memory_writebacks += n
             else:
                 addresses = lines << np.uint64(lvl.line_shift)
-                lvl.store_next.send(addresses, True, False, self._keys(n))
+                start = self._advance(n)
+                keys = np.arange(start, start + n, dtype=np.uint64) << self._key_shift
+                lvl.store_next.send(addresses, True, False, keys)
         return self.collect_stats()
 
     def collect_stats(self) -> SimStats:
@@ -587,20 +606,29 @@ def build_hierarchy(spec: HierarchySpec) -> CacheState:
 
 
 def _lru_pass(
-    lvl: _Level, lines: np.ndarray, keys: np.ndarray, dirty: np.ndarray, touched: np.ndarray
+    lvl: _Level, addresses: np.ndarray, dirty: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A sequence of touches through one LRU level.
 
-    A touch moves its line to MRU and ORs ``dirty`` into the line's dirty
-    bit; when the line is absent it misses, evicting the set's LRU line if
-    the set is full.  ``lines``, ``keys`` (set indices) and ``dirty``
-    describe the touches and ``touched`` lists their sets in ascending
-    order.  The lines those sets hold are read from their rows of the
-    level's tables, and the lines they keep written back, LRU first.
-    Returns the positions of the misses in order, and for each miss whether
-    it evicts, the line it evicts and that line's dirty bit.
+    A touch moves its address's line to MRU and ORs ``dirty`` into the
+    line's dirty bit; when the line is absent it misses, evicting the set's
+    LRU line if the set is full.  The lines the touched sets hold are read
+    from their rows of the level's tables, and the lines they keep written
+    back, LRU first.  Returns the positions of the misses in order, and for
+    each miss whether it evicts, the line it evicts and that line's dirty
+    bit.  Each array as long as the touches is deleted after its last use,
+    which keeps the pass's peak memory down.
     """
     ways = lvl.ways
+    n = len(addresses)
+    lines = addresses >> np.uint64(lvl.line_shift)
+    keys = (lines % np.uint64(lvl.nsets)).astype(lvl.key_type)
+    if lvl.key_type is np.uint64:
+        touched = np.unique(keys)
+    else:
+        seen = np.zeros(lvl.nsets, dtype=bool)
+        seen[keys] = True
+        touched = np.flatnonzero(seen).astype(lvl.key_type)
     held_counts = lvl.fill[touched]
     held = np.arange(ways) < held_counts[:, None]
     held_lines = lvl.tags[touched][held]
@@ -612,6 +640,7 @@ def _lru_pass(
     order = np.argsort(all_keys, kind="stable")
     seq = np.concatenate((held_lines, lines))[order]
     flags = np.concatenate((held_dirty, dirty))[order]
+    del lines, keys, held, held_lines, held_dirty
     # An access to the line its set's previous access touched is a hit with
     # no access between, so it only adds its dirty bit to that access.  The
     # rest of the pass runs over the first access of each such run.
@@ -619,13 +648,15 @@ def _lru_pass(
     flags = np.logical_or.reduceat(flags, heads)
     order = order[heads]
     seq = seq[heads]
+    seq_sets = all_keys[order]
+    del heads, all_keys
     total = len(seq)
     # The same positions grouped by line, each line's in time order.
     by_line = np.argsort(seq, kind="stable")
     grouped = seq[by_line]
     same = grouped[1:] == grouped[:-1]
     firsts = np.flatnonzero(np.append(True, ~same))
-    line_set = np.searchsorted(touched, all_keys[order[by_line[firsts]]])
+    line_set = np.searchsorted(touched, seq_sets[by_line[firsts]])
     distinct = np.bincount(line_set, minlength=len(touched))
     # In line order: a hit iff fewer than ``ways`` distinct lines were
     # touched since the previous access to the line.  That holds at once if
@@ -638,6 +669,8 @@ def _lru_pass(
         prev = np.full(total, -1, dtype=np.int64)
         prev[by_line[1:][same]] = by_line[:-1][same]
         hit[wide] = _fewer_distinct(prev, by_line[wide], ways)
+        del prev
+    del grouped, same, firsts, line_set, wide
 
     # A residency starts at each miss or held line and runs over the hits to
     # its line after it; it is dirty if any of them is.
@@ -645,13 +678,15 @@ def _lru_pass(
     ends = np.append(starts[1:], total) - 1
     res_dirty = np.logical_or.reduceat(flags[by_line], starts)
     last_use = by_line[ends]
+    del hit, ends, flags
     # Positions run by set, then by time, so this orders the residencies by
     # set and each set's by last use: the order in which LRU evicts them.
     by_use = _argsort_positions(last_use, total)
     last_use = last_use[by_use]
     res_dirty = res_dirty[by_use]
     res_lines = seq[last_use]
-    res_set = np.searchsorted(touched, all_keys[order[last_use]])
+    res_set = np.searchsorted(touched, seq_sets[last_use])
+    del by_use, seq
     residencies = np.bincount(res_set, minlength=len(touched))
     # A set keeps its last min(ways, distinct lines) residencies; the others
     # are evicted, in order, by the misses that find it full: its last ones.
@@ -664,13 +699,15 @@ def _lru_pass(
     # lines; taken by set and then by time.
     is_miss = np.zeros(total, dtype=bool)
     is_miss[by_line[starts]] = True
+    del by_line, starts
     miss_seq = np.flatnonzero(is_miss & (order >= nheld))
-    miss_set = np.searchsorted(touched, all_keys[order[miss_seq]])
+    miss_set = np.searchsorted(touched, seq_sets[miss_seq])
     nmisses = np.bincount(miss_set, minlength=len(touched))
     # How far past the last miss that finds a free way each miss lies.
     beyond = np.arange(len(miss_seq)) - (np.cumsum(nmisses) - evicted)[miss_set]
     misses = order[miss_seq] - nheld
-    by_time = _argsort_positions(misses, len(lines))
+    del order, miss_seq, is_miss, seq_sets
+    by_time = _argsort_positions(misses, n)
     misses = misses[by_time]
     beyond = beyond[by_time]
     evicts = beyond >= 0
@@ -752,11 +789,29 @@ def _check_access(op: str, address: int, size: int, line: int) -> None:
         raise ValueError(f"access at {address:#x} size {size} straddles a {line}-byte line")
 
 
+def _check_chunk(addresses: object, stores: object) -> None:
+    """Reject a chunk that is not a uint64 address array and a bool store
+    mask (TypeError) or whose two arrays are not 1-D and of one length
+    (ValueError)."""
+    for array, dtype, what in (
+        (addresses, np.uint64, "addresses"),
+        (stores, np.bool_, "store mask"),
+    ):
+        if not isinstance(array, np.ndarray) or array.dtype != dtype:
+            got = array.dtype if isinstance(array, np.ndarray) else type(array).__name__
+            raise TypeError(f"chunk {what} must be a {np.dtype(dtype)} array, got {got}")
+    if addresses.ndim != 1 or stores.shape != addresses.shape:
+        raise ValueError(
+            f"chunk addresses and store mask must be 1-D and of one length, "
+            f"got shapes {addresses.shape} and {stores.shape}"
+        )
+
+
 def _pack(events: Iterable[tuple[str, int, int]], line: int) -> Iterator[Chunk]:
     """Pack (op, address, size) tuples into chunks, rejecting what access()
     rejects for the smallest line size ``line``."""
     events = iter(events)
-    while batch := list(islice(events, CHUNK_EVENTS)):
+    while batch := list(islice(events, _OUTER_EVENTS)):
         n = len(batch)
         ops = list(map(itemgetter(0), batch))
         try:

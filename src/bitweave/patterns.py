@@ -475,25 +475,26 @@ def generate_trace(
 
 
 def _rechunk(blocks: Iterator[Chunk]) -> Iterator[Chunk]:
-    """Cut a stream of blocks of any size into chunks of CHUNK_EVENTS events."""
-    addresses: list[np.ndarray] = []
-    stores: list[np.ndarray] = []
+    """Cut a stream of blocks of any size into chunks of CHUNK_EVENTS events.
+    A block is joined to others only when it has to be, and the blocks are
+    dropped before their chunks go out, so each event is held once."""
+    waiting: list[Chunk] = []
     held = 0
-    for block_addresses, block_stores in blocks:
-        addresses.append(block_addresses)
-        stores.append(block_stores)
-        held += len(block_addresses)
+    for addresses, stores in blocks:
+        waiting.append((addresses, stores))
+        held += len(addresses)
         if held < CHUNK_EVENTS:
             continue
-        joined_addresses = np.concatenate(addresses)
-        joined_stores = np.concatenate(stores)
+        if len(waiting) > 1:
+            addresses, stores = map(np.concatenate, zip(*waiting))
         full = held - held % CHUNK_EVENTS
-        for k in range(0, full, CHUNK_EVENTS):
-            yield joined_addresses[k : k + CHUNK_EVENTS], joined_stores[k : k + CHUNK_EVENTS]
-        addresses, stores = [joined_addresses[full:]], [joined_stores[full:]]
         held -= full
+        waiting = [(addresses[full:], stores[full:])] if held else []
+        for k in range(0, full, CHUNK_EVENTS):
+            yield addresses[k : k + CHUNK_EVENTS], stores[k : k + CHUNK_EVENTS]
     if held:
-        yield np.concatenate(addresses), np.concatenate(stores)
+        addresses, stores = map(np.concatenate, zip(*waiting))
+        yield addresses, stores
 
 
 # The interpreter.  ``env`` binds each extent and loop variable to an int or,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitweave.cachesim import (
+    _OUTER_EVENTS,
     CHUNK_EVENTS,
     LOAD,
     STORE,
@@ -15,6 +16,7 @@ from bitweave.cachesim import (
     build_hierarchy,
 )
 from bitweave.cachespec import load_cache_spec
+from bitweave.fitness import place_arrays
 from bitweave.layout import canonical_layout
 from bitweave.patterns import bind_arrays, parse_pattern, trace_chunks
 
@@ -278,6 +280,55 @@ class TestAccess:
         assert a.flush_writeback() == b.flush_writeback()
 
 
+class TestChunkChecks:
+    """run_chunks rejects a malformed chunk before counting any of it."""
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            (np.array([0, 64], np.uint64), np.ones(3, bool)),
+            (np.array([0, 64, 128], np.uint64), np.ones(2, bool)),
+            (np.zeros((2, 2), np.uint64), np.zeros((2, 2), bool)),
+            (np.array([0, 64], np.uint64), np.zeros((1, 2), bool)),
+        ],
+        ids=["mask-longer", "mask-shorter", "two-dimensional", "mask-two-dimensional"],
+    )
+    def test_rejects_mismatched_shapes(self, chunk):
+        state = build_hierarchy(three_level())
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            state.run_chunks([chunk])
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            (np.array([0, 64], np.int64), np.zeros(2, bool)),
+            (np.array([0.0, 64.0]), np.zeros(2, bool)),
+            ([0, 64], np.zeros(2, bool)),
+            (np.array([0, 64], np.uint64), np.zeros(2, np.uint8)),
+            (np.array([0, 64], np.uint64), [False, True]),
+        ],
+        ids=["int64", "float", "list", "uint8-mask", "list-mask"],
+    )
+    def test_rejects_wrong_types(self, chunk):
+        state = build_hierarchy(three_level())
+        with pytest.raises(TypeError, match="must be a (uint64|bool) array"):
+            state.run_chunks([chunk])
+
+    def test_state_unchanged_after_rejection(self):
+        rng = random.Random(8)
+        events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 12, 4), 4) for _ in range(2000)]
+        good = chunked(events, [700, 1300])
+        reference = build_hierarchy(three_level())
+        reference.run_chunks(good[:1])
+        state = build_hierarchy(three_level())
+        bad = (good[1][0], np.ones(len(good[1][0]) + 1, bool))
+        with pytest.raises(ValueError):
+            state.run_chunks([good[0], bad, good[2]])
+        assert state.collect_stats() == reference.collect_stats()
+        state.run_chunks(good[1:])
+        assert state.flush_writeback() == accessed(three_level(), events).flush_writeback()
+
+
 class TestOracleEquivalence:
     def test_random_traces_single_level(self):
         rng = random.Random(0xCAC4E)
@@ -500,14 +551,14 @@ def outer_hierarchies(draw):
 
 @st.composite
 def long_traces(draw):
-    """At least 2 * CHUNK_EVENTS accesses, so that both chunk and outer-level
-    buffer boundaries fall inside.  Each phase walks a footprint of 4 to 1024
+    """At least 2 * _OUTER_EVENTS accesses, so that both the chunk and the
+    outer-level boundaries of run() fall inside.  Each phase walks a footprint of 4 to 1024
     lines at one stride (strides of 2^16 lines and more spread it over set
     keys past 16 bits), in order or shuffled, for about 2048 accesses, so
     that reuse lands at every level."""
     rng = random.Random(draw(st.integers(0, 1 << 32)))
     events = []
-    while len(events) < 2 * CHUNK_EVENTS:
+    while len(events) < 2 * _OUTER_EVENTS:
         stride = rng.choice((1, 3, 64, 1 << 16, (1 << 16) + 1))
         base = rng.randrange(1 << 20)
         footprint = rng.choice((4, 16, 64, 256, 1024))
@@ -756,6 +807,49 @@ class TestFirstLevelPass:
         assert stats.level("L1").misses < stats.accesses // 20
         assert state.flush_writeback().memory_writebacks > 0
         assert entered == []
+
+
+# One trace per kernel kind the benchmark runs, each longer than
+# CHUNK_EVENTS.
+CUT_KERNELS = (
+    "MMijk(5;64)",
+    "MMikj(5;16)",
+    "Crout(6;8)",
+    "Cholesky(6;4)",
+    "Jacobi2D(6,7;4)",
+    "Himeno(3,4,4;4)",
+)
+
+# Events cut into chunks of 1 and of 7; each chunk is a pass of its own.
+FINE_EVENTS = 512
+
+
+class TestChunkSizes:
+    """Results do not depend on the size of the first level's chunks."""
+
+    @pytest.mark.parametrize("preset", ["haswell", "zen3"])
+    @pytest.mark.parametrize("text", CUT_KERNELS)
+    def test_stats_do_not_depend_on_chunk_size(self, text, preset):
+        spec = load_cache_spec(preset)
+        pattern = parse_pattern(text)
+        layout = canonical_layout(pattern.primary_shape())
+        chunks = trace_chunks(pattern, layout, place_arrays(pattern, layout, spec))
+        addresses, stores = map(np.concatenate, zip(*chunks))
+        n = len(addresses)
+        assert n > CHUNK_EVENTS
+        cuts = {size: [*range(0, n, size), n] for size in (4096, CHUNK_EVENTS, n)}
+        # Chunks of 1 and 7 events cover the FINE_EVENTS events around the
+        # first CHUNK_EVENTS boundary, where the caches are warm; the rest
+        # of the trace is one chunk on either side.
+        window = range(CHUNK_EVENTS - FINE_EVENTS // 2, CHUNK_EVENTS + FINE_EVENTS // 2)
+        for size in (1, 7):
+            cuts[size] = [0, *window[::size], window.stop, n]
+        results = {}
+        for size, bounds in cuts.items():
+            state = build_hierarchy(spec)
+            state.run_chunks((addresses[a:b], stores[a:b]) for a, b in zip(bounds, bounds[1:]))
+            results[size] = state.flush_writeback()
+        assert all(stats == results[n] for stats in results.values()), results
 
 
 def wide_outer() -> HierarchySpec:

@@ -2,6 +2,7 @@
 
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,14 @@ from bitweave.fitness import (
     fitness_bound,
 )
 from bitweave.layout import Shape, canonical_layout, enumerate_layouts
-from bitweave.patterns import PatternSpec, bind_arrays, generate_trace, read_trace, write_trace
+from bitweave.patterns import (
+    PatternSpec,
+    bind_arrays,
+    generate_trace,
+    parse_pattern,
+    read_trace,
+    write_trace,
+)
 
 from helpers import RecencyListLRU, single_level
 
@@ -257,3 +265,42 @@ class TestEvaluate:
         spec = PatternSpec("MMijk", m=31, element_size=8)
         with pytest.raises(ValueError, match="64-bit"):
             evaluate(canonical_layout(spec.primary_shape()), spec, load_cache_spec("haswell"))
+
+
+class TestMemory:
+    """What one memo-cold evaluate allocates at its peak, beyond the tables
+    of the hierarchy it builds: the trace's chunks and the passes'
+    temporaries.  Each bound is the figure measured (Python 3.11, numpy
+    2.4.6) plus 25%; larger outer passes, or a pass that keeps its arrays
+    to its end, break it.  The tables are left out: they are fixed by the
+    preset, and at 3.8 MiB of the haswell peak they would hide a change of
+    1 MiB in the rest."""
+
+    @pytest.mark.parametrize(
+        "text, preset, measured",
+        [
+            # 2.91 MiB; 4.26 MiB with outer passes of 2^15 events, and 4.17
+            # MiB with no array of a pass freed before the pass ends
+            ("Himeno(3,5,5;4)", "haswell", 3_051_748),
+            ("Himeno(3,5,5;4)", "zen3", 3_112_792),
+            ("Crout(6;8)", "haswell", 1_589_239),
+        ],
+        ids=["Himeno-haswell", "Himeno-zen3", "Crout-haswell"],
+    )
+    def test_evaluate_peak(self, text, preset, measured):
+        pattern = parse_pattern(text)
+        layout = canonical_layout(pattern.primary_shape())
+        spec = load_cache_spec(preset)
+        clear_cache()
+        tracemalloc.start()
+        try:
+            state = build_hierarchy(spec)
+            tables = tracemalloc.get_traced_memory()[0]
+            del state
+            tracemalloc.reset_peak()
+            evaluate(layout, pattern, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            clear_cache()
+        assert peak - tables <= measured * 1.25
