@@ -58,15 +58,12 @@ from bitweave.layout import (
 )
 from bitweave.patterns import (
     PATTERN_KINDS,
-    AccessEvent,
     ArrayBinding,
     PatternSpec,
     TraceCounts,
     bind_arrays,
     generate_trace,
     parse_pattern,
-    read_trace,
-    trace_chunks,
     trace_counts,
     write_trace,
 )

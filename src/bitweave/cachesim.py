@@ -12,7 +12,7 @@ tracked separately so the cycle model can stay a pure function of demand
 traffic.
 
 Traces are simulated in chunks: a uint64 array of byte addresses plus a
-bool store mask of the same length; patterns.trace_chunks cuts a kernel's
+bool store mask of the same length; patterns.generate_trace cuts a kernel's
 trace into chunks of CHUNK_EVENTS events.  Demand accesses, fills, victim
 installs and write-backs are all one LRU operation, "touch this line with
 dirty bit d"; they differ only in what they count and send on.  Every link
@@ -58,10 +58,10 @@ from __future__ import annotations
 
 import math
 import mmap
+import reprlib
 from dataclasses import dataclass
-from itertools import islice
-from operator import index, itemgetter
-from typing import Iterable, Iterator, Optional
+from operator import index
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -90,11 +90,11 @@ STORE = "S"
 # about 2 MiB at its peak.
 CHUNK_EVENTS = 1 << 15
 
-# Events per outer-level pass, how many an outer level's input waits for,
-# and tuples per chunk in run().  An outer pass sees misses and victims,
-# which repeat less than accesses, so it gains little from length but grows
-# in memory: at 2^15 an L2 pass of Himeno(3,5,5;4) row-major on haswell
-# allocated 2.4 MiB at its peak, against 0.85 MiB at 2^13.
+# Events per outer-level pass, and how many an outer level's input waits
+# for.  An outer pass sees misses and victims, which repeat less than
+# accesses, so it gains little from length but grows in memory: at 2^15 an
+# L2 pass of Himeno(3,5,5;4) row-major on haswell allocated 2.4 MiB at its
+# peak, against 0.85 MiB at 2^13.
 _OUTER_EVENTS = 1 << 13
 
 # The first-level pass counts distinct lines in reuse windows over blocks of
@@ -113,7 +113,7 @@ def _is_pow2(n: int) -> bool:
 
 def _integer(spec: object, field: str, what: str) -> None:
     """Store the spec's ``field`` as an int, or raise TypeError if it is not
-    an integer: the cycle model is exact integer arithmetic."""
+    an integer: geometry, sizes and the cycle model are exact integers."""
     value = getattr(spec, field)
     try:
         object.__setattr__(spec, field, index(value))
@@ -362,8 +362,8 @@ class CacheState:
 
         The access must not straddle a line boundary at any level.  It is
         simulated on its own, one recursive step per level it reaches: the
-        reference path that tests hold run() and run_chunks() to.  Both
-        paths share the state, so calls to either may be mixed.
+        reference path that tests hold run() to.  Both paths share the
+        state, so calls to either may be mixed.
         """
         _check_access(op, address, size, self._min_line)
         self._drain(everything=True)
@@ -435,16 +435,11 @@ class CacheState:
 
     # -- bulk path: one pass per level --------------------------------------
 
-    def run(self, events: Iterable[tuple[str, int, int]]) -> None:
-        """Stream a whole trace of (op, address, size) tuples; same semantics
-        and checks as access() in a tight loop."""
-        self.run_chunks(_pack(events, self._min_line))
-
-    def run_chunks(self, chunks: Iterable[Chunk]) -> None:
+    def run(self, chunks: Iterable[Chunk]) -> None:
         """Stream a whole trace given as chunks; see the module docstring.
 
-        A chunk is a 1-D uint64 array of byte addresses and a bool store
-        mask of the same length; anything else raises before the chunk
+        A chunk is a pair: a 1-D uint64 array of byte addresses and a bool
+        store mask of the same length; anything else raises before the chunk
         counts.  Each chunk goes through the first level at once.  An outer
         level's input waits until it holds _OUTER_EVENTS events; then it and
         every level before it run.  Input still waiting runs before anything
@@ -452,7 +447,14 @@ class CacheState:
         flush_writeback().
         """
         first = self._first
-        for addresses, stores in chunks:
+        for chunk in chunks:
+            try:
+                addresses, stores = chunk
+            except (TypeError, ValueError):
+                raise TypeError(
+                    "a chunk must be a pair (uint64 addresses, bool store mask), "
+                    f"got {reprlib.repr(chunk)}"
+                ) from None
             _check_chunk(addresses, stores)
             n = len(addresses)
             if n == 0:
@@ -805,32 +807,3 @@ def _check_chunk(addresses: object, stores: object) -> None:
             f"chunk addresses and store mask must be 1-D and of one length, "
             f"got shapes {addresses.shape} and {stores.shape}"
         )
-
-
-def _pack(events: Iterable[tuple[str, int, int]], line: int) -> Iterator[Chunk]:
-    """Pack (op, address, size) tuples into chunks, rejecting what access()
-    rejects for the smallest line size ``line``."""
-    events = iter(events)
-    while batch := list(islice(events, _OUTER_EVENTS)):
-        n = len(batch)
-        ops = list(map(itemgetter(0), batch))
-        try:
-            # index() lets through only integers, as access() does; fromiter
-            # alone would take '4096', 62.5 and a size of 1.5.
-            addresses = np.fromiter(
-                map(index, map(itemgetter(1), batch)), dtype=np.uint64, count=n
-            )
-            sizes = np.fromiter(map(index, map(itemgetter(2), batch)), dtype=np.uint64, count=n)
-        except (OverflowError, TypeError):  # negative, beyond 64 bits, or not an integer
-            valid = False
-        else:
-            valid = (
-                ops.count(LOAD) + ops.count(STORE) == n
-                and bool(np.all((sizes >= 1) & (sizes <= line)))
-                and bool(np.all((addresses & np.uint64(line - 1)) + sizes <= line))
-            )
-        if not valid:
-            for event in batch:
-                _check_access(*event, line)
-            raise ValueError("trace addresses must fit in 64 bits")
-        yield addresses, np.fromiter(map(STORE.__eq__, ops), dtype=bool, count=n)

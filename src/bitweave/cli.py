@@ -37,7 +37,6 @@ from bitweave.patterns import (
     bind_arrays,
     generate_trace,
     parse_pattern,
-    trace_chunks,
     write_trace,
 )
 
@@ -201,7 +200,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     best = float("inf")
     for _ in range(args.repeat):
         elapsed, accesses, acc = 0.0, 0, 0.0
-        for addresses, stores in trace_chunks(pattern, layout, bindings):
+        for addresses, stores in generate_trace(pattern, layout, bindings):
             elements = (addresses // size).tolist()
             flags = stores.tolist()
             start = time.perf_counter()

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from bitweave.cachesim import HierarchySpec, SimStats, build_hierarchy
 from bitweave.layout import Layout
-from bitweave.patterns import ArrayBinding, PatternSpec, bind_arrays, trace_chunks
+from bitweave.patterns import ArrayBinding, PatternSpec, bind_arrays, generate_trace
 
 __all__ = [
     "FitnessValue",
@@ -114,9 +114,9 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
-    chunks = trace_chunks(pattern, layout, place_arrays(pattern, layout, spec))
+    chunks = generate_trace(pattern, layout, place_arrays(pattern, layout, spec))
     state = build_hierarchy(spec)
-    state.run_chunks(chunks)
+    state.run(chunks)
     return fitness(state.flush_writeback(), spec)
 
 

@@ -18,6 +18,7 @@ row-major layout.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -64,6 +65,14 @@ def scatter_bits(value: int, mask: int) -> int:
     return out
 
 
+def _integers(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, or TypeError if one is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise TypeError(f"{what} must be integers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class Shape:
     """Per-dimension bit counts: dimension d has extent 2^{bits[d]}.
@@ -74,7 +83,7 @@ class Shape:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        object.__setattr__(self, "bits", _integers(self.bits, "shape bits"))
         if len(self.bits) == 0:
             raise ValueError("shape needs at least one dimension")
         for d, b in enumerate(self.bits):
@@ -117,7 +126,7 @@ class Layout:
     shape: Shape
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        object.__setattr__(self, "ranks", _integers(self.ranks, "ranks"))
         shape = self.shape
         total = shape.total_bits
         if len(self.ranks) != total:

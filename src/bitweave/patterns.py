@@ -20,9 +20,10 @@ dimension 0, so the rank sequence [0,0,...,1,1,...] stores each row
 contiguously.  An array declared ``(M,N)`` therefore has shape bits (n, m),
 and one declared ``(M,N,P)`` has bits (p, n, m).
 
-One interpreter turns a nest into numpy chunks by broadcasting each array's
-per-dimension index tables over blocks of loop iterations.  Only addresses
-matter here.
+One interpreter turns a nest into the trace, as numpy chunks of uint64 byte
+addresses and a bool store mask, by broadcasting each array's per-dimension
+index tables over blocks of loop iterations.  Only addresses matter here:
+every event has the pattern's element size.
 """
 
 from __future__ import annotations
@@ -36,22 +37,19 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from bitweave.cachesim import CHUNK_EVENTS, LOAD, STORE, Chunk
+from bitweave.cachesim import CHUNK_EVENTS, LOAD, STORE, Chunk, _integer
 from bitweave.layout import Layout, Shape, index_array
 
 __all__ = [
     "PATTERN_KINDS",
     "PatternSpec",
     "ArrayBinding",
-    "AccessEvent",
     "parse_pattern",
     "bind_arrays",
     "generate_trace",
-    "trace_chunks",
     "trace_counts",
     "TraceCounts",
     "write_trace",
-    "read_trace",
 ]
 
 # Wider dimensions would need gigabyte lookup tables and imply traces far
@@ -222,14 +220,6 @@ _KERNELS = {
 PATTERN_KINDS = {kind: kernel.params for kind, kernel in _KERNELS.items()}
 
 
-class AccessEvent(NamedTuple):
-    """One memory reference: op is LOAD ('L') or STORE ('S')."""
-
-    op: str
-    address: int
-    size: int
-
-
 class TraceCounts(NamedTuple):
     """Closed-form load/store totals; exact is False where the published
     figures are approximations rather than loop-nest counts."""
@@ -254,6 +244,9 @@ class PatternSpec:
             raise ValueError(
                 f"unknown pattern kind {self.kind!r}; valid: {', '.join(PATTERN_KINDS)}"
             )
+        for name in ("m", "n", "p", "element_size"):
+            if getattr(self, name) is not None:
+                _integer(self, name, f"{self.kind}: {name}")
         wanted = PATTERN_KINDS[self.kind]
         given = {"m": self.m, "n": self.n, "p": self.p}
         for name in wanted:
@@ -430,7 +423,7 @@ def _adapt_layout(layout: Layout, bits: tuple[int, ...]) -> Layout:
     return Layout(tuple(ranks), Shape(tuple(bits)))
 
 
-def trace_chunks(
+def generate_trace(
     spec: PatternSpec,
     layout: Layout,
     bindings: Optional[tuple[ArrayBinding, ...]] = None,
@@ -454,24 +447,6 @@ def trace_chunks(
     extents = _extents(spec)
     ranges = {name: (value, value) for name, value in extents.items()}
     return _rechunk(_walk((_KERNELS[spec.kind].nest,), extents, ranges, tables))
-
-
-def generate_trace(
-    spec: PatternSpec,
-    layout: Layout,
-    bindings: Optional[tuple[ArrayBinding, ...]] = None,
-) -> Iterator[AccessEvent]:
-    """Stream the kernel's access events in loop-nest order, one per
-    event of trace_chunks."""
-    chunks = trace_chunks(spec, layout, bindings)
-    size = spec.element_size
-
-    def events() -> Iterator[AccessEvent]:
-        for addresses, stores in chunks:
-            for address, store in zip(addresses.tolist(), stores.tolist()):
-                yield AccessEvent(STORE if store else LOAD, address, size)
-
-    return events()
 
 
 def _rechunk(blocks: Iterator[Chunk]) -> Iterator[Chunk]:
@@ -635,22 +610,14 @@ def trace_counts(spec: PatternSpec) -> TraceCounts:
     return TraceCounts(loads, stores, kernel.exact)
 
 
-def write_trace(events: Iterable[AccessEvent], stream: IO[str]) -> int:
-    """Write one ``L 0x<addr>`` / ``S 0x<addr>`` line per event."""
+def write_trace(chunks: Iterable[Chunk], stream: IO[str]) -> int:
+    """Write one ``L 0x<addr>`` / ``S 0x<addr>`` line per event of the
+    chunks; returns the number of events."""
     count = 0
-    for op, address, _size in events:
-        stream.write(f"{op} {address:#x}\n")
-        count += 1
+    for addresses, stores in chunks:
+        stream.writelines(
+            f"{STORE if store else LOAD} {address:#x}\n"
+            for address, store in zip(addresses.tolist(), stores.tolist())
+        )
+        count += len(addresses)
     return count
-
-
-def read_trace(stream: Iterable[str], size: int = 1) -> Iterator[AccessEvent]:
-    """Parse write_trace output back into events (sizes are not recorded)."""
-    for lineno, line in enumerate(stream, 1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in (LOAD, STORE):
-            raise ValueError(f"line {lineno}: bad trace line {line!r}")
-        yield AccessEvent(parts[0], int(parts[1], 16), size)

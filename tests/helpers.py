@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
-from bitweave.cachesim import CacheLevelSpec, HierarchySpec
+import numpy as np
+
+from bitweave.cachesim import LOAD, STORE, CacheLevelSpec, Chunk, HierarchySpec
 from bitweave.layout import Layout, Shape
 from bitweave.patterns import _KERNELS, PATTERN_KINDS, _Loop
 
@@ -212,3 +215,30 @@ def walk_trace(spec, bindings) -> list[tuple[bool, int]]:
 
     walk((_KERNELS[spec.kind].nest,), env)
     return events
+
+
+def chunked(events, cuts=()) -> list[Chunk]:
+    """(op, address, size) events as CacheState.run chunks, cut at the given
+    positions; the sizes are dropped."""
+    addresses = np.array([address for _, address, _ in events], dtype=np.uint64)
+    stores = np.array([op == STORE for op, _, _ in events], dtype=bool)
+    bounds = [0, *sorted(cuts), len(events)]
+    return [(addresses[a:b], stores[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def trace_events(chunks: Iterable[Chunk]) -> list[tuple[bool, int]]:
+    """(store, byte address) per event of a chunked trace, as walk_trace
+    gives them."""
+    events: list[tuple[bool, int]] = []
+    for addresses, stores in chunks:
+        events += zip(stores.tolist(), addresses.tolist())
+    return events
+
+
+def parse_trace(lines: Iterable[str]) -> Chunk:
+    """write_trace's ``L 0x40`` / ``S 0xff`` lines back as one chunk."""
+    pairs = [line.split() for line in lines]
+    assert all(len(pair) == 2 and pair[0] in (LOAD, STORE) for pair in pairs), pairs
+    addresses = np.array([int(address, 16) for _, address in pairs], dtype=np.uint64)
+    stores = np.array([op == STORE for op, _ in pairs], dtype=bool)
+    return addresses, stores

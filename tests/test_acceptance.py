@@ -44,7 +44,7 @@ from bitweave import (
 from bitweave.cachesim import LOAD, STORE
 from bitweave.fitness import clear_cache
 
-from helpers import RecencyListLRU, random_cut, single_level
+from helpers import RecencyListLRU, random_cut, single_level, trace_events
 
 
 def shape_family(max_bits=16, seed=4):
@@ -177,8 +177,8 @@ def test_05_simulator_matches_recency_list_oracle():
 
 def _op_counts(spec):
     layout = canonical_layout(spec.primary_shape())
-    ops = Counter(ev.op for ev in generate_trace(spec, layout))
-    return ops[LOAD], ops[STORE]
+    stores = Counter(store for store, _ in trace_events(generate_trace(spec, layout)))
+    return stores[False], stores[True]
 
 
 def test_06_trace_totals_match_closed_forms():
@@ -210,19 +210,18 @@ def test_06_trace_totals_match_closed_forms():
         spec = parse_pattern(text)
         layout = canonical_layout(spec.primary_shape())
         bindings = bind_arrays(spec, layout)
-        events = list(generate_trace(spec, layout, bindings))
-        assert events == list(generate_trace(spec, layout, bindings))
-        assert any(ev.op == LOAD for ev in events)
-        assert any(ev.op == STORE for ev in events)
+        chunks = list(generate_trace(spec, layout, bindings))
+        assert all(a.dtype == np.uint64 and s.dtype == bool for a, s in chunks)
+        events = trace_events(chunks)
+        assert events == trace_events(generate_trace(spec, layout, bindings))
+        assert {store for store, _ in events} == {False, True}
         out = {b.name: b for b in bindings}[writable]
-        for ev in events:
-            assert ev.op in (LOAD, STORE)
-            assert ev.size == spec.element_size
-            assert ev.address % spec.element_size == 0
-            owners = [b for b in bindings if b.base <= ev.address < b.end]
+        for store, address in events:
+            assert address % spec.element_size == 0
+            owners = [b for b in bindings if b.base <= address < b.end]
             assert len(owners) == 1
-            if ev.op == STORE:
-                assert out.base <= ev.address < out.end
+            if store:
+                assert out.base <= address < out.end
 
 
 def test_07_fitness_identities():

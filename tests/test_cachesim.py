@@ -18,9 +18,9 @@ from bitweave.cachesim import (
 from bitweave.cachespec import load_cache_spec
 from bitweave.fitness import place_arrays
 from bitweave.layout import canonical_layout
-from bitweave.patterns import bind_arrays, parse_pattern, trace_chunks
+from bitweave.patterns import bind_arrays, generate_trace, parse_pattern
 
-from helpers import RecencyListLRU, ReferenceHierarchy, single_level
+from helpers import RecencyListLRU, ReferenceHierarchy, chunked, single_level
 
 
 def three_level(victim: bool = True) -> HierarchySpec:
@@ -209,40 +209,29 @@ class TestAccess:
             (STORE, 1 << 70, 4),
         ],
     )
-    def test_run_rejects_what_access_rejects(self, event):
+    def test_rejects_invalid_accesses(self, event):
         state = build_hierarchy(load_cache_spec("haswell"))
-        with pytest.raises(ValueError) as from_access:
+        with pytest.raises(ValueError):
             state.access(*event)
-        fresh = build_hierarchy(load_cache_spec("haswell"))
-        with pytest.raises(ValueError) as from_run:
-            fresh.run([(LOAD, 0, 4), event])
-        assert str(from_run.value) == str(from_access.value)
+        assert state.collect_stats().accesses == 0
 
     @pytest.mark.parametrize("event", [(STORE, "4096", 4), (LOAD, 62.5, 1)])
-    def test_run_rejects_non_integer_addresses(self, event):
+    def test_rejects_non_integer_addresses(self, event):
         state = build_hierarchy(single_level(sets=4, ways=2, line=64))
-        with pytest.raises(TypeError) as from_access:
+        with pytest.raises(TypeError, match="integer"):
             state.access(*event)
-        fresh = build_hierarchy(single_level(sets=4, ways=2, line=64))
-        with pytest.raises(TypeError) as from_run:
-            fresh.run([(LOAD, 0, 4), event])
-        assert str(from_run.value) == str(from_access.value)
 
     @pytest.mark.parametrize("event", [(LOAD, 0, 1.5), (STORE, 128, 2.5), (LOAD, 192, "4")])
     def test_rejects_non_integer_sizes(self, event):
         state = build_hierarchy(load_cache_spec("haswell"))
-        with pytest.raises(TypeError) as from_access:
+        with pytest.raises(TypeError, match="integer"):
             state.access(*event)
-        fresh = build_hierarchy(load_cache_spec("haswell"))
-        with pytest.raises(TypeError) as from_run:
-            fresh.run([(LOAD, 0, 4), event])
-        assert str(from_run.value) == str(from_access.value)
         assert state.collect_stats().accesses == 0
 
-    def test_run_rejects_addresses_beyond_64_bits(self):
+    def test_rejects_addresses_beyond_64_bits(self):
         state = build_hierarchy(single_level(sets=4, ways=2, line=64))
         with pytest.raises(ValueError, match="64 bits"):
-            state.run([(LOAD, 1 << 64, 4)])
+            state.access(LOAD, 1 << 64, 4)
 
     def test_distinct_line_cold_misses_propagate(self):
         state = build_hierarchy(load_cache_spec("haswell"))
@@ -276,12 +265,25 @@ class TestAccess:
         for op, addr, size in events:
             a.access(op, addr, size)
         b = build_hierarchy(three_level())
-        b.run(events)
+        b.run(chunked(events))
         assert a.flush_writeback() == b.flush_writeback()
 
 
 class TestChunkChecks:
-    """run_chunks rejects a malformed chunk before counting any of it."""
+    """run() rejects a malformed chunk before counting any of it."""
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [(LOAD, 0, 4), (np.array([0], np.uint64),), np.zeros(3, np.uint64), 7],
+        ids=["access-tuple", "one-array", "three-addresses", "int"],
+    )
+    def test_rejects_what_is_not_a_pair(self, chunk):
+        # The (op, address, size) tuples of access() are not a chunk.
+        events = [(STORE, 0, 4), (LOAD, 64, 4)]
+        state = build_hierarchy(three_level())
+        with pytest.raises(TypeError, match=r"pair \(uint64 addresses, bool store mask\)"):
+            state.run([*chunked(events), chunk])
+        assert state.collect_stats() == accessed(three_level(), events).collect_stats()
 
     @pytest.mark.parametrize(
         "chunk",
@@ -296,7 +298,7 @@ class TestChunkChecks:
     def test_rejects_mismatched_shapes(self, chunk):
         state = build_hierarchy(three_level())
         with pytest.raises(ValueError, match="1-D and of one length"):
-            state.run_chunks([chunk])
+            state.run([chunk])
 
     @pytest.mark.parametrize(
         "chunk",
@@ -312,20 +314,20 @@ class TestChunkChecks:
     def test_rejects_wrong_types(self, chunk):
         state = build_hierarchy(three_level())
         with pytest.raises(TypeError, match="must be a (uint64|bool) array"):
-            state.run_chunks([chunk])
+            state.run([chunk])
 
     def test_state_unchanged_after_rejection(self):
         rng = random.Random(8)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 12, 4), 4) for _ in range(2000)]
         good = chunked(events, [700, 1300])
         reference = build_hierarchy(three_level())
-        reference.run_chunks(good[:1])
+        reference.run(good[:1])
         state = build_hierarchy(three_level())
         bad = (good[1][0], np.ones(len(good[1][0]) + 1, bool))
         with pytest.raises(ValueError):
-            state.run_chunks([good[0], bad, good[2]])
+            state.run([good[0], bad, good[2]])
         assert state.collect_stats() == reference.collect_stats()
-        state.run_chunks(good[1:])
+        state.run(good[1:])
         assert state.flush_writeback() == accessed(three_level(), events).flush_writeback()
 
 
@@ -551,8 +553,8 @@ def outer_hierarchies(draw):
 
 @st.composite
 def long_traces(draw):
-    """At least 2 * _OUTER_EVENTS accesses, so that both the chunk and the
-    outer-level boundaries of run() fall inside.  Each phase walks a footprint of 4 to 1024
+    """At least 2 * _OUTER_EVENTS accesses, so that outer-level boundaries of
+    run() fall inside.  Each phase walks a footprint of 4 to 1024
     lines at one stride (strides of 2^16 lines and more spread it over set
     keys past 16 bits), in order or shuffled, for about 2048 accesses, so
     that reuse lands at every level."""
@@ -583,8 +585,7 @@ class TestReferenceHierarchy:
             reference.access(op == STORE, addr)
         cut = data.draw(st.integers(0, len(events)))
         state = build_hierarchy(spec)
-        state.run(events[:cut])
-        state.run(events[cut:])
+        state.run(chunked(events, [cut, *range(0, len(events), _OUTER_EVENTS)]))
         assert astuple(state.flush_writeback()) == reference.flush()
 
     @settings(max_examples=300, deadline=None)
@@ -594,7 +595,7 @@ class TestReferenceHierarchy:
         for op, addr, _ in events:
             reference.access(op == STORE, addr)
         state = build_hierarchy(spec)
-        state.run(events)
+        state.run(chunked(events))
         assert astuple(state.flush_writeback()) == reference.flush()
 
     @settings(max_examples=300, deadline=None)
@@ -619,13 +620,13 @@ class TestRunMatchesAccess:
         expected = expected.flush_writeback()
 
         whole = build_hierarchy(spec)
-        whole.run(events)
+        whole.run(chunked(events))
         assert whole.flush_writeback() == expected
 
         cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=5)))
         split = build_hierarchy(spec)
         for start, end in zip([0, *cuts], [*cuts, len(events)]):
-            split.run(events[start:end])
+            split.run(chunked(events[start:end]))
         assert split.flush_writeback() == expected
 
     def test_deepest_hierarchy(self):
@@ -636,7 +637,7 @@ class TestRunMatchesAccess:
         for event in events:
             expected.access(*event)
         state = build_hierarchy(deep(32))
-        state.run(events)
+        state.run(chunked(events))
         assert state.flush_writeback() == expected.flush_writeback()
 
     def test_positions_restart_when_keys_run_out(self):
@@ -649,29 +650,17 @@ class TestRunMatchesAccess:
             expected.access(*event)
         state = build_hierarchy(three_level())
         state._position_limit = 100
-        state.run_chunks(chunked(events, range(0, 3000, 70)))
+        state.run(chunked(events, range(0, 3000, 70)))
         assert state.flush_writeback() == expected.flush_writeback()
 
     def test_chunks_and_tuples_agree(self):
+        # (op, address, size) tuples through access() against the same
+        # trace in chunks, an empty one among them.
         rng = random.Random(17)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 13, 8), 8) for _ in range(3000)]
-        addresses = np.array([addr for _, addr, _ in events], dtype=np.uint64)
-        stores = np.array([op == STORE for op, _, _ in events])
-        a = build_hierarchy(three_level())
-        a.run(events)
-        b = build_hierarchy(three_level())
-        b.run_chunks(
-            [(addresses[:1000], stores[:1000]), (addresses[:0], stores[:0]), (addresses[1000:], stores[1000:])]
-        )
-        assert a.flush_writeback() == b.flush_writeback()
-
-
-def chunked(events, cuts):
-    """events as run_chunks chunks, cut at the given positions."""
-    addresses = np.array([addr for _, addr, _ in events], dtype=np.uint64)
-    stores = np.array([op == STORE for op, _, _ in events], dtype=bool)
-    bounds = [0, *sorted(cuts), len(events)]
-    return [(addresses[a:b], stores[a:b]) for a, b in zip(bounds, bounds[1:])]
+        state = build_hierarchy(three_level())
+        state.run(chunked(events, [1000, 1000]))
+        assert state.flush_writeback() == accessed(three_level(), events).flush_writeback()
 
 
 @st.composite
@@ -723,7 +712,7 @@ def accessed(spec, events):
 
 
 class TestFirstLevelPass:
-    """run_chunks' bulk first-level pass against per-event access()."""
+    """run' bulk first-level pass against per-event access()."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=set_cycles(), data=st.data())
@@ -732,7 +721,7 @@ class TestFirstLevelPass:
         cuts = data.draw(st.lists(st.integers(0, len(events)), max_size=6))
         expected = accessed(spec, events)
         state = build_hierarchy(spec)
-        state.run_chunks(chunked(events, cuts))
+        state.run(chunked(events, cuts))
         # Replaying the trace shows the LRU order each set was left in.
         assert [state.access(*e) for e in events] == [expected.access(*e) for e in events]
         assert state.flush_writeback() == expected.flush_writeback()
@@ -743,9 +732,9 @@ class TestFirstLevelPass:
         expected = build_hierarchy(three_level())
         records = [expected.access(*event) for event in events]
         state = build_hierarchy(three_level())
-        state.run(events[:1500])
+        state.run(chunked(events[:1500]))
         assert [state.access(*event) for event in events[1500:1510]] == records[1500:1510]
-        state.run(events[1510:])
+        state.run(chunked(events[1510:]))
         assert state.flush_writeback() == expected.flush_writeback()
 
     @pytest.mark.parametrize("ways", [1, 2, 8, 16])
@@ -755,13 +744,13 @@ class TestFirstLevelPass:
         rounds = 5
         fits = [(LOAD, line * 64, 4) for _ in range(rounds) for line in range(ways)]
         state = build_hierarchy(single_level(sets=1, ways=ways, line=64))
-        state.run_chunks(chunked(fits, [3, 7]))
+        state.run(chunked(fits, [3, 7]))
         stats = state.collect_stats().level("L1")
         assert (stats.misses, stats.hits) == (ways, (rounds - 1) * ways)
 
         over = [(STORE, line * 64, 4) for _ in range(rounds) for line in range(ways + 1)]
         state = build_hierarchy(single_level(sets=1, ways=ways, line=64))
-        state.run_chunks(chunked(over, [5]))
+        state.run(chunked(over, [5]))
         stats = state.collect_stats()
         assert (stats.level("L1").misses, stats.level("L1").hits) == (len(over), 0)
         # Every store dirties its line and every eviction writes one back.
@@ -783,13 +772,13 @@ class TestFirstLevelPass:
             for _ in range(3000)
         ]
         state = build_hierarchy(spec)
-        state.run(events)
+        state.run(chunked(events))
         assert state.flush_writeback() == accessed(spec, events).flush_writeback()
 
     def test_bulk_run_never_enters_the_per_event_path(self):
         pattern = parse_pattern("Jacobi2D(7,9;4)")
         layout = canonical_layout(pattern.primary_shape())
-        chunks = trace_chunks(pattern, layout, bind_arrays(pattern, layout, line=64))
+        chunks = generate_trace(pattern, layout, bind_arrays(pattern, layout, line=64))
         state = build_hierarchy(load_cache_spec("haswell"))
         entered = []
 
@@ -801,7 +790,7 @@ class TestFirstLevelPass:
 
         for name in ("_demand", "_install", "_evict"):
             setattr(state, name, refuse(name))
-        state.run_chunks(chunks)
+        state.run(chunks)
         stats = state.collect_stats()
         assert stats.level("L2").accesses == stats.level("L1").misses
         assert stats.level("L1").misses < stats.accesses // 20
@@ -833,7 +822,7 @@ class TestChunkSizes:
         spec = load_cache_spec(preset)
         pattern = parse_pattern(text)
         layout = canonical_layout(pattern.primary_shape())
-        chunks = trace_chunks(pattern, layout, place_arrays(pattern, layout, spec))
+        chunks = generate_trace(pattern, layout, place_arrays(pattern, layout, spec))
         addresses, stores = map(np.concatenate, zip(*chunks))
         n = len(addresses)
         assert n > CHUNK_EVENTS
@@ -847,7 +836,7 @@ class TestChunkSizes:
         results = {}
         for size, bounds in cuts.items():
             state = build_hierarchy(spec)
-            state.run_chunks((addresses[a:b], stores[a:b]) for a, b in zip(bounds, bounds[1:]))
+            state.run((addresses[a:b], stores[a:b]) for a, b in zip(bounds, bounds[1:]))
             results[size] = state.flush_writeback()
         assert all(stats == results[n] for stats in results.values()), results
 
@@ -889,7 +878,7 @@ class TestRowStorage:
             rng.shuffle(events)
             for op, addr, _ in events:
                 reference.access(op == STORE, addr)
-            state.run_chunks(chunked(events, sorted(rng.sample(range(len(events)), 3))))
+            state.run(chunked(events, sorted(rng.sample(range(len(events)), 3))))
             # access() runs the waiting outer input first.
             for op, addr, size in rng.sample(events, 5):
                 assert state.access(op, addr, size) == reference.access(op == STORE, addr)
@@ -936,6 +925,6 @@ class TestRowStorage:
             else:
                 for op, addr, _ in events:
                     reference.access(op == STORE, addr)
-                state.run(events)
+                state.run(chunked(events))
             assert astuple(state.collect_stats()) == reference.stats()
         assert astuple(state.flush_writeback()) == reference.flush()

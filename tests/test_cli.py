@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import errno
+import hashlib
 import re
 
 import pytest
@@ -15,11 +16,10 @@ from bitweave.patterns import (
     PatternSpec,
     generate_trace,
     parse_pattern,
-    read_trace,
     trace_counts,
 )
 
-from helpers import single_level
+from helpers import parse_trace, single_level, trace_events
 
 
 @pytest.fixture(autouse=True)
@@ -108,6 +108,18 @@ class TestIndex:
         assert main(argv) == 1
 
 
+# SHA-256 of the files ``simulate --trace`` writes, recorded before
+# write_trace took chunks: the README's example, whose arrays place_arrays
+# aligns to haswell's 64-byte lines, and zen3 with one 64-byte element per
+# line.
+TRACE_FILE_HASHES = {
+    ("[0,1,0,1]", "MMijk(2;4)", "haswell"):
+        "33239244277e013bb054a69c9a385bed16d7f9f29c6829dc080eb19ad0918173",
+    ("[0,1,0,1,0,1]", "MMijk(3;64)", "zen3"):
+        "3522b73eae1894fe1a10417d80e00294f56098c1d800b8ab7362570a6dc0e027",
+}
+
+
 class TestSimulate:
     def test_deterministic_report(self, capsys):
         argv = ["simulate", "-l", "[0,0,0,1,1,1]", "-p", "MMijk(3;4)", "-c", "haswell"]
@@ -177,6 +189,14 @@ class TestSimulate:
         assert main(["simulate", "-l", "[0,1,0,1]", "-p", "MMijk(2;4)"]) == 0
         assert "cache    haswell" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("case", sorted(TRACE_FILE_HASHES))
+    def test_trace_file_hash(self, tmp_path, case):
+        layout, pattern, cache = case
+        trace = tmp_path / "trace.txt"
+        argv = ["simulate", "-l", layout, "-p", pattern, "-c", cache, "--trace", str(trace)]
+        assert main(argv) == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_FILE_HASHES[case]
+
     def test_trace_export(self, tmp_path, tiny_cache, victim_cache, capsys):
         # The exported trace is the one simulated: replaying the file gives
         # the printed counters of every level.  MMijk(1;4)'s 16-byte arrays
@@ -197,8 +217,7 @@ class TestSimulate:
             assert all(line.split()[0] in ("L", "S") for line in lines)
             assert all(line.split()[1].startswith("0x") for line in lines)
             state = build_hierarchy(load_cache_spec(cache))
-            with open(trace) as fh:
-                state.run(read_trace(fh, size=4))
+            state.run([parse_trace(lines)])
             stats = state.flush_writeback()
             for level in stats.levels:
                 assert (
@@ -308,7 +327,7 @@ class TestBench:
         out = capsys.readouterr().out
         assert "best" in out
         accesses = int(re.search(r"\((\d+) accesses\)", out).group(1))
-        assert accesses == sum(1 for _ in generate_trace(spec, layout))
+        assert accesses == len(trace_events(generate_trace(spec, layout)))
 
     @pytest.mark.parametrize("pattern", ["MMijk(2)", "Nope(2;4)", "MMijk(2,2;4)"])
     def test_malformed_pattern(self, pattern, capsys):

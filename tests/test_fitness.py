@@ -24,11 +24,10 @@ from bitweave.patterns import (
     bind_arrays,
     generate_trace,
     parse_pattern,
-    read_trace,
     write_trace,
 )
 
-from helpers import RecencyListLRU, single_level
+from helpers import RecencyListLRU, parse_trace, single_level, trace_events
 
 
 def stats_1level(hits, misses, memory_accesses, **kw):
@@ -173,9 +172,8 @@ class TestEvaluate:
         line = max(level.line for level in hierarchy.levels)
         buf = io.StringIO()
         write_trace(generate_trace(spec, layout, bind_arrays(spec, layout, line=line)), buf)
-        buf.seek(0)
         state = build_hierarchy(hierarchy)
-        state.run(read_trace(buf, size=4))
+        state.run([parse_trace(buf.getvalue().splitlines())])
         replayed = fitness(state.flush_writeback(), hierarchy)
         assert replayed == direct
 
@@ -187,8 +185,9 @@ class TestEvaluate:
 
         oracle = RecencyListLRU(4, 2, 16)
         hits = misses = 0
-        for ev in generate_trace(spec, layout, bind_arrays(spec, layout, line=16)):
-            if oracle.access(ev.address):
+        bindings = bind_arrays(spec, layout, line=16)
+        for _, address in trace_events(generate_trace(spec, layout, bindings)):
+            if oracle.access(address):
                 hits += 1
             else:
                 misses += 1

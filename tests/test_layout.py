@@ -41,6 +41,16 @@ class TestShape:
         with pytest.raises(ValueError):
             Shape((32, 31))
 
+    @pytest.mark.parametrize("bits", [(2.5, 3), (2, 3.0), ("2", 3), (None, 3)])
+    def test_bits_must_be_integers(self, bits):
+        with pytest.raises(TypeError, match="shape bits must be integers"):
+            Shape(bits)
+
+    def test_integer_bits_are_stored_as_int(self):
+        shape = Shape(np.array([2, 3], dtype=np.int64))
+        assert shape == Shape((2, 3))
+        assert {type(b) for b in shape.bits} == {int}
+
 
 class TestValidateLayout:
     def test_nine_bit_three_dim_sequence_is_valid(self):
@@ -61,6 +71,11 @@ class TestValidateLayout:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             Layout([0, 2, 0, 2], Shape((2, 2)))
+
+    @pytest.mark.parametrize("ranks", [(0.9, 1, 0, 1), (0, 1, 0, 1.0), ("0", 1, 0, 1)])
+    def test_ranks_must_be_integers(self, ranks):
+        with pytest.raises(TypeError, match="ranks must be integers"):
+            Layout(ranks, Shape((2, 2)))
 
 
 class TestConstructors:

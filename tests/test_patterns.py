@@ -9,24 +9,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitweave.cachesim import CHUNK_EVENTS, LOAD, STORE
+from bitweave.cachesim import CHUNK_EVENTS
 from bitweave.layout import Layout, Shape, canonical_layout, morton_layout, scatter_bits
 from bitweave.layout import random_layout as seeded_layout
 from bitweave.patterns import (
     PATTERN_KINDS,
-    AccessEvent,
     ArrayBinding,
     PatternSpec,
     bind_arrays,
     generate_trace,
     parse_pattern,
-    read_trace,
-    trace_chunks,
     trace_counts,
     write_trace,
 )
 
-from helpers import random_layout, walk_trace
+from helpers import parse_trace, random_layout, trace_events, walk_trace
 
 
 def small_specs():
@@ -92,6 +89,25 @@ class TestParse:
             PatternSpec("MMijk", m=0)
         with pytest.raises(ValueError):
             PatternSpec("MMijk", m=2, element_size=0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(m=2.5),
+            dict(m="2"),
+            dict(m=2, n=3.0),
+            dict(m=2, element_size=4.0),
+        ],
+    )
+    def test_parameters_must_be_integers(self, fields):
+        kind = "MMTijk" if "n" in fields else "MMijk"
+        with pytest.raises(TypeError, match="must be an integer"):
+            PatternSpec(kind, **fields)
+
+    def test_integer_parameters_are_stored_as_int(self):
+        spec = PatternSpec("MMTijk", np.int64(2), np.uint8(3), element_size=np.int32(8))
+        assert spec == PatternSpec("MMTijk", 2, 3, element_size=8)
+        assert {type(v) for v in (spec.m, spec.n, spec.element_size)} == {int}
 
     def test_rejects_non_pow2_element_size(self):
         for size in (3, 6, 12):
@@ -178,7 +194,7 @@ class TestBind:
         layout = canonical_layout(spec.primary_shape())
         bindings = bind_arrays(PatternSpec("MMijk", m=2, element_size=4), layout)
         with pytest.raises(ValueError, match="do not match"):
-            trace_chunks(spec, layout, bindings)
+            generate_trace(spec, layout, bindings)
 
     def test_bad_line(self):
         spec = PatternSpec("MMijk", m=2)
@@ -224,68 +240,63 @@ class TestBind:
             assert table.tolist() == [scatter_bits(x, mask) * 8 for x in range(1 << bits)]
 
 
-def count_ops(events):
-    loads = stores = 0
-    for ev in events:
-        if ev.op == LOAD:
-            loads += 1
-        else:
-            stores += 1
-    return loads, stores
+def count_ops(chunks):
+    """(loads, stores) of a chunked trace."""
+    events = trace_events(chunks)
+    stores = sum(store for store, _ in events)
+    return len(events) - stores, stores
 
 
 class TestFirstEvents:
     def test_mm_ijk_opening(self):
         # 2x2 row-major packed arrays: A @0, B @16, C @32
         spec = PatternSpec("MMijk", m=1)
-        events = list(generate_trace(spec, canonical_layout(spec.primary_shape())))
+        events = trace_events(generate_trace(spec, canonical_layout(spec.primary_shape())))
         assert events[:5] == [
-            AccessEvent(LOAD, 0, 4),    # A(0,0)
-            AccessEvent(LOAD, 16, 4),   # B(0,0)
-            AccessEvent(LOAD, 4, 4),    # A(0,1)
-            AccessEvent(LOAD, 24, 4),   # B(1,0)
-            AccessEvent(STORE, 32, 4),  # C(0,0)
+            (False, 0),   # A(0,0)
+            (False, 16),  # B(0,0)
+            (False, 4),   # A(0,1)
+            (False, 24),  # B(1,0)
+            (True, 32),   # C(0,0)
         ]
 
     def test_mm_ikj_opening(self):
         spec = PatternSpec("MMikj", m=1)
-        events = list(generate_trace(spec, canonical_layout(spec.primary_shape())))
+        events = trace_events(generate_trace(spec, canonical_layout(spec.primary_shape())))
         assert events[:8] == [
-            AccessEvent(LOAD, 32, 4),   # C(0,0)
-            AccessEvent(LOAD, 0, 4),    # A(0,0)
-            AccessEvent(LOAD, 16, 4),   # B(0,0)
-            AccessEvent(STORE, 32, 4),  # C(0,0)
-            AccessEvent(LOAD, 36, 4),   # C(0,1)
-            AccessEvent(LOAD, 0, 4),    # A(0,0)
-            AccessEvent(LOAD, 20, 4),   # B(0,1)
-            AccessEvent(STORE, 36, 4),  # C(0,1)
+            (False, 32),  # C(0,0)
+            (False, 0),   # A(0,0)
+            (False, 16),  # B(0,0)
+            (True, 32),   # C(0,0)
+            (False, 36),  # C(0,1)
+            (False, 0),   # A(0,0)
+            (False, 20),  # B(0,1)
+            (True, 36),   # C(0,1)
         ]
 
     def test_cholesky_opening(self):
         # N=2: row 0 gives 2 events, row 1 gives 3 + 5
         spec = PatternSpec("Cholesky", m=1)
-        events = list(generate_trace(spec, canonical_layout(spec.primary_shape())))
+        events = trace_events(generate_trace(spec, canonical_layout(spec.primary_shape())))
         lb = 16
         assert events == [
-            AccessEvent(LOAD, 0, 4),        # A(0,0)
-            AccessEvent(STORE, lb + 0, 4),  # L(0,0)
-            AccessEvent(LOAD, 8, 4),        # A(1,0)
-            AccessEvent(LOAD, lb + 0, 4),   # L(0,0)
-            AccessEvent(STORE, lb + 8, 4),  # L(1,0)
-            AccessEvent(LOAD, lb + 8, 4),   # L(1,0)
-            AccessEvent(LOAD, lb + 8, 4),   # L(1,0)
-            AccessEvent(LOAD, 12, 4),       # A(1,1)
-            AccessEvent(STORE, lb + 12, 4),  # L(1,1)
+            (False, 0),       # A(0,0)
+            (True, lb + 0),   # L(0,0)
+            (False, 8),       # A(1,0)
+            (False, lb + 0),  # L(0,0)
+            (True, lb + 8),   # L(1,0)
+            (False, lb + 8),  # L(1,0)
+            (False, lb + 8),  # L(1,0)
+            (False, 12),      # A(1,1)
+            (True, lb + 12),  # L(1,1)
         ]
 
     def test_himeno_opening(self):
         # Canonical (2,2,2) layout: index = k + 4j + 16i, arrays 256 B each.
         spec = PatternSpec("Himeno", m=2, n=2, p=2)
-        events = generate_trace(spec, canonical_layout(spec.primary_shape()))
-        first = next(events)
-        second = next(events)
-        assert first == AccessEvent(LOAD, (1 + 4 + 16) * 4, 4)            # a0(1,1,1)
-        assert second == AccessEvent(LOAD, 10 * 256 + (1 + 4 + 32) * 4, 4)  # p(2,1,1)
+        events = trace_events(generate_trace(spec, canonical_layout(spec.primary_shape())))
+        assert events[0] == (False, (1 + 4 + 16) * 4)            # a0(1,1,1)
+        assert events[1] == (False, 10 * 256 + (1 + 4 + 32) * 4)  # p(2,1,1)
 
 
 class TestCounts:
@@ -343,8 +354,7 @@ class TestCounts:
     def test_cholesky_structural(self, m):
         spec = PatternSpec("Cholesky", m=m)
         n = 2**m
-        events = list(generate_trace(spec, canonical_layout(spec.primary_shape())))
-        loads, stores = count_ops(events)
+        loads, stores = count_ops(generate_trace(spec, canonical_layout(spec.primary_shape())))
         assert stores == n * (n + 1) // 2
         # per (i, j<=i): 2j accumulator loads plus 1 (diagonal) or 2
         assert loads == sum(
@@ -356,8 +366,7 @@ class TestCounts:
     def test_crout_structural(self, m):
         spec = PatternSpec("Crout", m=m)
         n = 2**m
-        events = list(generate_trace(spec, canonical_layout(spec.primary_shape())))
-        loads, stores = count_ops(events)
+        loads, stores = count_ops(generate_trace(spec, canonical_layout(spec.primary_shape())))
         assert stores == n * n
         col = sum(2 * j + 1 for j in range(n) for _ in range(j, n))
         row = sum(2 * j + 2 for j in range(n) for _ in range(j + 1, n))
@@ -379,16 +388,19 @@ class TestCounts:
         assert trace_counts(PatternSpec("Crout", m=2)).loads == 56
 
 
+def stores_of(spec, layout):
+    """The store flag of each event of the trace."""
+    return [store for store, _ in trace_events(generate_trace(spec, layout))]
+
+
 class TestTraceProperties:
     def test_layout_independence_of_ops(self):
         rng = random.Random(11)
         for spec in small_specs():
             shape = spec.primary_shape()
-            reference = [ev.op for ev in generate_trace(spec, canonical_layout(shape))]
+            reference = stores_of(spec, canonical_layout(shape))
             for _ in range(2):
-                other = random_layout(rng, shape)
-                ops = [ev.op for ev in generate_trace(spec, other)]
-                assert ops == reference
+                assert stores_of(spec, random_layout(rng, shape)) == reference
 
     def test_addresses_in_exactly_one_array(self):
         rng = random.Random(13)
@@ -396,21 +408,20 @@ class TestTraceProperties:
             layout = random_layout(rng, spec.primary_shape())
             arrays = bind_arrays(spec, layout)
             es = spec.element_size
-            for ev in generate_trace(spec, layout, arrays):
-                owners = [a for a in arrays if a.base <= ev.address < a.end]
+            for _, address in trace_events(generate_trace(spec, layout, arrays)):
+                owners = [a for a in arrays if a.base <= address < a.end]
                 assert len(owners) == 1
-                assert (ev.address - owners[0].base) % es == 0
-                assert ev.size == es
+                assert (address - owners[0].base) % es == 0
 
     def test_loads_and_stores_target_expected_arrays(self):
         spec = PatternSpec("Jacobi2D", m=2, n=2)
         layout = canonical_layout(spec.primary_shape())
         src, dst = bind_arrays(spec, layout)
-        for ev in generate_trace(spec, layout):
-            if ev.op == STORE:
-                assert dst.base <= ev.address < dst.end
+        for store, address in trace_events(generate_trace(spec, layout)):
+            if store:
+                assert dst.base <= address < dst.end
             else:
-                assert src.base <= ev.address < src.end
+                assert src.base <= address < src.end
 
     def test_himeno_stores_hit_wrk_interior(self):
         spec = PatternSpec("Himeno", m=2, n=2, p=2)
@@ -418,10 +429,10 @@ class TestTraceProperties:
         arrays = bind_arrays(spec, layout)
         wrk = arrays[11]
         seen = set()
-        for ev in generate_trace(spec, layout, arrays):
-            if ev.op == STORE:
-                assert wrk.base <= ev.address < wrk.end
-                coord = wrk.layout.coordinate((ev.address - wrk.base) // 4)
+        for store, address in trace_events(generate_trace(spec, layout, arrays)):
+            if store:
+                assert wrk.base <= address < wrk.end
+                coord = wrk.layout.coordinate((address - wrk.base) // 4)
                 assert all(1 <= c <= extent - 2 for c, extent in zip(coord, wrk.shape.extents))
                 seen.add(coord)
         assert len(seen) == 2 * 2 * 2
@@ -429,8 +440,8 @@ class TestTraceProperties:
     def test_determinism(self):
         spec = PatternSpec("MMTikj", m=2, n=2)
         layout = morton_layout(spec.primary_shape())
-        a = list(generate_trace(spec, layout))
-        b = list(generate_trace(spec, layout))
+        a = trace_events(generate_trace(spec, layout))
+        b = trace_events(generate_trace(spec, layout))
         assert a == b
 
 
@@ -467,18 +478,14 @@ class TestChunks:
     def test_chunks_are_full_and_match_events(self, text):
         spec = parse_pattern(text)
         layout = morton_layout(spec.primary_shape())
-        chunks = list(trace_chunks(spec, layout))
+        chunks = list(generate_trace(spec, layout))
         assert len(chunks) > 1
         for addresses, stores in chunks:
             assert addresses.dtype == np.uint64 and stores.dtype == bool
             assert len(addresses) == len(stores)
         assert all(len(addresses) == CHUNK_EVENTS for addresses, _ in chunks[:-1])
         assert 0 < len(chunks[-1][0]) <= CHUNK_EVENTS
-        events = list(generate_trace(spec, layout))
-        assert np.concatenate([a for a, _ in chunks]).tolist() == [ev.address for ev in events]
-        assert np.concatenate([s for _, s in chunks]).tolist() == [
-            ev.op == STORE for ev in events
-        ]
+        assert trace_events(chunks) == walk_trace(spec, bind_arrays(spec, layout))
 
     def test_body_longer_than_a_chunk(self):
         # One Jacobi row is 5 * (cols - 2) events, more than a chunk, so the
@@ -487,7 +494,7 @@ class TestChunks:
         cols = 2**n
         spec = PatternSpec("Jacobi2D", m=2, n=n)
         layout = canonical_layout(spec.primary_shape())
-        chunks = list(trace_chunks(spec, layout))
+        chunks = list(generate_trace(spec, layout))
         assert sum(len(a) for a, _ in chunks) == 5 * 2 * (cols - 2)
         assert max(len(a) for a, _ in chunks) == CHUNK_EVENTS
         src, dst = bind_arrays(spec, layout)
@@ -507,7 +514,7 @@ class TestChunks:
                 for k in range(2**n):
                     expected += [(False, a.address((k, i))), (False, b.address((k, j)))]
                 expected.append((True, c.address((j, i))))
-        chunks = list(trace_chunks(spec, layout, (a, b, c)))
+        chunks = list(generate_trace(spec, layout, (a, b, c)))
         assert max(len(addresses) for addresses, _ in chunks) == CHUNK_EVENTS
         got = zip(
             np.concatenate([s for _, s in chunks]).tolist(),
@@ -519,14 +526,14 @@ class TestChunks:
         spec, other = PatternSpec("Jacobi2D", m=2, n=2), PatternSpec("MMijk", m=2)
         bindings = bind_arrays(other, canonical_layout(other.primary_shape()))
         with pytest.raises(ValueError, match="do not match"):
-            trace_chunks(spec, canonical_layout(spec.primary_shape()), bindings)
+            generate_trace(spec, canonical_layout(spec.primary_shape()), bindings)
         with pytest.raises(ValueError, match="do not match"):
-            trace_chunks(other, canonical_layout(other.primary_shape()), bindings[:2])
+            generate_trace(other, canonical_layout(other.primary_shape()), bindings[:2])
 
     def test_address_beyond_64_bits_rejected(self):
         spec = PatternSpec("MMijk", m=31, element_size=8)
         with pytest.raises(ValueError, match="64-bit"):
-            trace_chunks(spec, canonical_layout(spec.primary_shape()))
+            generate_trace(spec, canonical_layout(spec.primary_shape()))
         # 2^62 elements of 4 bytes end exactly at 2^64
         ArrayBinding("X", canonical_layout(Shape((31, 31))), 0, 4)
         with pytest.raises(ValueError, match="64-bit"):
@@ -548,7 +555,7 @@ ORACLE_CASES = [
 
 
 class TestScalarOracle:
-    """trace_chunks against plain nested loops over the same table entry."""
+    """generate_trace against plain nested loops over the same table entry."""
 
     def test_covers_every_kind(self):
         assert {parse_pattern(text).kind for text in ORACLE_CASES} == set(PATTERN_KINDS)
@@ -558,10 +565,7 @@ class TestScalarOracle:
         spec = parse_pattern(text)
         layout = seeded_layout(spec.primary_shape(), random.Random(text))
         bindings = bind_arrays(spec, layout, line=16)
-        got = []
-        for addresses, stores in trace_chunks(spec, layout, bindings):
-            got += zip(stores.tolist(), addresses.tolist())
-        assert got == walk_trace(spec, bindings)
+        assert trace_events(generate_trace(spec, layout, bindings)) == walk_trace(spec, bindings)
 
 
 def fill_matrix(binding, rows, cols, rng, flat):
@@ -627,21 +631,13 @@ class TestTraceIO:
     def test_round_trip(self):
         spec = PatternSpec("MMijk", m=1)
         layout = canonical_layout(spec.primary_shape())
-        events = list(generate_trace(spec, layout))
+        chunks = list(generate_trace(spec, layout))
         buf = io.StringIO()
-        assert write_trace(events, buf) == len(events)
-        buf.seek(0)
-        back = list(read_trace(buf, size=4))
-        assert back == events
+        assert write_trace(chunks, buf) == len(trace_events(chunks))
+        assert trace_events([parse_trace(buf.getvalue().splitlines())]) == trace_events(chunks)
 
     def test_format(self):
         buf = io.StringIO()
-        write_trace([AccessEvent(LOAD, 64, 4), AccessEvent(STORE, 255, 4)], buf)
+        chunk = (np.array([64, 255], dtype=np.uint64), np.array([False, True]))
+        assert write_trace([chunk, (chunk[0][:0], chunk[1][:0])], buf) == 2
         assert buf.getvalue() == "L 0x40\nS 0xff\n"
-
-    def test_bad_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            list(read_trace(["L 0x40", "X 0x10"]))
-
-    def test_blank_lines_skipped(self):
-        assert list(read_trace(["", "S 0x8", ""])) == [AccessEvent(STORE, 8, 1)]
