@@ -26,8 +26,14 @@ previous touch of its line.  Each miss, and each line held when the pass
 starts, begins a residency that runs over the hits to its line until it is
 evicted.  A set evicts its residencies in the order of their last use, and
 only its last misses find it full, so sorting gives every victim and its
-dirty bit (the OR of the residency's dirty bits).  A counted miss sends a
-load of its byte address to ``load_from``; then its victim goes on.
+dirty bit (the OR of the residency's dirty bits).  When no touched set sees
+more than ``ways`` distinct lines in a pass, held ones included, the pass
+takes a shorter way: every repeat hits, the misses are the first touches of
+lines the set did not hold, nothing is evicted, and each set keeps all of
+its lines in the order of their last touch.  That is the common case at
+outer levels, whose passes often bring only compulsory misses.  A counted
+miss sends a load of its byte address to ``load_from``; then its victim
+goes on.
 
 The first level takes each chunk at once, as one pass.  An outer level's
 input waits until it holds _OUTER_EVENTS events, and then it and every level
@@ -49,9 +55,8 @@ a ``tags`` and a ``dirty`` table of one row per set and ``ways`` columns,
 which hold each set's lines LRU first, and ``fill``, which counts the lines
 of each row.  The columns past a row's fill are stale and never read, so the
 tables start uninitialised and only the rows of sets a run touches are ever
-written.  A pass reads the rows of the sets it touches with one mask and
-writes back what they keep with one scatter; access() reads and writes one
-row.
+written.  A pass gathers the held cells of the sets it touches and
+scatters back what they keep; access() reads and writes one row.
 """
 
 from __future__ import annotations
@@ -81,13 +86,13 @@ __all__ = [
 LOAD = "L"
 STORE = "S"
 
-# Events per trace chunk, and so per first-level pass.  A pass pays about 80
-# numpy calls and re-reads every line its touched sets hold (up to 512 at a
-# 64-set, 8-way L1) whatever its length; at 2^13 events a mostly-hitting
-# kernel had fewer misses per pass than held lines.  On a 2-core Xeon, 2^15
-# took 27% off the resident benchmark's wall time against 2^13, and 2^14
-# was 17% slower than 2^15; a first-level pass of 2^15 events allocates
-# about 2 MiB at its peak.
+# Events per trace chunk, and so per first-level pass.  A pass pays a fixed
+# cost of several dozen numpy calls and re-reads every line its touched sets
+# hold (up to 512 at a 64-set, 8-way L1) whatever its length; at 2^13 events
+# a mostly-hitting kernel had fewer misses per pass than held lines.  On a
+# 2-core Xeon, 2^15 took 27% off the resident benchmark's wall time against
+# 2^13, and 2^14 was 17% slower than 2^15; a first-level pass of 2^15 events
+# allocates about 2 MiB at its peak.
 CHUNK_EVENTS = 1 << 15
 
 # Events per outer-level pass, and how many an outer level's input waits
@@ -268,6 +273,7 @@ class _Level:
         "nsets",
         "ways",
         "line_shift",
+        "set_mask",
         "key_type",
         "slot",
         "tags",
@@ -289,9 +295,12 @@ class _Level:
         self.nsets = spec.sets
         self.ways = spec.ways
         self.line_shift = spec.line.bit_length() - 1
-        # A stable argsort radix-sorts set keys of up to 16 bits.
+        # A line's set is its low bits when the sets are a power of two.
+        self.set_mask = np.uint64(spec.sets - 1) if _is_pow2(spec.sets) else None
+        # The smallest type that holds a set index, up to 16 bits; passes
+        # find the sets of more by sorting.
         self.key_type = (
-            np.uint8 if spec.sets <= 1 << 8 else np.uint16 if spec.sets <= 1 << 16 else np.uint64
+            np.uint8 if spec.sets <= 1 << 8 else np.uint16 if spec.sets <= 1 << 16 else None
         )
         # What the merge key of a victim sent by this level adds to the key
         # of the touch that evicted it; its fill adds nothing.
@@ -318,7 +327,9 @@ class _Level:
         all or one per address."""
         n = len(addresses)
         if n:
-            self.pending.append((addresses, np.broadcast_to(dirty, n), np.full(n, demand), keys))
+            if not isinstance(dirty, np.ndarray):
+                dirty = np.full(n, dirty)
+            self.pending.append((addresses, dirty, np.full(n, demand), keys))
             self.npending += n
 
 
@@ -492,12 +503,24 @@ class CacheState:
         if not lvl.pending:
             return
         addresses, dirty, demand, keys = map(np.concatenate, zip(*lvl.pending))
+        # The keys of each send ascend, so one send is in order already.
+        if len(lvl.pending) > 1:
+            order = np.argsort(keys, kind="stable")
+            addresses, dirty = addresses[order], dirty[order]
+            demand, keys = demand[order], keys[order]
         lvl.pending = []
         lvl.npending = 0
-        order = np.argsort(keys, kind="stable")
-        for start in range(0, len(order), _OUTER_EVENTS):
-            part = order[start : start + _OUTER_EVENTS]
-            self._pass(lvl, addresses[part], dirty[part], demand[part], keys[part])
+        if demand.all():
+            demand = None
+        for start in range(0, len(keys), _OUTER_EVENTS):
+            part = slice(start, start + _OUTER_EVENTS)
+            self._pass(
+                lvl,
+                addresses[part],
+                dirty[part],
+                None if demand is None else demand[part],
+                keys[part],
+            )
 
     def _pass(
         self,
@@ -512,7 +535,7 @@ class CacheState:
         and ``keys`` holds their merge keys or, for touches at consecutive
         positions, the first position.  Sends each counted miss's fill and
         then each victim on."""
-        misses, evicts, victims, victims_dirty = _lru_pass(lvl, addresses, dirty)
+        misses, evicting, victims, victims_dirty = _lru_pass(lvl, addresses, dirty)
         if isinstance(keys, np.ndarray):
             miss_keys = keys[misses]
         else:
@@ -530,24 +553,27 @@ class CacheState:
             self.memory_accesses += len(fills)
         else:
             lvl.load_next.send(addresses[fills], False, True, fill_keys)
+        if not len(victims):
+            return
         # A victim goes to victim_to, clean or dirty; else a dirty one is
         # written back to store_to or memory.
-        if lvl.victim_next is not None:
-            sent, target = evicts, lvl.victim_next
-            lvl.victim_installs += int(np.count_nonzero(sent))
-        else:
-            sent, target = evicts & victims_dirty, lvl.store_next
-            written = int(np.count_nonzero(sent))
-            lvl.writebacks += written
-            if target is None:
-                self.memory_writebacks += written
+        target = lvl.victim_next
         if target is not None:
-            target.send(
-                victims[sent] << np.uint64(lvl.line_shift),
-                victims_dirty[sent],
-                False,
-                miss_keys[sent] | lvl.slot,
-            )
+            lvl.victim_installs += len(victims)
+        else:
+            evicting, victims = evicting[victims_dirty], victims[victims_dirty]
+            victims_dirty = True
+            lvl.writebacks += len(victims)
+            target = lvl.store_next
+            if target is None:
+                self.memory_writebacks += len(victims)
+                return
+        target.send(
+            victims << np.uint64(lvl.line_shift),
+            victims_dirty,
+            False,
+            miss_keys[evicting] | lvl.slot,
+        )
 
     # -- flush and reporting ---------------------------------------------
 
@@ -564,14 +590,17 @@ class CacheState:
         for lvl in self._levels:
             self._run_pending(lvl)
             # The dirty lines the level holds, by ascending set and in LRU
-            # order within a set.
-            rows = np.flatnonzero(lvl.fill)
-            held = lvl.dirty[rows] & (np.arange(lvl.ways) < lvl.fill[rows, None])
-            n = int(np.count_nonzero(held))
+            # order within a set.  numpy finds the nonzero entries of a bool
+            # mask several times faster than those of the intp fill counts.
+            rows = np.flatnonzero(lvl.fill > 0)
+            held = np.arange(lvl.ways) < lvl.fill[rows, None]
+            found, columns = np.nonzero(lvl.dirty[rows] & held)
+            n = len(found)
             if not n:
                 continue
-            lines = lvl.tags[rows][held]
-            lvl.dirty[rows] = False
+            rows = rows[found]
+            lines = lvl.tags[rows, columns]
+            lvl.dirty[rows, columns] = False
             lvl.writebacks += n
             if lvl.store_next is None:
                 self.memory_writebacks += n
@@ -616,95 +645,138 @@ def _lru_pass(
     line's dirty bit; when the line is absent it misses, evicting the set's
     LRU line if the set is full.  The lines the touched sets hold are read
     from their rows of the level's tables, and the lines they keep written
-    back, LRU first.  Returns the positions of the misses in order, and for
-    each miss whether it evicts, the line it evicts and that line's dirty
-    bit.  Each array as long as the touches is deleted after its last use,
-    which keeps the pass's peak memory down.
+    back, LRU first.  When no touched set sees more than ``ways`` distinct
+    lines, held ones included, every repeat hits and nothing is evicted, so
+    the stack-distance check and the eviction bookkeeping are skipped.
+    Returns the positions of the misses in order; the indices, among those,
+    of the misses that evict; and the line each of these evicts and its
+    dirty bit.  Each array as long as the touches is deleted after its last
+    use, which keeps the pass's peak memory down.
     """
     ways = lvl.ways
     n = len(addresses)
     lines = addresses >> np.uint64(lvl.line_shift)
-    keys = (lines % np.uint64(lvl.nsets)).astype(lvl.key_type)
-    if lvl.key_type is np.uint64:
-        touched = np.unique(keys)
+    if lvl.set_mask is None:
+        sets = lines % np.uint64(lvl.nsets)
     else:
+        sets = lines & lvl.set_mask
+    # Each touch's set as its rank among the touched sets, as a key that a
+    # stable argsort radix-sorts where it can: one of up to 16 bits.
+    if lvl.key_type is None:
+        touched, ranks = np.unique(sets, return_inverse=True)
+        if len(touched) <= 1 << 16:
+            ranks = ranks.astype(np.uint16)
+    else:
+        sets = sets.astype(np.intp)
         seen = np.zeros(lvl.nsets, dtype=bool)
-        seen[keys] = True
-        touched = np.flatnonzero(seen).astype(lvl.key_type)
+        seen[sets] = True
+        touched = np.flatnonzero(seen)
+        rank_of = np.empty(lvl.nsets, dtype=lvl.key_type)
+        rank_of[touched] = np.arange(len(touched), dtype=lvl.key_type)
+        ranks = rank_of[sets]
+    del sets
+    count = len(touched)
     held_counts = lvl.fill[touched]
-    held = np.arange(ways) < held_counts[:, None]
-    held_lines = lvl.tags[touched][held]
-    held_dirty = lvl.dirty[touched][held]
+    held = _cells(lvl, touched, held_counts)
+    held_lines = lvl.tags[held]
+    held_dirty = lvl.dirty[held]
     nheld = len(held_lines)
-    all_keys = np.concatenate((np.repeat(touched, held_counts), keys))
+    all_keys = np.concatenate((np.repeat(np.arange(count, dtype=ranks.dtype), held_counts), ranks))
     # Each set's own sequence: the lines it holds, LRU first, as if just
     # accessed in that order, then its accesses in trace order.
     order = np.argsort(all_keys, kind="stable")
     seq = np.concatenate((held_lines, lines))[order]
     flags = np.concatenate((held_dirty, dirty))[order]
-    del lines, keys, held, held_lines, held_dirty
+    seq_sets = all_keys[order]
+    del lines, ranks, held, held_lines, held_dirty, all_keys
     # An access to the line its set's previous access touched is a hit with
     # no access between, so it only adds its dirty bit to that access.  The
     # rest of the pass runs over the first access of each such run.
     heads = np.flatnonzero(np.append(True, seq[1:] != seq[:-1]))
-    flags = np.logical_or.reduceat(flags, heads)
-    order = order[heads]
-    seq = seq[heads]
-    seq_sets = all_keys[order]
-    del heads, all_keys
+    if len(heads) < len(seq):
+        flags = _any_in_runs(flags, heads)
+        order = order[heads]
+        seq = seq[heads]
+        seq_sets = seq_sets[heads]
+    del heads
     total = len(seq)
-    # The same positions grouped by line, each line's in time order.
-    by_line = np.argsort(seq, kind="stable")
+    # The same positions grouped by line, each line's in time order.  Lines
+    # less than 2^16 apart sort as their offsets from the lowest, which
+    # 16-bit arithmetic gives exactly.
+    low = seq.min()
+    if seq.max() - low < 1 << 16:
+        offsets = seq.astype(np.uint16)
+        offsets -= low.astype(np.uint16)
+        by_line = np.argsort(offsets, kind="stable")
+        del offsets
+    else:
+        by_line = np.argsort(seq, kind="stable")
     grouped = seq[by_line]
     same = grouped[1:] == grouped[:-1]
     firsts = np.flatnonzero(np.append(True, ~same))
-    line_set = np.searchsorted(touched, seq_sets[by_line[firsts]])
-    distinct = np.bincount(line_set, minlength=len(touched))
-    # In line order: a hit iff fewer than ``ways`` distinct lines were
-    # touched since the previous access to the line.  That holds at once if
-    # fewer than ``ways`` accesses lie between, or if the set sees at most
-    # ``ways`` lines in all; otherwise they are counted.
-    hit = np.append(False, same)
-    wide = np.flatnonzero(same & (np.diff(by_line) > ways)) + 1
-    wide = wide[distinct[line_set[np.searchsorted(firsts, wide, side="right") - 1]] > ways]
-    if len(wide):
-        prev = np.full(total, -1, dtype=np.int64)
-        prev[by_line[1:][same]] = by_line[:-1][same]
-        hit[wide] = _fewer_distinct(prev, by_line[wide], ways)
-        del prev
-    del grouped, same, firsts, line_set, wide
+    line_set = seq_sets[by_line[firsts]]
+    distinct = np.bincount(line_set, minlength=count)
+    del grouped
+    overflow = distinct.max() > ways
+    if overflow:
+        # In line order: a hit iff fewer than ``ways`` distinct lines were
+        # touched since the previous access to the line.  That holds at once
+        # if fewer than ``ways`` accesses lie between, or if the set sees at
+        # most ``ways`` lines in all; otherwise they are counted.
+        hit = np.append(False, same)
+        wide = np.flatnonzero(same & (np.diff(by_line) > ways)) + 1
+        wide = wide[distinct[line_set[np.searchsorted(firsts, wide, side="right") - 1]] > ways]
+        if len(wide):
+            prev = np.full(total, -1, dtype=np.int64)
+            prev[by_line[1:][same]] = by_line[:-1][same]
+            hit[wide] = _fewer_distinct(prev, by_line[wide], ways)
+            del prev
+        starts = np.flatnonzero(~hit)
+        del hit, wide
+    else:
+        # Every repeat hits: each line's touches make one residency.
+        starts = firsts
+    del same, firsts, line_set
 
     # A residency starts at each miss or held line and runs over the hits to
     # its line after it; it is dirty if any of them is.
-    starts = np.flatnonzero(~hit)
     ends = np.append(starts[1:], total) - 1
-    res_dirty = np.logical_or.reduceat(flags[by_line], starts)
+    res_dirty = _any_in_runs(flags[by_line], starts)
     last_use = by_line[ends]
-    del hit, ends, flags
+    del ends, flags
     # Positions run by set, then by time, so this orders the residencies by
     # set and each set's by last use: the order in which LRU evicts them.
     by_use = _argsort_positions(last_use, total)
     last_use = last_use[by_use]
     res_dirty = res_dirty[by_use]
     res_lines = seq[last_use]
-    res_set = np.searchsorted(touched, seq_sets[last_use])
     del by_use, seq
-    residencies = np.bincount(res_set, minlength=len(touched))
+    # The misses are the residencies' starts that are accesses, not held
+    # lines.
+    if not overflow:
+        # Nothing is evicted, and each set keeps all of its lines.
+        missed = np.zeros(nheld + n, dtype=bool)
+        missed[order[by_line[starts]]] = True
+        misses = np.flatnonzero(missed[nheld:])
+        _keep(lvl, touched, distinct, res_lines, res_dirty)
+        return misses, misses[:0], res_lines[:0], res_dirty[:0]
+    is_miss = np.zeros(total, dtype=bool)
+    is_miss[by_line[starts]] = True
+    del by_line, starts
+
+    res_set = seq_sets[last_use]
+    residencies = np.bincount(res_set, minlength=count)
     # A set keeps its last min(ways, distinct lines) residencies; the others
     # are evicted, in order, by the misses that find it full: its last ones.
     kept_counts = np.minimum(distinct, ways)
     evicted = residencies - kept_counts
     first_res = np.cumsum(residencies) - residencies
     kept = np.flatnonzero(np.arange(len(last_use)) - first_res[res_set] >= evicted[res_set])
-
-    # The misses are the residencies' starts that are accesses, not held
-    # lines; taken by set and then by time.
-    is_miss = np.zeros(total, dtype=bool)
-    is_miss[by_line[starts]] = True
-    del by_line, starts
+    del last_use, res_set
+    # The misses taken by set and then by time.
     miss_seq = np.flatnonzero(is_miss & (order >= nheld))
-    miss_set = np.searchsorted(touched, seq_sets[miss_seq])
-    nmisses = np.bincount(miss_set, minlength=len(touched))
+    miss_set = seq_sets[miss_seq]
+    nmisses = np.bincount(miss_set, minlength=count)
     # How far past the last miss that finds a free way each miss lies.
     beyond = np.arange(len(miss_seq)) - (np.cumsum(nmisses) - evicted)[miss_set]
     misses = order[miss_seq] - nheld
@@ -712,15 +784,36 @@ def _lru_pass(
     by_time = _argsort_positions(misses, n)
     misses = misses[by_time]
     beyond = beyond[by_time]
-    evicts = beyond >= 0
-    victim = np.where(evicts, first_res[miss_set[by_time]] + beyond, 0)
+    evicting = np.flatnonzero(beyond >= 0)
+    victim = first_res[miss_set[by_time[evicting]]] + beyond[evicting]
+    _keep(lvl, touched, kept_counts, res_lines[kept], res_dirty[kept])
+    return misses, evicting, res_lines[victim], res_dirty[victim]
 
-    # Each touched set's row takes the residencies it keeps, LRU first.
-    rows, columns = np.nonzero(np.arange(ways) < kept_counts[:, None])
-    lvl.tags[touched[rows], columns] = res_lines[kept]
-    lvl.dirty[touched[rows], columns] = res_dirty[kept]
-    lvl.fill[touched] = kept_counts
-    return misses, evicts, res_lines[victim], res_dirty[victim]
+
+def _cells(lvl: _Level, touched: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of the first ``counts`` ways of each touched
+    set, by set and then by way."""
+    rows, columns = np.nonzero(np.arange(lvl.ways) < counts[:, None])
+    return touched[rows], columns
+
+
+def _keep(
+    lvl: _Level, touched: np.ndarray, counts: np.ndarray, lines: np.ndarray, dirty: np.ndarray
+) -> None:
+    """Write each touched set's row: its ``counts`` lines of ``lines``, which
+    run by set and LRU first within a set, with their dirty bits."""
+    cells = _cells(lvl, touched, counts)
+    lvl.tags[cells] = lines
+    lvl.dirty[cells] = dirty
+    lvl.fill[touched] = counts
+
+
+def _any_in_runs(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """For the runs of ``flags`` that begin at ``starts`` (0 first, in
+    order), whether any flag of each is set."""
+    if len(starts) == len(flags):
+        return flags
+    return np.logical_or.reduceat(flags, starts)
 
 
 def _argsort_positions(values: np.ndarray, size: int) -> np.ndarray:

@@ -319,8 +319,10 @@ def layout_from_text(text: str) -> Layout:
 def index_array(layout: Layout, coords: np.ndarray) -> np.ndarray:
     """Vectorized Layout.index over an (N, ndim) array of coordinates.
 
-    Built from per-output-bit gathers rather than per-dimension deposits, so
-    it doubles as an independent cross-check of the scalar path.
+    Built from per-output-bit gathers rather than per-dimension deposits.
+    Trace generation does not use it: ArrayBinding.tables deposits each
+    dimension's bits by its mask.  So it stays an independent cross-check
+    of both Layout.index and those tables.
     """
     coords = np.asarray(coords, dtype=np.uint64)
     if coords.ndim != 2 or coords.shape[1] != layout.shape.ndim:

@@ -38,7 +38,7 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from bitweave.cachesim import CHUNK_EVENTS, LOAD, STORE, Chunk, _integer
-from bitweave.layout import Layout, Shape, index_array
+from bitweave.layout import Layout, Shape
 
 __all__ = [
     "PATTERN_KINDS",
@@ -352,23 +352,33 @@ class ArrayBinding:
     def tables(self) -> tuple[np.ndarray, ...]:
         """Per-dimension deposited-and-scaled index tables (uint64).
 
-        ``base + (tables[0][x0] | tables[1][x1] | ...)`` is the byte address
-        of coordinate (x0, x1, ...); the masks are disjoint so the terms
-        never overlap.
+        ``base + (tables[0][x0] + tables[1][x1] + ...)`` is the byte address
+        of coordinate (x0, x1, ...).  Bit i of x_d lands on the i-th lowest
+        bit of the layout's deposit mask for d, so tables[d][x] sums the
+        scaled weights of those bits at the set bits of x.
         """
-        shape = self.shape
-        size = np.uint64(self.element_size)
+        size = self.element_size
         out = []
-        for d, b in enumerate(shape.bits):
+        for d, (b, mask) in enumerate(zip(self.shape.bits, self.layout.deposit_masks)):
             if b > _MAX_TABLE_BITS:
                 raise ValueError(
                     f"{self.name}: dimension {d} has {b} bits; trace generation "
                     f"supports at most {_MAX_TABLE_BITS} bits per dimension"
                 )
-            coords = np.zeros((1 << b, shape.ndim), dtype=np.uint64)
-            coords[:, d] = np.arange(1 << b, dtype=np.uint64)
-            out.append(index_array(self.layout, coords) * size)
+            weights = [size << k for k in range(mask.bit_length()) if mask >> k & 1]
+            # Each sum over the high half of the bits, broadcast against
+            # every sum over the low half.
+            low, high = _subset_sums(weights[: b // 2]), _subset_sums(weights[b // 2 :])
+            out.append((high[:, None] + low).ravel())
         return tuple(out)
+
+
+def _subset_sums(weights: list[int]) -> np.ndarray:
+    """Entry x sums the weights at the set bits of x, for x < 2^len(weights)."""
+    sums = [0]
+    for weight in weights:
+        sums += [s + weight for s in sums]
+    return np.array(sums, dtype=np.uint64)
 
 
 def bind_arrays(spec: PatternSpec, layout: Layout, line: int = 1) -> tuple[ArrayBinding, ...]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitweave import cachesim
 from bitweave.cachesim import (
     _OUTER_EVENTS,
     CHUNK_EVENTS,
@@ -928,3 +929,141 @@ class TestRowStorage:
                 state.run(chunked(events))
             assert astuple(state.collect_stats()) == reference.stats()
         assert astuple(state.flush_writeback()) == reference.flush()
+
+
+def contents(state):
+    """Each level's sets as (lines LRU first, their dirty bits)."""
+    return [
+        [
+            (level.tags[s, :n].tolist(), level.dirty[s, :n].tolist())
+            for s, n in enumerate(level.fill.tolist())
+        ]
+        for level in state._levels
+    ]
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Record each bulk pass as (level, overflows, line span, held), worked
+    out here from the pass's input and the level's rows before it: whether
+    some touched set sees more than ``ways`` distinct lines, held ones
+    included; how far apart its lowest and highest line lie; and how many
+    lines its touched sets hold."""
+    record = []
+    original = cachesim._lru_pass
+
+    def spy(level, addresses, dirty):
+        seen: dict[int, set[int]] = {}
+        for address in addresses.tolist():
+            line = address >> level.line_shift
+            seen.setdefault(line % level.nsets, set()).add(line)
+        held = sum(int(level.fill[s]) for s in seen)
+        for s, lines in seen.items():
+            lines.update(level.tags[s, : level.fill[s]].tolist())
+        every = set().union(*seen.values())
+        overflows = any(len(lines) > level.ways for lines in seen.values())
+        record.append((level.spec.name, overflows, max(every) - min(every), held))
+        return original(level, addresses, dirty)
+
+    monkeypatch.setattr(cachesim, "_lru_pass", spy)
+    return record
+
+
+class TestPassBranches:
+    """Each way through the bulk pass, against per-event access()."""
+
+    def test_outer_level_without_overflow(self, passes):
+        # A two-set, two-way L1 in front of an L2 with room for every line
+        # of the trace: L1 evicts, and no L2 set ever fills.  L2's misses
+        # go on to a small L3.
+        spec = HierarchySpec(
+            levels=(
+                CacheLevelSpec(
+                    name="L1", sets=2, ways=2, line=64, latency=1, load_from="L2", store_to="L2"
+                ),
+                CacheLevelSpec(
+                    name="L2", sets=64, ways=4, line=64, latency=2, load_from="L3", store_to="L3"
+                ),
+                CacheLevelSpec(name="L3", sets=4, ways=4, line=64, latency=3),
+            ),
+            memory_latency=100,
+        )
+        rng = random.Random(21)
+        # Each part brings lines new to L2 and returns to old ones.
+        parts = [
+            [(rng.choice((LOAD, STORE)), rng.randrange(32 * k) * 64, 4) for _ in range(700)]
+            for k in (1, 2, 3)
+        ]
+        expected = accessed(spec, [event for part in parts for event in part])
+        expected_stats = expected.flush_writeback()
+        passes.clear()
+        state = build_hierarchy(spec)
+        for part in parts:
+            state.run(chunked(part))
+            # Reading the stats runs the outer levels on what waits for them.
+            state.collect_stats()
+        assert state.flush_writeback() == expected_stats
+        assert contents(state) == contents(expected)
+        first = [overflows for name, overflows, _, _ in passes if name == "L1"]
+        second = [(overflows, held > 0) for name, overflows, _, held in passes if name == "L2"]
+        assert set(first) == {True}
+        assert second == [(False, False), (False, True), (False, True), (False, True)]
+
+    def test_set_fills_up_after_holding_dirty_lines(self, passes):
+        # Set 0 of L1 takes four lines, stores among them, in a first pass
+        # with room to spare; a second pass brings it six more, so the
+        # dirty lines it held are evicted into L2.
+        spec = HierarchySpec(
+            levels=(
+                CacheLevelSpec(
+                    name="L1", sets=4, ways=4, line=32, latency=1, load_from="L2", store_to="L2"
+                ),
+                CacheLevelSpec(name="L2", sets=2, ways=3, line=32, latency=2),
+            ),
+            memory_latency=100,
+        )
+        rng = random.Random(22)
+        first = [(op, (tag * 4) * 32 + 4, 4) for tag in range(4) for op in (LOAD, STORE, LOAD)]
+        second = [
+            (rng.choice((LOAD, STORE)), (tag * 4 + rng.choice((0, 0, 1))) * 32, 4)
+            for tag in rng.choices(range(10), k=60)
+        ]
+        expected = accessed(spec, first + second)
+        expected_stats = expected.flush_writeback()
+        passes.clear()
+        state = build_hierarchy(spec)
+        state.run(chunked(first))
+        assert state._levels[0].fill[0] == 4 and state._levels[0].dirty[0, :4].all()
+        state.run(chunked(second))
+        # Before the flush, only evictions write back.
+        assert state.collect_stats().level("L1").writebacks > 0
+        assert state.flush_writeback() == expected_stats
+        assert contents(state) == contents(expected)
+        assert [overflows for name, overflows, _, _ in passes if name == "L1"] == [False, True]
+
+    def test_lines_far_apart_in_one_pass(self, passes):
+        # Lines 2^16 and more apart, both in one set and across sets, with
+        # and without overflow: the pass sorts them as 64-bit lines.
+        spec = HierarchySpec(
+            levels=(
+                CacheLevelSpec(
+                    name="L1", sets=4, ways=2, line=64, latency=1, load_from="L2", store_to="L2"
+                ),
+                CacheLevelSpec(name="L2", sets=8, ways=4, line=64, latency=2),
+            ),
+            memory_latency=100,
+        )
+        rng = random.Random(23)
+        lines = [far << 18 | near for far in range(3) for near in (0, 1, 4, 5, 6, 9)]
+        events = [(rng.choice((LOAD, STORE)), rng.choice(lines) * 64, 8) for _ in range(1500)]
+        # The second chunk stays in two lines of a set the others never use.
+        events[500:600] = [(STORE, (3 + 4 * (k % 2)) * 64, 8) for k in range(100)]
+        expected = accessed(spec, events)
+        expected_stats = expected.flush_writeback()
+        passes.clear()
+        state = build_hierarchy(spec)
+        state.run(chunked(events, [500, 600]))
+        assert state.flush_writeback() == expected_stats
+        assert contents(state) == contents(expected)
+        first = [(overflows, span) for name, overflows, span, _ in passes if name == "L1"]
+        assert first == [(True, 2 << 18 | 9), (False, 4), (True, 2 << 18 | 9)]

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from bitweave.cachesim import CHUNK_EVENTS
-from bitweave.layout import Layout, Shape, canonical_layout, morton_layout, scatter_bits
+from bitweave.layout import (
+    Layout,
+    Shape,
+    canonical_layout,
+    index_array,
+    morton_layout,
+    scatter_bits,
+)
 from bitweave.layout import random_layout as seeded_layout
 from bitweave.patterns import (
     PATTERN_KINDS,
@@ -238,6 +245,30 @@ class TestBind:
         for table, bits, mask in zip(tables, layout.shape.bits, layout.deposit_masks):
             assert table.dtype == np.uint64
             assert table.tolist() == [scatter_bits(x, mask) * 8 for x in range(1 << bits)]
+
+    def test_tables_match_index_array(self):
+        # Every kind's arrays under random layouts, the transposed
+        # multiplications' adapted outputs among them: the tables built from
+        # deposit masks against index_array's per-bit gathers over the grid.
+        rng = random.Random(5)
+        specs = [
+            *small_specs(),
+            PatternSpec("MMTikj", m=2, n=4, element_size=64),
+            PatternSpec("Jacobi2D", m=5, n=3, element_size=8),
+            PatternSpec("Himeno", m=1, n=3, p=2, element_size=2),
+        ]
+        adapted = 0
+        for spec in specs:
+            for _ in range(4):
+                layout = random_layout(rng, spec.primary_shape())
+                for binding in bind_arrays(spec, layout):
+                    adapted += binding.layout != layout
+                    shape = binding.shape
+                    grid = np.indices(shape.extents).reshape(shape.ndim, -1).T
+                    got = sum(table[grid[:, d]] for d, table in enumerate(binding.tables))
+                    expected = index_array(binding.layout, grid) * np.uint64(spec.element_size)
+                    assert np.array_equal(got, expected), (spec, binding.name, binding.layout)
+        assert adapted == 3 * 4
 
 
 def count_ops(chunks):
