@@ -35,8 +35,9 @@ outer levels, whose passes often bring only compulsory misses.  A counted
 miss sends a load of its byte address to ``load_from``; then its victim
 goes on.
 
-The first level takes each chunk at once, as one pass.  An outer level's
-input waits until it holds _OUTER_EVENTS events, and then it and every level
+The first level takes each chunk in passes of at most CHUNK_EVENTS events,
+so a pass's memory does not grow with the chunk.  An outer level's input
+waits until it holds _OUTER_EVENTS events, and then it and every level
 before it run, each in passes of at most _OUTER_EVENTS events: misses and
 victims repeat less than accesses, so outer passes gain little from length.
 Events carry merge keys: an access's key is its trace position, a fill keeps
@@ -65,10 +66,11 @@ import math
 import mmap
 import reprlib
 from dataclasses import dataclass
-from operator import index
 from typing import Iterable, Optional
 
 import numpy as np
+
+from bitweave.layout import _integer, _is_pow2
 
 __all__ = [
     "LOAD",
@@ -86,13 +88,13 @@ __all__ = [
 LOAD = "L"
 STORE = "S"
 
-# Events per trace chunk, and so per first-level pass.  A pass pays a fixed
-# cost of several dozen numpy calls and re-reads every line its touched sets
-# hold (up to 512 at a 64-set, 8-way L1) whatever its length; at 2^13 events
-# a mostly-hitting kernel had fewer misses per pass than held lines.  On a
-# 2-core Xeon, 2^15 took 27% off the resident benchmark's wall time against
-# 2^13, and 2^14 was 17% slower than 2^15; a first-level pass of 2^15 events
-# allocates about 2 MiB at its peak.
+# Events per trace chunk, and at most per first-level pass.  A pass pays a
+# fixed cost of several dozen numpy calls and re-reads every line its touched
+# sets hold (up to 512 at a 64-set, 8-way L1) whatever its length; at 2^13
+# events a mostly-hitting kernel had fewer misses per pass than held lines.
+# On a 2-core Xeon, 2^15 took 27% off the resident benchmark's wall time
+# against 2^13, and 2^14 was 17% slower than 2^15; a first-level pass of 2^15
+# events allocates about 2 MiB at its peak.
 CHUNK_EVENTS = 1 << 15
 
 # Events per outer-level pass, and how many an outer level's input waits
@@ -110,20 +112,6 @@ _SLAB_COLUMNS = 16
 
 # (addresses, stores): uint64 byte addresses and a bool store mask, in trace order.
 Chunk = tuple[np.ndarray, np.ndarray]
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def _integer(spec: object, field: str, what: str) -> None:
-    """Store the spec's ``field`` as an int, or raise TypeError if it is not
-    an integer: geometry, sizes and the cycle model are exact integers."""
-    value = getattr(spec, field)
-    try:
-        object.__setattr__(spec, field, index(value))
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -144,7 +132,7 @@ class CacheLevelSpec:
         if not self.name:
             raise ValueError("cache level needs a name")
         for field in ("sets", "ways", "line", "latency"):
-            _integer(self, field, f"{self.name}: {field}")
+            object.__setattr__(self, field, _integer(getattr(self, field), f"{self.name}: {field}"))
         if self.sets < 1 or self.ways < 1:
             raise ValueError(f"{self.name}: sets and ways must be >= 1")
         if not _is_pow2(self.line):
@@ -165,7 +153,8 @@ class HierarchySpec:
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("hierarchy needs at least one cache level")
-        _integer(self, "memory_latency", "memory latency")
+        latency = _integer(self.memory_latency, "memory latency")
+        object.__setattr__(self, "memory_latency", latency)
         if self.memory_latency < 1:
             raise ValueError("memory latency must be >= 1")
         # The simulator's merge keys hold a trace position above one bit
@@ -274,7 +263,6 @@ class _Level:
         "ways",
         "line_shift",
         "set_mask",
-        "key_type",
         "slot",
         "tags",
         "dirty",
@@ -297,11 +285,6 @@ class _Level:
         self.line_shift = spec.line.bit_length() - 1
         # A line's set is its low bits when the sets are a power of two.
         self.set_mask = np.uint64(spec.sets - 1) if _is_pow2(spec.sets) else None
-        # The smallest type that holds a set index, up to 16 bits; passes
-        # find the sets of more by sorting.
-        self.key_type = (
-            np.uint8 if spec.sets <= 1 << 8 else np.uint16 if spec.sets <= 1 << 16 else None
-        )
         # What the merge key of a victim sent by this level adds to the key
         # of the touch that evicted it; its fill adds nothing.
         self.slot = np.uint64(slot)
@@ -451,11 +434,11 @@ class CacheState:
 
         A chunk is a pair: a 1-D uint64 array of byte addresses and a bool
         store mask of the same length; anything else raises before the chunk
-        counts.  Each chunk goes through the first level at once.  An outer
-        level's input waits until it holds _OUTER_EVENTS events; then it and
-        every level before it run.  Input still waiting runs before anything
-        reads or changes the state: access(), collect_stats() and
-        flush_writeback().
+        counts.  The first level takes each chunk in passes of at most
+        CHUNK_EVENTS events.  After each, an outer level's input waits until
+        it holds _OUTER_EVENTS events; then it and every level before it
+        run.  Input still waiting runs before anything reads or changes the
+        state: access(), collect_stats() and flush_writeback().
         """
         first = self._first
         for chunk in chunks:
@@ -467,14 +450,14 @@ class CacheState:
                     f"got {reprlib.repr(chunk)}"
                 ) from None
             _check_chunk(addresses, stores)
-            n = len(addresses)
-            if n == 0:
-                continue
             nstores = int(np.count_nonzero(stores))
             self.stores += nstores
-            self.loads += n - nstores
-            self._pass(first, addresses, stores, None, self._advance(n))
-            self._drain(everything=False)
+            self.loads += len(addresses) - nstores
+            for start in range(0, len(addresses), CHUNK_EVENTS):
+                part = slice(start, start + CHUNK_EVENTS)
+                events = addresses[part]
+                self._pass(first, events, stores[part], None, self._advance(len(events)))
+                self._drain(everything=False)
 
     def _advance(self, n: int) -> int:
         """The position of the first of the next ``n`` events."""
@@ -660,22 +643,18 @@ def _lru_pass(
         sets = lines % np.uint64(lvl.nsets)
     else:
         sets = lines & lvl.set_mask
-    # Each touch's set as its rank among the touched sets, as a key that a
-    # stable argsort radix-sorts where it can: one of up to 16 bits.
-    if lvl.key_type is None:
-        touched, ranks = np.unique(sets, return_inverse=True)
-        if len(touched) <= 1 << 16:
-            ranks = ranks.astype(np.uint16)
-    else:
-        sets = sets.astype(np.intp)
-        seen = np.zeros(lvl.nsets, dtype=bool)
-        seen[sets] = True
-        touched = np.flatnonzero(seen)
-        rank_of = np.empty(lvl.nsets, dtype=lvl.key_type)
-        rank_of[touched] = np.arange(len(touched), dtype=lvl.key_type)
-        ranks = rank_of[sets]
-    del sets
+    sets = sets.astype(np.intp)
+    seen = np.zeros(lvl.nsets, dtype=bool)
+    seen[sets] = True
+    touched = np.flatnonzero(seen)
     count = len(touched)
+    # Each touch's set as its rank among the touched sets, in the smallest
+    # type that holds one: a stable argsort radix-sorts keys of up to 16 bits.
+    key_type = np.uint8 if count <= 1 << 8 else np.uint16 if count <= 1 << 16 else np.intp
+    rank_of = np.empty(lvl.nsets, dtype=key_type)
+    rank_of[touched] = np.arange(count, dtype=key_type)
+    ranks = rank_of[sets]
+    del sets, seen, rank_of
     held_counts = lvl.fill[touched]
     held = _cells(lvl, touched, held_counts)
     held_lines = lvl.tags[held]
@@ -725,7 +704,7 @@ def _lru_pass(
         # most ``ways`` lines in all; otherwise they are counted.
         hit = np.append(False, same)
         wide = np.flatnonzero(same & (np.diff(by_line) > ways)) + 1
-        wide = wide[distinct[line_set[np.searchsorted(firsts, wide, side="right") - 1]] > ways]
+        wide = wide[distinct[seq_sets[by_line[wide]]] > ways]
         if len(wide):
             prev = np.full(total, -1, dtype=np.int64)
             prev[by_line[1:][same]] = by_line[:-1][same]
@@ -875,7 +854,7 @@ def _check_access(op: str, address: int, size: int, line: int) -> None:
     below 1, an address of 2^64 or more, or straddles a ``line``-byte line."""
     if op not in (LOAD, STORE):
         raise ValueError(f"op must be {LOAD!r} or {STORE!r}, got {op!r}")
-    address, size = index(address), index(size)
+    address, size = _integer(address, "address"), _integer(size, "size")
     if address < 0 or size < 1:
         raise ValueError(f"bad access address={address} size={size}")
     if address >> 64:

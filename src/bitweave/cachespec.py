@@ -197,21 +197,15 @@ def parse_cache_spec(text: str, source: str = "<string>") -> HierarchySpec:
 
 def render_cache_spec(spec: HierarchySpec) -> str:
     """Render a HierarchySpec back into the configuration format."""
+    # The one policy modelled, as a spec states it.
+    policy = {"replacement": "LRU", "write_back": "true"}
     lines = ["caches:"]
     for lvl in spec.levels:
         lines.append(f"  {lvl.name}:")
-        lines.append(f"    sets: {lvl.sets}")
-        lines.append(f"    ways: {lvl.ways}")
-        lines.append(f"    line: {lvl.line}")
-        lines.append("    replacement: LRU")
-        lines.append("    write_back: true")
-        if lvl.store_to is not None:
-            lines.append(f"    store_to: {lvl.store_to}")
-        if lvl.load_from is not None:
-            lines.append(f"    load_from: {lvl.load_from}")
-        if lvl.victim_to is not None:
-            lines.append(f"    victim_to: {lvl.victim_to}")
-        lines.append(f"    latency: {lvl.latency}")
+        for key in _LEVEL_FIELDS:
+            value = policy[key] if key in policy else getattr(lvl, key)
+            if value is not None:
+                lines.append(f"    {key}: {value}")
     lines.append("memory:")
     lines.append(f"  first: {spec.first}")
     lines.append(f"  last: {spec.last}")

@@ -217,12 +217,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitweave",
         description="Search for cache-friendly bit-interleaved array layouts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    layout = _option("--layout", "-l", required=True, help='rank sequence, e.g. "[0,1,0,1]"')
+    pattern = _option(
+        "--pattern", "-p", required=True, help="kernel as Kind(log2 extents;element size)"
+    )
+    cache = _option("--cache", "-c", help=f"preset ({', '.join(PRESETS)}) or file path")
+    seed = _option("--seed", type=int, default=GAConfig.seed)
+    out = _option("--out", default=".", help="directory to write the CSV into")
 
     enum_p = sub.add_parser("enumerate", help="count and list the layouts of a shape")
     enum_p.add_argument("--bits", required=True, help="per-dimension bit widths, e.g. 3,3")
@@ -231,49 +245,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enum_p.set_defaults(func=cmd_enumerate)
 
-    index_p = sub.add_parser("index", help="map a coordinate to its linear index or back")
-    index_p.add_argument("--layout", "-l", required=True, help='rank sequence, e.g. "[0,1,0,1]"')
+    index_p = sub.add_parser(
+        "index", parents=[layout], help="map a coordinate to its linear index or back"
+    )
     group = index_p.add_mutually_exclusive_group(required=True)
     group.add_argument("--coord", help="comma-separated coordinate, e.g. 3,5")
     group.add_argument("--index", type=int, help="linear element index")
     index_p.set_defaults(func=cmd_index)
 
-    sim_p = sub.add_parser("simulate", help="score one layout under a kernel and cache")
-    sim_p.add_argument("--layout", "-l", required=True)
-    sim_p.add_argument(
-        "--pattern", "-p", required=True, help="kernel as Kind(log2 extents;element size)"
+    sim_p = sub.add_parser(
+        "simulate",
+        parents=[layout, pattern, cache],
+        help="score one layout under a kernel and cache",
     )
-    sim_p.add_argument("--cache", "-c", help=f"preset ({', '.join(PRESETS)}) or file path")
     sim_p.add_argument("--trace", help="also write the event trace to this file")
     sim_p.set_defaults(func=cmd_simulate)
 
-    evo_p = sub.add_parser("evolve", help="run the genetic layout search")
-    evo_p.add_argument("--pattern", "-p", required=True)
-    evo_p.add_argument("--cache", "-c")
-    evo_p.add_argument("--mu", type=int, default=20, help="survivors per generation")
-    evo_p.add_argument("--lambda", dest="lambda_", type=int, default=20, help="offspring per generation")
-    evo_p.add_argument("--mutation-rate", type=float, default=0.25)
-    evo_p.add_argument("--generations", type=int, default=20)
-    evo_p.add_argument("--seed", type=int, default=0)
+    evo_p = sub.add_parser(
+        "evolve", parents=[pattern, cache, seed, out], help="run the genetic layout search"
+    )
+    evo_p.add_argument("--mu", type=int, default=GAConfig.mu, help="survivors per generation")
+    evo_p.add_argument(
+        "--lambda", dest="lambda_", type=int, default=GAConfig.lambda_,
+        help="offspring per generation",
+    )
+    evo_p.add_argument("--mutation-rate", type=float, default=GAConfig.mutation_rate)
+    evo_p.add_argument("--generations", type=int, default=GAConfig.generations)
     evo_p.add_argument(
         "--contiguity", help="d:k — every offspring keeps 2^k contiguous elements along dimension d"
     )
-    evo_p.add_argument("--out", default=".", help="directory for history.csv")
     evo_p.set_defaults(func=cmd_evolve)
 
-    sample_p = sub.add_parser("sample", help="score random layouts into a CSV")
-    sample_p.add_argument("--pattern", "-p", required=True)
-    sample_p.add_argument("--cache", "-c")
+    sample_p = sub.add_parser(
+        "sample", parents=[pattern, cache, seed, out], help="score random layouts into a CSV"
+    )
     sample_p.add_argument("--count", type=int, default=100)
-    sample_p.add_argument("--seed", type=int, default=0)
-    sample_p.add_argument("--out", default=".", help="directory for sample.csv")
     sample_p.set_defaults(func=cmd_sample)
 
     bench_p = sub.add_parser(
-        "bench", help="time a replay of a kernel's trace on real data (informational)"
+        "bench",
+        parents=[layout, pattern],
+        help="time a replay of a kernel's trace on real data (informational)",
     )
-    bench_p.add_argument("--layout", "-l", required=True)
-    bench_p.add_argument("--pattern", "-p", required=True)
     bench_p.add_argument("--repeat", type=int, default=3)
     bench_p.set_defaults(func=cmd_bench)
 

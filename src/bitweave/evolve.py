@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import csv
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Callable, NamedTuple, Optional
 
 from bitweave.cachesim import HierarchySpec
 from bitweave.fitness import FitnessValue, evaluate
-from bitweave.layout import Layout, Shape, canonical_layout
+from bitweave.layout import Layout, Shape, _integer, _is_pow2, canonical_layout
 from bitweave.patterns import PatternSpec
 
 __all__ = [
@@ -51,6 +52,8 @@ class GAConfig:
     contiguity: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
+        for field in ("mu", "lambda_", "generations"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field.rstrip("_")))
         if self.mu < 1:
             raise ValueError(f"mu must be >= 1, got {self.mu}")
         if self.lambda_ < 1:
@@ -60,10 +63,11 @@ class GAConfig:
         if self.generations < 0:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
         if self.contiguity is not None:
-            dim, block = self.contiguity
+            dim, block = _integer(self.contiguity, "contiguity", many=True)
+            object.__setattr__(self, "contiguity", (dim, block))
             if dim < 0:
                 raise ValueError(f"contiguity dimension must be >= 0, got {dim}")
-            if block < 1 or (block & (block - 1)):
+            if not _is_pow2(block):
                 raise ValueError(f"contiguity block must be a power of two, got {block}")
 
 
@@ -115,29 +119,20 @@ def ox_crossover(parent_a: Layout, parent_b: Layout, cut: tuple[int, int]) -> La
     i, j = cut
     if not (0 <= i < j <= total):
         raise ValueError(f"cut must satisfy 0 <= i < j <= {total}, got {cut}")
-    need: dict[int, int] = {}
-    for g in ranks_a[i:j]:
-        need[g] = need.get(g, 0) + 1
-    skip = [False] * total
-    for idx in range(i, j):
-        g = ranks_b[idx]
-        if need.get(g, 0) > 0:
-            need[g] -= 1
-            skip[idx] = True
-    for idx in range(total):
-        if not skip[idx]:
-            g = ranks_b[idx]
-            if need.get(g, 0) > 0:
+    need = Counter(ranks_a[i:j])
+
+    def kept(genes: tuple[int, ...]) -> tuple[int, ...]:
+        out = []
+        for g in genes:
+            if need[g]:
                 need[g] -= 1
-                skip[idx] = True
-    fill = (ranks_b[idx] for idx in range(total) if not skip[idx])
-    out: list[int] = []
-    for pos in range(total):
-        if i <= pos < j:
-            out.append(ranks_a[pos])
-        else:
-            out.append(next(fill))
-    return Layout(tuple(out), parent_a.shape)
+            else:
+                out.append(g)
+        return tuple(out)
+
+    window = kept(ranks_b[i:j])
+    fill = kept(ranks_b[:i]) + window + kept(ranks_b[j:])
+    return Layout(fill[:i] + ranks_a[i:j] + fill[i:], parent_a.shape)
 
 
 def inversion_mutation(layout: Layout, segment: tuple[int, int]) -> Layout:

@@ -65,12 +65,21 @@ def scatter_bits(value: int, mask: int) -> int:
     return out
 
 
-def _integers(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints, or TypeError if one is not an integer."""
+def _integer(value: object, what: str, many: bool = False):
+    """``value`` as an int, or TypeError naming ``what`` if it is not an
+    integer; if ``many``, ``value`` is a sequence and comes back as a tuple
+    of ints.  Every value type of the package checks its sizes, counts and
+    positions with this, and its powers of two with _is_pow2."""
     try:
-        return tuple(map(operator.index, values))
+        return tuple(map(operator.index, value)) if many else operator.index(value)
     except TypeError:
-        raise TypeError(f"{what} must be integers, got {values!r}") from None
+        kind = "integers" if many else "an integer"
+        raise TypeError(f"{what} must be {kind}, got {value!r}") from None
+
+
+def _is_pow2(n: int) -> bool:
+    """Whether the integer ``n`` is a power of two."""
+    return n > 0 and n & (n - 1) == 0
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,7 @@ class Shape:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _integers(self.bits, "shape bits"))
+        object.__setattr__(self, "bits", _integer(self.bits, "shape bits", many=True))
         if len(self.bits) == 0:
             raise ValueError("shape needs at least one dimension")
         for d, b in enumerate(self.bits):
@@ -126,7 +135,7 @@ class Layout:
     shape: Shape
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ranks", _integers(self.ranks, "ranks"))
+        object.__setattr__(self, "ranks", _integer(self.ranks, "ranks", many=True))
         shape = self.shape
         total = shape.total_bits
         if len(self.ranks) != total:
@@ -215,7 +224,7 @@ def canonical_layout(shape: Shape, axis_order: Sequence[int] | None = None) -> L
     """
     if axis_order is None:
         axis_order = range(shape.ndim)
-    order = tuple(int(d) for d in axis_order)
+    order = _integer(axis_order, "axis order", many=True)
     if sorted(order) != list(range(shape.ndim)):
         raise ValueError(f"axis_order {order} is not a permutation of 0..{shape.ndim - 1}")
     ranks: list[int] = []

@@ -37,8 +37,8 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from bitweave.cachesim import CHUNK_EVENTS, LOAD, STORE, Chunk, _integer
-from bitweave.layout import Layout, Shape
+from bitweave.cachesim import CHUNK_EVENTS, LOAD, STORE, Chunk
+from bitweave.layout import Layout, Shape, _integer, _is_pow2
 
 __all__ = [
     "PATTERN_KINDS",
@@ -245,8 +245,9 @@ class PatternSpec:
                 f"unknown pattern kind {self.kind!r}; valid: {', '.join(PATTERN_KINDS)}"
             )
         for name in ("m", "n", "p", "element_size"):
-            if getattr(self, name) is not None:
-                _integer(self, name, f"{self.kind}: {name}")
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _integer(value, f"{self.kind}: {name}"))
         wanted = PATTERN_KINDS[self.kind]
         given = {"m": self.m, "n": self.n, "p": self.p}
         for name in wanted:
@@ -259,7 +260,7 @@ class PatternSpec:
             if value is not None:
                 raise ValueError(f"{self.kind} takes no parameter {name}")
         size = self.element_size
-        if size < 1 or size & (size - 1):
+        if not _is_pow2(size):
             raise ValueError(f"{self.kind}: element size must be a power of two, got {size}")
 
     @property
@@ -323,6 +324,9 @@ class ArrayBinding:
     element_size: int
 
     def __post_init__(self) -> None:
+        for field, what in (("base", "base"), ("element_size", "element size")):
+            value = _integer(getattr(self, field), f"{self.name}: {what}")
+            object.__setattr__(self, field, value)
         if self.base < 0:
             raise ValueError(f"{self.name}: negative base address")
         if self.element_size < 1:
@@ -394,7 +398,8 @@ def bind_arrays(spec: PatternSpec, layout: Layout, line: int = 1) -> tuple[Array
             f"layout shape bits {layout.shape.bits} do not match "
             f"{spec.kind} arrays {spec.primary_bits}"
         )
-    if line < 1 or (line & (line - 1)):
+    line = _integer(line, "line")
+    if not _is_pow2(line):
         raise ValueError(f"line must be a power of two, got {line}")
     bindings = []
     cursor = 0

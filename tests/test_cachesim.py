@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -840,6 +841,28 @@ class TestChunkSizes:
             state.run((addresses[a:b], stores[a:b]) for a, b in zip(bounds, bounds[1:]))
             results[size] = state.flush_writeback()
         assert all(stats == results[n] for stats in results.values()), results
+
+    def test_long_chunk_runs_in_bounded_passes(self):
+        # 1,300,500 events in one chunk.  As one first-level pass it peaked
+        # at 42.2 MiB; in passes of CHUNK_EVENTS it peaks at 1.36 MiB
+        # (Python 3.11, numpy 2.4.6), as generate_trace's chunks do.
+        spec = load_cache_spec("haswell")
+        pattern = parse_pattern("Jacobi2D(9,9;4)")
+        layout = canonical_layout(pattern.primary_shape())
+        chunks = list(generate_trace(pattern, layout, place_arrays(pattern, layout, spec)))
+        chunked_state = build_hierarchy(spec)
+        chunked_state.run(chunks)
+        whole = tuple(map(np.concatenate, zip(*chunks)))
+        del chunks
+        state = build_hierarchy(spec)
+        tracemalloc.start()
+        try:
+            state.run([whole])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+        assert state.flush_writeback() == chunked_state.flush_writeback()
 
 
 def wide_outer() -> HierarchySpec:

@@ -9,7 +9,8 @@ import pytest
 from bitweave import cachesim
 from bitweave.cachesim import CacheLevelSpec, HierarchySpec, build_hierarchy
 from bitweave.cachespec import load_cache_spec, render_cache_spec
-from bitweave.cli import ENV_CACHE, main
+from bitweave.cli import ENV_CACHE, build_parser, main
+from bitweave.evolve import GAConfig
 from bitweave.layout import canonical_layout, layout_from_text
 from bitweave.patterns import (
     PATTERN_KINDS,
@@ -273,6 +274,18 @@ class TestEvolve:
         for line in (out / "history.csv").read_text().splitlines()[2:]:
             text = line.split(",", 4)[4].strip('"')
             assert layout_from_text(text).contiguity_block(0) >= 2
+
+    def test_defaults_are_gaconfig_defaults(self):
+        args = build_parser().parse_args(["evolve", "-p", "MMijk(2;4)"])
+        options = GAConfig(
+            mu=args.mu,
+            lambda_=args.lambda_,
+            mutation_rate=args.mutation_rate,
+            generations=args.generations,
+            seed=args.seed,
+        )
+        assert options == GAConfig()
+        assert args.contiguity is None
 
     def test_bad_contiguity(self, tiny_cache, capsys):
         argv = ["evolve", "-p", "MMijk(2;4)", "-c", tiny_cache, "--contiguity", "0"]

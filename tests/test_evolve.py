@@ -4,6 +4,7 @@ import io
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import bitweave.evolve as evolve_module
@@ -63,6 +64,12 @@ class TestConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             GAConfig(**kwargs)
+
+    def test_integer_fields_are_stored_as_int(self):
+        config = GAConfig(mu=np.int64(3), generations=np.uint8(2), contiguity=[np.int32(0), 4])
+        assert type(config.mu) is type(config.generations) is int
+        assert config.contiguity == (0, 4)
+        assert {type(v) for v in config.contiguity} == {int}
 
 
 class TestSeeds:
@@ -293,6 +300,25 @@ class TestRunEvolution:
         monkeypatch.setattr(evolve_module, "evaluate", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="contiguity"):
             run_evolution(shape, pattern, hierarchy, GAConfig(contiguity=contiguity))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "kwargs, what",
+        [
+            ({"mu": 2.5}, "mu must be an integer"),
+            ({"lambda_": 2.0}, "lambda must be an integer"),
+            ({"generations": 1.5}, "generations must be an integer"),
+            ({"contiguity": (0.0, 4)}, "contiguity must be integers"),
+            ({"contiguity": (0, 4.0)}, "contiguity must be integers"),
+        ],
+    )
+    def test_non_integers_rejected_before_evaluation(self, kwargs, what, monkeypatch):
+        # mu=2.5 used to score a generation and then fail on a slice index.
+        shape, pattern, hierarchy = self.tiny_setup()
+        calls = []
+        monkeypatch.setattr(evolve_module, "evaluate", lambda *args: calls.append(args))
+        with pytest.raises(TypeError, match=what):
+            run_evolution(shape, pattern, hierarchy, GAConfig(**kwargs))
         assert calls == []
 
     def test_memo_counts_every_evaluator_call(self, monkeypatch):

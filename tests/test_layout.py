@@ -95,6 +95,12 @@ class TestConstructors:
         with pytest.raises(ValueError):
             canonical_layout(Shape((2, 2)), (0, 0))
 
+    @pytest.mark.parametrize("order", [(1.9, 0.2), (1, 0.0), ("1", 0)])
+    def test_axis_order_must_be_integers(self, order):
+        # (1.9, 0.2) used to truncate to the column-major order (1, 0).
+        with pytest.raises(TypeError, match="axis order must be integers"):
+            canonical_layout(Shape((2, 2)), order)
+
     def test_morton_balanced(self):
         assert morton_layout(Shape((3, 3))).ranks == (0, 1, 0, 1, 0, 1)
 

@@ -209,6 +209,13 @@ class TestBind:
         with pytest.raises(ValueError):
             bind_arrays(spec, layout, line=48)
 
+    @pytest.mark.parametrize("line", [64.0, "64"])
+    def test_line_must_be_an_integer(self, line):
+        spec = PatternSpec("MMijk", m=2)
+        layout = canonical_layout(spec.primary_shape())
+        with pytest.raises(TypeError, match="line must be an integer"):
+            bind_arrays(spec, layout, line=line)
+
     def test_mmt_output_narrower(self):
         # n > m: the 2^m x 2^m output drops the surplus dimension-0 bits
         # from the significant end of the chromosome
@@ -232,6 +239,20 @@ class TestBind:
         for size in (0, -4):
             with pytest.raises(ValueError, match="element size"):
                 ArrayBinding("X", layout, 0, size)
+
+    @pytest.mark.parametrize(
+        "base, size, what",
+        [(64.7, 4, "base"), (64.0, 4, "base"), ("64", 4, "base"), (64, 4.0, "element size")],
+    )
+    def test_binding_fields_must_be_integers(self, base, size, what):
+        layout = canonical_layout(Shape((2, 2)))
+        with pytest.raises(TypeError, match=f"X: {what} must be an integer"):
+            ArrayBinding("X", layout, base, size)
+
+    def test_integer_binding_fields_are_stored_as_int(self):
+        binding = ArrayBinding("X", canonical_layout(Shape((2, 2))), np.uint64(64), np.int32(4))
+        assert type(binding.base) is type(binding.element_size) is int
+        assert type(binding.address((1, 1))) is int
 
     def test_table_width_cap(self):
         binding = ArrayBinding("X", canonical_layout(Shape((25, 1))), 0, 4)
