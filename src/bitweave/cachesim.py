@@ -539,24 +539,25 @@ class CacheState:
         if not len(victims):
             return
         # A victim goes to victim_to, clean or dirty; else a dirty one is
-        # written back to store_to or memory.
-        target = lvl.victim_next
-        if target is not None:
-            lvl.victim_installs += len(victims)
-        else:
-            evicting, victims = evicting[victims_dirty], victims[victims_dirty]
-            victims_dirty = True
-            lvl.writebacks += len(victims)
-            target = lvl.store_next
-            if target is None:
-                self.memory_writebacks += len(victims)
-                return
-        target.send(
-            victims << np.uint64(lvl.line_shift),
-            victims_dirty,
-            False,
-            miss_keys[evicting] | lvl.slot,
+        # written back.
+        victim_keys = miss_keys[evicting] | lvl.slot
+        if lvl.victim_next is None:
+            self._write_back(lvl, victims[victims_dirty], victim_keys[victims_dirty])
+            return
+        lvl.victim_installs += len(victims)
+        lvl.victim_next.send(
+            victims << np.uint64(lvl.line_shift), victims_dirty, False, victim_keys
         )
+
+    def _write_back(self, lvl: _Level, lines: np.ndarray, keys: np.ndarray) -> None:
+        """Count the write-backs of these dirty lines of ``lvl``, and send
+        them, with their merge keys, to its store_to level as installs of
+        dirty lines, or count them at memory."""
+        lvl.writebacks += len(lines)
+        if lvl.store_next is None:
+            self.memory_writebacks += len(lines)
+        else:
+            lvl.store_next.send(lines << np.uint64(lvl.line_shift), True, False, keys)
 
     # -- flush and reporting ---------------------------------------------
 
@@ -582,16 +583,10 @@ class CacheState:
             if not n:
                 continue
             rows = rows[found]
-            lines = lvl.tags[rows, columns]
             lvl.dirty[rows, columns] = False
-            lvl.writebacks += n
-            if lvl.store_next is None:
-                self.memory_writebacks += n
-            else:
-                addresses = lines << np.uint64(lvl.line_shift)
-                start = self._advance(n)
-                keys = np.arange(start, start + n, dtype=np.uint64) << self._key_shift
-                lvl.store_next.send(addresses, True, False, keys)
+            start = self._advance(n)
+            keys = np.arange(start, start + n, dtype=np.uint64) << self._key_shift
+            self._write_back(lvl, lvl.tags[rows, columns], keys)
         return self.collect_stats()
 
     def collect_stats(self) -> SimStats:

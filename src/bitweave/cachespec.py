@@ -49,32 +49,33 @@ _LEVEL_REQUIRED = ("sets", "ways", "line", "replacement", "write_back", "latency
 _MEMORY_KEYS = ("first", "last", "latency")
 
 
-class _Ctx:
-    def __init__(self, source: str) -> None:
-        self.source = source
-
-    def fail(self, node: yaml.Node | None, message: str) -> ValueError:
-        if node is not None:
-            return ValueError(f"{self.source}:{node.start_mark.line + 1}: {message}")
-        return ValueError(f"{self.source}: {message}")
+class _SpecError(ValueError):
+    """An error already located in the source."""
 
 
-def _mapping(ctx: _Ctx, node: yaml.Node, what: str) -> dict[str, tuple[yaml.Node, yaml.Node]]:
+def _fail(source: str, node: yaml.Node | None, message: str) -> _SpecError:
+    """``message`` located at ``node``'s line of ``source``, if any."""
+    if node is not None:
+        return _SpecError(f"{source}:{node.start_mark.line + 1}: {message}")
+    return _SpecError(f"{source}: {message}")
+
+
+def _mapping(source: str, node: yaml.Node, what: str) -> dict[str, tuple[yaml.Node, yaml.Node]]:
     if not isinstance(node, yaml.MappingNode):
-        raise ctx.fail(node, f"{what} must be a mapping")
+        raise _fail(source, node, f"{what} must be a mapping")
     out: dict[str, tuple[yaml.Node, yaml.Node]] = {}
     for key_node, value_node in node.value:
         if not isinstance(key_node, yaml.ScalarNode):
-            raise ctx.fail(key_node, f"{what} keys must be scalars")
+            raise _fail(source, key_node, f"{what} keys must be scalars")
         key = key_node.value
         if key in out:
-            raise ctx.fail(key_node, f"duplicate key {key!r} in {what}")
+            raise _fail(source, key_node, f"duplicate key {key!r} in {what}")
         out[key] = (key_node, value_node)
     return out
 
 
 def _check_keys(
-    ctx: _Ctx,
+    source: str,
     entries: dict[str, tuple[yaml.Node, yaml.Node]],
     allowed: Collection[str],
     required: tuple[str, ...],
@@ -83,30 +84,30 @@ def _check_keys(
 ) -> None:
     for key, (key_node, _) in entries.items():
         if key not in allowed:
-            raise ctx.fail(key_node, f"unknown key {key!r} in {what}")
+            raise _fail(source, key_node, f"unknown key {key!r} in {what}")
     for key in required:
         if key not in entries:
-            raise ctx.fail(where, f"{what} is missing required key {key!r}")
+            raise _fail(source, where, f"{what} is missing required key {key!r}")
 
 
-def _int(ctx: _Ctx, node: yaml.Node, what: str) -> int:
+def _int(source: str, node: yaml.Node, what: str) -> int:
     if not isinstance(node, yaml.ScalarNode):
-        raise ctx.fail(node, f"{what} must be an integer")
+        raise _fail(source, node, f"{what} must be an integer")
     try:
         return int(node.value)
     except ValueError:
-        raise ctx.fail(node, f"{what} must be an integer, got {node.value!r}") from None
+        raise _fail(source, node, f"{what} must be an integer, got {node.value!r}") from None
 
 
-def _bool(ctx: _Ctx, node: yaml.Node, what: str) -> bool:
+def _bool(source: str, node: yaml.Node, what: str) -> bool:
     if isinstance(node, yaml.ScalarNode) and node.value.lower() in ("true", "false"):
         return node.value.lower() == "true"
-    raise ctx.fail(node, f"{what} must be true or false")
+    raise _fail(source, node, f"{what} must be true or false")
 
 
-def _str(ctx: _Ctx, node: yaml.Node, what: str) -> str:
+def _str(source: str, node: yaml.Node, what: str) -> str:
     if not isinstance(node, yaml.ScalarNode) or not node.value:
-        raise ctx.fail(node, f"{what} must be a name")
+        raise _fail(source, node, f"{what} must be a name")
     return node.value
 
 
@@ -126,7 +127,6 @@ _LEVEL_FIELDS = {
 
 def parse_cache_spec(text: str, source: str = "<string>") -> HierarchySpec:
     """Parse a hierarchy configuration document into a HierarchySpec."""
-    ctx = _Ctx(source)
     try:
         root = yaml.compose(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
@@ -134,24 +134,25 @@ def parse_cache_spec(text: str, source: str = "<string>") -> HierarchySpec:
         line = f":{mark.line + 1}" if mark is not None else ""
         raise ValueError(f"{source}{line}: not valid YAML: {exc}") from None
     if root is None:
-        raise ctx.fail(None, "empty cache specification")
-    top = _mapping(ctx, root, "cache specification")
-    _check_keys(ctx, top, ("caches", "memory"), ("caches", "memory"), "cache specification", root)
+        raise _fail(source, None, "empty cache specification")
+    top = _mapping(source, root, "cache specification")
+    keys = ("caches", "memory")
+    _check_keys(source, top, keys, keys, "cache specification", root)
 
     caches_node = top["caches"][1]
-    levels_map = _mapping(ctx, caches_node, "caches")
+    levels_map = _mapping(source, caches_node, "caches")
     if not levels_map:
-        raise ctx.fail(caches_node, "caches declares no levels")
+        raise _fail(source, caches_node, "caches declares no levels")
 
     levels: list[CacheLevelSpec] = []
     for name, (name_node, body) in levels_map.items():
-        entries = _mapping(ctx, body, f"cache level {name!r}")
+        entries = _mapping(source, body, f"cache level {name!r}")
         _check_keys(
-            ctx, entries, _LEVEL_FIELDS, _LEVEL_REQUIRED, f"cache level {name!r}", name_node
+            source, entries, _LEVEL_FIELDS, _LEVEL_REQUIRED, f"cache level {name!r}", name_node
         )
         try:
             values = {
-                key: parse(ctx, entries[key][1], key)
+                key: parse(source, entries[key][1], key)
                 for key, parse in _LEVEL_FIELDS.items()
                 if key in entries
             }
@@ -165,18 +166,18 @@ def parse_cache_spec(text: str, source: str = "<string>") -> HierarchySpec:
                 )
             if not write_back:
                 raise ValueError(f"{name}: only write-back caches are supported")
+        except _SpecError:
+            raise
         except ValueError as exc:
-            if str(exc).startswith(source):
-                raise
-            raise ctx.fail(name_node, str(exc)) from None
+            raise _fail(source, name_node, str(exc)) from None
 
     memory_node = top["memory"][1]
-    mem = _mapping(ctx, memory_node, "memory")
-    _check_keys(ctx, mem, _MEMORY_KEYS, _MEMORY_KEYS, "memory", memory_node)
+    mem = _mapping(source, memory_node, "memory")
+    _check_keys(source, mem, _MEMORY_KEYS, _MEMORY_KEYS, "memory", memory_node)
     try:
-        memory_latency = _int(ctx, mem["latency"][1], "memory latency")
-        first = _str(ctx, mem["first"][1], "first")
-        last = _str(ctx, mem["last"][1], "last")
+        memory_latency = _int(source, mem["latency"][1], "memory latency")
+        first = _str(source, mem["first"][1], "first")
+        last = _str(source, mem["last"][1], "last")
         # The ends restate the list order.  HierarchySpec reports a bad
         # latency before them, and bad links after them.
         if memory_latency >= 1:
@@ -189,10 +190,10 @@ def parse_cache_spec(text: str, source: str = "<string>") -> HierarchySpec:
                     f"last level {last!r} must be the outermost ({levels[-1].name!r})"
                 )
         return HierarchySpec(tuple(levels), memory_latency)
+    except _SpecError:
+        raise
     except ValueError as exc:
-        if str(exc).startswith(source):
-            raise
-        raise ctx.fail(memory_node, str(exc)) from None
+        raise _fail(source, memory_node, str(exc)) from None
 
 
 def render_cache_spec(spec: HierarchySpec) -> str:

@@ -25,6 +25,7 @@ from bitweave.cachespec import PRESETS, load_cache_spec
 from bitweave.evolve import GAConfig, run_evolution, write_history_csv
 from bitweave.fitness import FitnessValue, evaluate, place_arrays
 from bitweave.layout import (
+    MAX_TOTAL_BITS,
     Layout,
     Shape,
     count_layouts,
@@ -61,8 +62,9 @@ def _parse_contiguity(text: str) -> tuple[int, int]:
         dim, k = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"contiguity must be d:k with integers, got {text!r}") from None
-    if k < 0:
-        raise ValueError(f"contiguity exponent must be >= 0, got {k}")
+    # No shape has more bits than that, and a larger shift could be huge.
+    if not 0 <= k <= MAX_TOTAL_BITS:
+        raise ValueError(f"contiguity exponent must be in 0..{MAX_TOTAL_BITS}, got {text!r}")
     return dim, 1 << k
 
 

@@ -210,16 +210,15 @@ def run_evolution(
     constraint no layout of the shape can meet is rejected before anything
     is evaluated.
     """
-    if shape != pattern.primary_shape():
-        raise ValueError(
-            f"shape {shape.bits} does not match pattern arrays {pattern.primary_bits}"
-        )
+    primary = pattern.primary_shape()
+    if shape != primary:
+        raise ValueError(f"shape {shape.bits} does not match pattern arrays {primary.bits}")
     if config.contiguity is not None:
         dim, block = config.contiguity
         if dim >= shape.ndim or block > 1 << shape.bits[dim]:
             raise ValueError(
-                f"contiguity of {block} elements along dimension {dim} is impossible "
-                f"for shape bits {shape.bits}"
+                f"contiguity of 2^{block.bit_length() - 1} elements along dimension {dim} "
+                f"is impossible for shape bits {shape.bits}"
             )
 
     def evaluator(layout: Layout) -> FitnessValue:

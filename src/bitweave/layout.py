@@ -21,6 +21,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -155,23 +156,21 @@ class Layout:
                     f"dimension {d} appears {have} times but has {want} bits; "
                     "the layout would not be bijective"
                 )
-        # Deposit masks are on the hot path of address generation; build once.
-        masks = [0] * shape.ndim
-        for k, r in enumerate(self.ranks):
-            masks[r] |= 1 << k
-        object.__setattr__(self, "_masks", tuple(masks))
 
-    @property
+    @cached_property
     def deposit_masks(self) -> tuple[int, ...]:
         """Per-dimension masks of output bit positions, LSB first."""
-        return self._masks  # type: ignore[attr-defined]
+        masks = [0] * self.shape.ndim
+        for k, r in enumerate(self.ranks):
+            masks[r] |= 1 << k
+        return tuple(masks)
 
     def index(self, coord: Sequence[int]) -> int:
         """Map a coordinate to its linear element index."""
         shape = self.shape
         if len(coord) != shape.ndim:
             raise ValueError(f"coordinate has {len(coord)} components, shape has {shape.ndim}")
-        masks = self._masks  # type: ignore[attr-defined]
+        masks = self.deposit_masks
         out = 0
         for d, (x, b) in enumerate(zip(coord, shape.bits)):
             if not 0 <= x < (1 << b):

@@ -269,14 +269,10 @@ class PatternSpec:
             getattr(self, name) for name in PATTERN_KINDS[self.kind]
         )
 
-    @property
-    def primary_bits(self) -> tuple[int, ...]:
-        """Shape bits of the arrays the interleave chromosome targets: the
-        first array's."""
-        return self.arrays()[0][1]
-
     def primary_shape(self) -> Shape:
-        return Shape(self.primary_bits)
+        """Shape of the arrays the interleave chromosome targets: the first
+        array's."""
+        return Shape(self.arrays()[0][1])
 
     def arrays(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """(name, shape bits) of every array, in binding order."""
@@ -393,10 +389,11 @@ def bind_arrays(spec: PatternSpec, layout: Layout, line: int = 1) -> tuple[Array
     the transposed multiplications' differently-shaped output derives its
     rank sequence from the same chromosome (see _adapt_layout).
     """
-    if layout.shape.bits != spec.primary_bits:
+    primary = spec.primary_shape()
+    if layout.shape != primary:
         raise ValueError(
             f"layout shape bits {layout.shape.bits} do not match "
-            f"{spec.kind} arrays {spec.primary_bits}"
+            f"{spec.kind} arrays {primary.bits}"
         )
     line = _integer(line, "line")
     if not _is_pow2(line):
@@ -404,9 +401,8 @@ def bind_arrays(spec: PatternSpec, layout: Layout, line: int = 1) -> tuple[Array
     bindings = []
     cursor = 0
     for name, bits in spec.arrays():
-        lay = layout if bits == layout.shape.bits else _adapt_layout(layout, bits)
         base = (cursor + line - 1) & ~(line - 1)
-        bindings.append(ArrayBinding(name, lay, base, spec.element_size))
+        bindings.append(ArrayBinding(name, _adapt_layout(layout, bits), base, spec.element_size))
         cursor = bindings[-1].end
     return tuple(bindings)
 
@@ -417,8 +413,11 @@ def _adapt_layout(layout: Layout, bits: tuple[int, ...]) -> Layout:
     Surplus bits of a dimension are trimmed from the significant end and
     missing ones appended there, preserving the low-order interleave that
     determines cache behaviour.  Needed only for the output array of the
-    transposed multiplications when m != n.
+    transposed multiplications when m != n; an array of the layout's own
+    shape takes the layout itself.
     """
+    if bits == layout.shape.bits:
+        return layout
     if len(bits) != layout.shape.ndim:
         raise ValueError("adapted shape must keep the dimension count")
     ranks = list(layout.ranks)
@@ -448,7 +447,8 @@ def generate_trace(
     mask.  Every event has the pattern's element size.
 
     A pure function of (spec, layout, bindings); with the default packed
-    bindings the trace depends on nothing else.
+    bindings the trace depends on nothing else.  Given bindings must be
+    those of bind_arrays for this layout, up to their bases.
     """
     if bindings is None:
         bindings = bind_arrays(spec, layout)
@@ -456,6 +456,10 @@ def generate_trace(
     if given != [(name, bits, spec.element_size) for name, bits in spec.arrays()]:
         names = [b.name for b in bindings]
         raise ValueError(f"bindings {names} do not match the arrays of {spec}")
+    if bindings[0].layout != layout or any(
+        b.layout != _adapt_layout(layout, b.shape.bits) for b in bindings[1:]
+    ):
+        raise ValueError(f"bindings do not carry the layout {layout.to_text()}")
     # The per-dimension terms of an address have disjoint bits, so their OR
     # is their sum, and the base can be folded into the first table.
     tables = [(b.tables[0] + np.uint64(b.base), *b.tables[1:]) for b in bindings]
@@ -525,22 +529,25 @@ def _block(items: tuple, env: dict, ranges: dict, lead: tuple, tables: list) -> 
     block, the iterations outside a body's own bounds are masked out."""
     addresses = np.empty((*lead, _width(items, ranges)), dtype=np.uint64)
     stores = np.empty(addresses.shape[-1], dtype=bool)
-    keep = np.ones(addresses.shape, dtype=bool) if _ragged(items, env) else None
-    _fill(items, env, ranges, addresses, stores, keep, tables)
+    keep = np.ones(addresses.shape, dtype=bool)
+    ragged = _fill(items, env, ranges, addresses, stores, keep, tables)
     stores = np.broadcast_to(stores, addresses.shape)
-    if keep is None:
-        return addresses.ravel(), stores.ravel()
-    return addresses[keep], stores[keep]
+    if ragged:
+        return addresses[keep], stores[keep]
+    return addresses.ravel(), stores.ravel()
 
 
-def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, keep, tables: list) -> None:
+def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, keep, tables: list) -> bool:
     """Write the events of ``items`` along the last axis of ``addresses``
-    (and of ``keep``, if any) and their store flags along that of
-    ``stores``; the other axes are the block's and the enclosing loops'."""
+    and their store flags along that of ``stores``; the other axes are the
+    block's and the enclosing loops'.  Clears ``keep`` where a loop bound
+    that varies across those axes excludes an iteration, and returns
+    whether any bound varied."""
     terms = {term for item in items if isinstance(item, _Ref) for term in item.subscripts}
     values = {term: _value(term, env) for term in terms}
     lead = addresses.shape[:-1]
     pos = 0
+    ragged = False
     for item in items:
         if isinstance(item, _Ref):
             first, *rest = map(getitem, tables[item.array], map(values.get, item.subscripts))
@@ -556,16 +563,18 @@ def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, keep, tables
         part, shape = slice(pos, pos + (hi - lo) * width), (hi - lo, width)
         pos = part.stop
         steps = np.arange(lo, hi).reshape(*[1] * len(lead), hi - lo)
-        sub_keep = None if keep is None else keep[..., part].reshape(*lead, *shape)
+        sub_keep = keep[..., part].reshape(*lead, *shape)
         for bound, within in ((item.start, np.greater_equal), (item.stop, np.less)):
             limit = _value(bound, env)
             if isinstance(limit, np.ndarray):
                 sub_keep &= within(steps, limit[..., None])[..., None]
+                ragged = True
         sub_env = {k: v[..., None] if isinstance(v, np.ndarray) else v for k, v in env.items()}
         sub_env[item.var] = steps
         sub_addresses = addresses[..., part].reshape(*lead, *shape)
         sub_stores = stores[..., part].reshape(*stores.shape[:-1], *shape)
-        _fill(item.body, sub_env, inner, sub_addresses, sub_stores, sub_keep, tables)
+        ragged |= _fill(item.body, sub_env, inner, sub_addresses, sub_stores, sub_keep, tables)
+    return ragged
 
 
 def _iterations(loop: _Loop, ranges: dict) -> tuple[int, int, dict, int]:
@@ -589,22 +598,6 @@ def _width(items: tuple, ranges: dict) -> int:
             lo, hi, _, each = _iterations(item, ranges)
             width += (hi - lo) * each
     return width
-
-
-def _ragged(items: tuple, env: dict) -> bool:
-    """Whether a loop among ``items`` has a bound that is not an int, so
-    that its trip count varies across a block."""
-    return any(
-        isinstance(item, _Loop)
-        and (
-            any(
-                name and not isinstance(env.get(name), int)
-                for name, _ in (item.start, item.stop)
-            )
-            or _ragged(item.body, env)
-        )
-        for item in items
-    )
 
 
 def _value(term: _Term, env: dict):

@@ -125,6 +125,21 @@ class TestParsing:
             parse_cache_spec(text, source="cache.yaml")
         assert str(err.value) == "cache.yaml:2: L1: latency must be >= 1"
 
+    # A source named like the start of a message still prefixes it.
+    @pytest.mark.parametrize(
+        "source, old, new, message",
+        [
+            ("L1", "    latency: 4\n", "    latency: 0\n", "2: L1: latency must be >= 1"),
+            ("L", "    latency: 4\n", "    latency: 0\n", "2: L1: latency must be >= 1"),
+            ("memory", "  latency: 200", "  latency: 0", "29: memory latency must be >= 1"),
+        ],
+        ids=["L1", "L", "memory"],
+    )
+    def test_error_located_whatever_the_source(self, source, old, new, message):
+        with pytest.raises(ValueError) as err:
+            parse_cache_spec(GOOD.replace(old, new), source=source)
+        assert str(err.value) == f"{source}:{message}"
+
     def test_wrong_first_level(self):
         with pytest.raises(ValueError) as err:
             parse_cache_spec(GOOD.replace("first: L1", "first: L2"), source="cache.yaml")

@@ -292,7 +292,7 @@ class TestEvolve:
         assert main(argv) == 1
         assert "d:k" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("contiguity", ["0:5", "5:1"])
+    @pytest.mark.parametrize("contiguity", ["0:5", "5:1", "0:99999"])
     def test_impossible_contiguity(self, contiguity, tiny_cache, capsys):
         argv = ["evolve", "-p", "MMijk(2;4)", "-c", tiny_cache, "--contiguity", contiguity]
         assert main(argv) == 1

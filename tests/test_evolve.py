@@ -293,13 +293,14 @@ class TestRunEvolution:
         with pytest.raises(ValueError, match="does not match"):
             run_evolution(Shape((3, 3)), pattern, hierarchy, GAConfig(generations=0))
 
-    @pytest.mark.parametrize("contiguity", [(2, 1), (0, 8), (1, 16)])
+    @pytest.mark.parametrize("contiguity", [(2, 1), (0, 8), (1, 16), (0, 1 << 5000)])
     def test_impossible_contiguity_rejected_before_evaluation(self, contiguity, monkeypatch):
         shape, pattern, hierarchy = self.tiny_setup()
         calls = []
         monkeypatch.setattr(evolve_module, "evaluate", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="contiguity"):
+        with pytest.raises(ValueError, match="contiguity") as err:
             run_evolution(shape, pattern, hierarchy, GAConfig(contiguity=contiguity))
+        assert f"2^{contiguity[1].bit_length() - 1} elements" in str(err.value)
         assert calls == []
 
     @pytest.mark.parametrize(

@@ -126,13 +126,13 @@ class TestParse:
 
 class TestShapes:
     def test_primary_bits(self):
-        assert PatternSpec("MMijk", m=3).primary_bits == (3, 3)
-        assert PatternSpec("MMTijk", m=3, n=4).primary_bits == (4, 3)
-        assert PatternSpec("MMTikj", m=2, n=5).primary_bits == (5, 2)
-        assert PatternSpec("Jacobi2D", m=2, n=3).primary_bits == (3, 2)
-        assert PatternSpec("Cholesky", m=4).primary_bits == (4, 4)
-        assert PatternSpec("Crout", m=4).primary_bits == (4, 4)
-        assert PatternSpec("Himeno", m=2, n=3, p=4).primary_bits == (4, 3, 2)
+        assert PatternSpec("MMijk", m=3).primary_shape().bits == (3, 3)
+        assert PatternSpec("MMTijk", m=3, n=4).primary_shape().bits == (4, 3)
+        assert PatternSpec("MMTikj", m=2, n=5).primary_shape().bits == (5, 2)
+        assert PatternSpec("Jacobi2D", m=2, n=3).primary_shape().bits == (3, 2)
+        assert PatternSpec("Cholesky", m=4).primary_shape().bits == (4, 4)
+        assert PatternSpec("Crout", m=4).primary_shape().bits == (4, 4)
+        assert PatternSpec("Himeno", m=2, n=3, p=4).primary_shape().bits == (4, 3, 2)
 
     def test_primary_shape_element_size(self):
         # The shape counts elements; the bytes per element go to the arrays.
@@ -581,6 +581,19 @@ class TestChunks:
             generate_trace(spec, canonical_layout(spec.primary_shape()), bindings)
         with pytest.raises(ValueError, match="do not match"):
             generate_trace(other, canonical_layout(other.primary_shape()), bindings[:2])
+
+    @pytest.mark.parametrize("text", ["MMijk(3;4)", "MMTijk(2,3;4)"])
+    def test_bindings_of_another_layout_rejected(self, text):
+        spec = parse_pattern(text)
+        shape = spec.primary_shape()
+        canonical, morton = canonical_layout(shape), morton_layout(shape)
+        with pytest.raises(ValueError, match="do not carry the layout"):
+            generate_trace(spec, canonical, bind_arrays(spec, morton))
+        # The arrays after the first must carry the layout bind_arrays derives.
+        first, *rest = bind_arrays(spec, morton)
+        rest = [ArrayBinding(b.name, canonical_layout(b.shape), b.base, 4) for b in rest]
+        with pytest.raises(ValueError, match="do not carry the layout"):
+            generate_trace(spec, morton, (first, *rest))
 
     def test_address_beyond_64_bits_rejected(self):
         spec = PatternSpec("MMijk", m=31, element_size=8)
