@@ -22,8 +22,12 @@ and one declared ``(M,N,P)`` has bits (p, n, m).
 
 One interpreter turns a nest into the trace, as numpy chunks of uint64 byte
 addresses and a bool store mask, by broadcasting each array's per-dimension
-index tables over blocks of loop iterations.  Only addresses matter here:
-every event has the pattern's element size.
+index tables over blocks of loop iterations.  A block is a run of one
+loop's iterations sized by its own rectangle: the iterations times the
+events of one body, every inner loop running from its lowest start to its
+highest stop in the block.  The rectangle holds at most CHUNK_EVENTS
+events; a triangular nest masks out what lies outside its bounds.  Only
+addresses matter here: every event has the pattern's element size.
 """
 
 from __future__ import annotations
@@ -499,39 +503,81 @@ def _rechunk(blocks: Iterator[Chunk]) -> Iterator[Chunk]:
 def _walk(items: tuple, env: dict, ranges: dict, tables: list) -> Iterator[Chunk]:
     """Blocks of the trace of a body whose variables are all bound to ints.
 
-    A loop is cut into blocks of consecutive iterations holding up to
-    CHUNK_EVENTS events, each iteration broadcast against the loops inside
-    it.  A loop with iterations wider than that is walked one at a time.
+    A loop is cut into blocks of consecutive iterations, each broadcast
+    against the loops inside it and sized by its own rectangle (see
+    _next_block), which holds at most CHUNK_EVENTS events.  An iteration
+    whose rectangle alone is wider than that is walked on its own.
     """
     for is_loop, group in groupby(items, lambda item: isinstance(item, _Loop)):
         if not is_loop:
-            yield _block(tuple(group), env, ranges, (), tables)
+            refs = tuple(group)
+            yield _block(refs, env, ranges, (len(refs),), tables)
             continue
         for loop in group:
             lo, hi, _, width = _iterations(loop, ranges)
-            if width > CHUNK_EVENTS:
-                for x in range(lo, hi):
-                    inner_env, inner_ranges = {**env, loop.var: x}, {**ranges, loop.var: (x, x)}
-                    yield from _walk(loop.body, inner_env, inner_ranges, tables)
-            elif width:
-                step = CHUNK_EVENTS // width
-                for first in range(lo, hi, step):
-                    last = min(first + step, hi)
-                    block_env = {**env, loop.var: np.arange(first, last)}
-                    block_ranges = {**ranges, loop.var: (first, last - 1)}
-                    yield _block(loop.body, block_env, block_ranges, (last - first,), tables)
+            if not width:
+                continue
+            # The step that fits the widest iteration: the largest where every
+            # iteration is as wide.
+            step = max(1, CHUNK_EVENTS // width)
+            first = lo
+            while first < hi:
+                step, block_ranges, shape = _next_block(loop, ranges, first, hi, step)
+                if shape[0] * shape[1] > CHUNK_EVENTS:
+                    yield from _walk(loop.body, {**env, loop.var: first}, block_ranges, tables)
+                else:
+                    block_env = {**env, loop.var: np.arange(first, first + shape[0])}
+                    yield _block(loop.body, block_env, block_ranges, shape, tables)
+                first += shape[0]
 
 
-def _block(items: tuple, env: dict, ranges: dict, lead: tuple, tables: list) -> Chunk:
-    """The events of ``items`` for ``lead`` bodies, filled into one
-    preallocated (bodies, events) array.  Every loop runs from its lowest
-    start to its highest stop in the block; where a bound varies across the
-    block, the iterations outside a body's own bounds are masked out."""
-    addresses = np.empty((*lead, _width(items, ranges)), dtype=np.uint64)
-    stores = np.empty(addresses.shape[-1], dtype=bool)
-    keep = np.ones(addresses.shape, dtype=bool)
+def _next_block(
+    loop: _Loop, ranges: dict, first: int, hi: int, step: int
+) -> tuple[int, dict, tuple[int, int]]:
+    """The next block of ``loop``'s iterations, from ``first`` to at most
+    ``hi``: its step, the ranges inside it and its rectangle's shape, the
+    iterations by the events of one body with every inner loop running
+    from its lowest start to its highest stop in the block.
+
+    The step comes from the previous block.  It doubles while the rectangle
+    fits in CHUNK_EVENTS and halves until it does, so a block costs a few
+    width sums; a rectangle of one iteration may still not fit.
+    """
+    block_ranges, shape = _rectangle(loop, ranges, first, min(first + step, hi))
+    while shape[0] * shape[1] <= CHUNK_EVENTS and first + shape[0] < hi:
+        last = min(first + 2 * step, hi)
+        # A wider block is never narrower: skip one that cannot fit.
+        if (last - first) * shape[1] > CHUNK_EVENTS:
+            break
+        wider_ranges, wider = _rectangle(loop, ranges, first, last)
+        if wider[0] * wider[1] > CHUNK_EVENTS:
+            break
+        step, block_ranges, shape = 2 * step, wider_ranges, wider
+    while shape[0] > 1 and shape[0] * shape[1] > CHUNK_EVENTS:
+        step //= 2
+        block_ranges, shape = _rectangle(loop, ranges, first, min(first + step, hi))
+    return step, block_ranges, shape
+
+
+def _rectangle(loop: _Loop, ranges: dict, first: int, last: int) -> tuple[dict, tuple[int, int]]:
+    """The ranges inside the block of ``loop``'s iterations [first, last),
+    and its rectangle's shape."""
+    block_ranges = {**ranges, loop.var: (first, last - 1)}
+    return block_ranges, (last - first, _width(loop.body, block_ranges))
+
+
+def _block(items: tuple, env: dict, ranges: dict, shape: tuple, tables: list) -> Chunk:
+    """The events of ``items`` for the bodies of a block, filled into one
+    preallocated array of ``shape``, the block's rectangle: the block's
+    bodies by the events of one body, at most CHUNK_EVENTS events unless it
+    is one body of references.  Every loop runs from its lowest start to
+    its highest stop in the block; where a bound varies across the block,
+    the iterations outside a body's own bounds are masked out."""
+    addresses = np.empty(shape, dtype=np.uint64)
+    stores = np.empty(shape[-1], dtype=bool)
+    keep = np.ones(shape, dtype=bool)
     ragged = _fill(items, env, ranges, addresses, stores, keep, tables)
-    stores = np.broadcast_to(stores, addresses.shape)
+    stores = np.broadcast_to(stores, shape)
     if ragged:
         return addresses[keep], stores[keep]
     return addresses.ravel(), stores.ravel()
@@ -563,12 +609,15 @@ def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, keep, tables
         part, shape = slice(pos, pos + (hi - lo) * width), (hi - lo, width)
         pos = part.stop
         steps = np.arange(lo, hi).reshape(*[1] * len(lead), hi - lo)
-        sub_keep = keep[..., part].reshape(*lead, *shape)
+        part_keep = keep[..., part]
         for bound, within in ((item.start, np.greater_equal), (item.stop, np.less)):
             limit = _value(bound, env)
             if isinstance(limit, np.ndarray):
-                sub_keep &= within(steps, limit[..., None])[..., None]
+                # Each iteration's flag repeated over its events: one pass
+                # along the contiguous axis, however short the body.
+                part_keep &= np.repeat(within(steps, limit[..., None]), width, axis=-1)
                 ragged = True
+        sub_keep = part_keep.reshape(*lead, *shape)
         sub_env = {k: v[..., None] if isinstance(v, np.ndarray) else v for k, v in env.items()}
         sub_env[item.var] = steps
         sub_addresses = addresses[..., part].reshape(*lead, *shape)

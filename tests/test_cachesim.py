@@ -1090,3 +1090,44 @@ class TestPassBranches:
         assert contents(state) == contents(expected)
         first = [(overflows, span) for name, overflows, span, _ in passes if name == "L1"]
         assert first == [(True, 2 << 18 | 9), (False, 4), (True, 2 << 18 | 9)]
+
+
+def run_compressed(rng, length):
+    """A line sequence with no line twice in a row: stretches that cycle
+    over a few lines, so windows run from a handful of positions to
+    hundreds, with few or many distinct lines in them."""
+    seq = [0]
+    while len(seq) < length:
+        lines = rng.randint(2, 60)
+        few = rng.sample(range(lines), k=rng.randint(1, min(lines, 20)))
+        for _ in range(rng.randint(1, 150)):
+            line = rng.choice(few)
+            if line != seq[-1]:
+                seq.append(line)
+    # The last position closes the widest window: back to the line whose
+    # latest access is the oldest.
+    latest = {line: k for k, line in enumerate(seq)}
+    seq.append(min(latest, key=latest.get))
+    return seq
+
+
+class TestFewerDistinct:
+    """_fewer_distinct against counting each window's lines."""
+
+    @pytest.mark.parametrize("ways", [1, 2, 4, 8, 16])
+    def test_matches_brute_force(self, ways):
+        rng = random.Random(ways)
+        for _ in range(3):
+            seq = run_compressed(rng, 1500)
+            prev, latest = [], {}
+            for k, line in enumerate(seq):
+                prev.append(latest.get(line, -1))
+                latest[line] = k
+            ends = [k for k, p in enumerate(prev) if p >= 0]
+            assert ends[-1] == len(seq) - 1 and len(ends) > cachesim._SLAB_ROWS
+            rng.shuffle(ends)
+            got = cachesim._fewer_distinct(
+                np.array(prev, dtype=np.int64), np.array(ends, dtype=np.intp), ways
+            )
+            expected = [len(set(seq[prev[k] + 1 : k])) < ways for k in ends]
+            assert got.tolist() == expected

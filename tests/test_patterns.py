@@ -3,12 +3,15 @@
 import hashlib
 import io
 import json
+import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bitweave import patterns
 from bitweave.cachesim import CHUNK_EVENTS
 from bitweave.layout import (
     Layout,
@@ -631,6 +634,96 @@ class TestScalarOracle:
         layout = seeded_layout(spec.primary_shape(), random.Random(text))
         bindings = bind_arrays(spec, layout, line=16)
         assert trace_events(generate_trace(spec, layout, bindings)) == walk_trace(spec, bindings)
+
+
+# Small enough that at these chunk sizes loops are cut into blocks of
+# several iterations, walked one iteration at a time, or both.
+SMALL_CHUNK_CASES = [
+    "Cholesky(3;4)", "Cholesky(5;4)", "Crout(3;4)", "Crout(5;4)",
+    "Himeno(2,3,3;4)", "MMTijk(2,4;4)", "Jacobi2D(3,5;4)",
+]
+
+
+def widest_body(loop):
+    """The most references one body of the nest lists."""
+    refs = sum(isinstance(item, patterns._Ref) for item in loop.body)
+    loops = [item for item in loop.body if isinstance(item, patterns._Loop)]
+    return max([refs, *map(widest_body, loops)])
+
+
+class TestSmallChunks:
+    """The block rule at chunk sizes that reach every way through it."""
+
+    @pytest.mark.parametrize("size", [7, 64, 257, 1000])
+    def test_matches_oracle_in_bounded_blocks(self, size, monkeypatch):
+        monkeypatch.setattr(patterns, "CHUNK_EVENTS", size)
+        block, walk = patterns._block, patterns._walk
+        mixed = []
+        for text in SMALL_CHUNK_CASES:
+            spec = parse_pattern(text)
+            nest = patterns._KERNELS[spec.kind].nest
+            # How the outermost loop's iterations went: in blocks of several,
+            # or walked on their own.
+            rectangles, paths = [], set()
+
+            def spy_block(items, env, ranges, shape, tables):
+                rectangles.append(math.prod(shape))
+                if isinstance(env.get(nest.var), np.ndarray) and len(env[nest.var]) > 1:
+                    paths.add("grouped")
+                return block(items, env, ranges, shape, tables)
+
+            def spy_walk(items, env, ranges, tables):
+                if isinstance(env.get(nest.var), int):
+                    paths.add("alone")
+                return walk(items, env, ranges, tables)
+
+            monkeypatch.setattr(patterns, "_block", spy_block)
+            monkeypatch.setattr(patterns, "_walk", spy_walk)
+            layout = seeded_layout(spec.primary_shape(), random.Random(text))
+            bindings = bind_arrays(spec, layout, line=16)
+            chunks = list(generate_trace(spec, layout, bindings))
+            assert all(len(addresses) == size for addresses, _ in chunks[:-1])
+            assert trace_events(chunks) == walk_trace(spec, bindings), text
+            assert max(rectangles) <= max(size, widest_body(nest)), text
+            if paths == {"grouped", "alone"}:
+                mixed.append(text)
+        # Some outermost loop takes both ways, except at a size where no
+        # iteration of any is narrow enough to share a block.
+        assert mixed or size == 7
+
+
+class TestGenerationMemory:
+    """What generating a trace alone allocates at its peak: the index
+    tables, a block's arrays and the chunk being cut.  Each bound is the
+    figure measured (Python 3.11, numpy 2.4.6) plus 25%, as in
+    test_fitness.TestMemory.  A triangular nest's blocks are no larger
+    than a rectangular one's, so with their masks and compacted copies
+    they may not peak above the largest rectangular trace, Jacobi2D's."""
+
+    JACOBI_PEAK = 1_381_316
+
+    @pytest.mark.parametrize(
+        "text, measured",
+        [
+            ("Crout(6;8)", 1_082_374),
+            ("Cholesky(6;4)", 1_107_454),
+            ("Jacobi2D(7,9;4)", JACOBI_PEAK),
+            ("Himeno(3,5,5;4)", 1_189_620),
+        ],
+    )
+    def test_generate_peak(self, text, measured):
+        spec = parse_pattern(text)
+        layout = canonical_layout(spec.primary_shape())
+        tracemalloc.start()
+        try:
+            for _ in generate_trace(spec, layout):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= measured * 1.25
+        if spec.kind in ("Cholesky", "Crout"):
+            assert peak <= self.JACOBI_PEAK
 
 
 def fill_matrix(binding, rows, cols, rng, flat):
