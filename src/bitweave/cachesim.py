@@ -20,9 +20,11 @@ points to a level listed later, so each level's input is fixed by the
 levels before it, and the levels run one at a time, in list order, each in
 bulk passes over its input.  Within a pass a set's hits, misses and
 victims follow from its own sequence of touches, taken from the lines the
-set holds (LRU first) onward.  By the LRU stack-distance rule a touch hits
-iff fewer than ``ways`` distinct lines of its set were touched since the
-previous touch of its line.  Each miss, and each line held when the pass
+set holds (LRU first) onward.  By LRU's inclusion property (Mattson et
+al., IBM Syst. J. 1970), a touch that misses in a set of j+1 ways also
+misses in a set of j ways, so a pass finds its misses in rounds, from one
+way up to ``ways``, each round keeping the touches that still miss with
+one way more.  Each miss, and each line held when the pass
 starts, begins a residency that runs over the hits to its line until it is
 evicted.  A set evicts its residencies in the order of their last use, and
 only its last misses find it full, so sorting gives every victim and its
@@ -103,12 +105,6 @@ CHUNK_EVENTS = 1 << 15
 # L2 pass of Himeno(3,5,5;4) row-major on haswell allocated 2.4 MiB at its
 # peak, against 0.85 MiB at 2^13.
 _OUTER_EVENTS = 1 << 13
-
-# The first-level pass counts distinct lines in reuse windows over blocks of
-# this many windows by this many positions, so its temporaries have a fixed
-# size whatever the trace.
-_SLAB_ROWS = 512
-_SLAB_COLUMNS = 16
 
 # (addresses, stores): uint64 byte addresses and a bool store mask, in trace order.
 Chunk = tuple[np.ndarray, np.ndarray]
@@ -625,7 +621,8 @@ def _lru_pass(
     from their rows of the level's tables, and the lines they keep written
     back, LRU first.  When no touched set sees more than ``ways`` distinct
     lines, held ones included, every repeat hits and nothing is evicted, so
-    the stack-distance check and the eviction bookkeeping are skipped.
+    the inclusion rounds of _lru_misses and the eviction bookkeeping are
+    skipped.
     Returns the positions of the misses in order; the indices, among those,
     of the misses that evict; and the line each of these evicts and its
     dirty bit.  Each array as long as the touches is deleted after its last
@@ -687,30 +684,19 @@ def _lru_pass(
         by_line = np.argsort(seq, kind="stable")
     grouped = seq[by_line]
     same = grouped[1:] == grouped[:-1]
-    firsts = np.flatnonzero(np.append(True, ~same))
-    line_set = seq_sets[by_line[firsts]]
-    distinct = np.bincount(line_set, minlength=count)
     del grouped
+    firsts = np.flatnonzero(np.append(True, ~same))
+    distinct = np.bincount(seq_sets[by_line[firsts]], minlength=count)
     overflow = distinct.max() > ways
     if overflow:
-        # In line order: a hit iff fewer than ``ways`` distinct lines were
-        # touched since the previous access to the line.  That holds at once
-        # if fewer than ``ways`` accesses lie between, or if the set sees at
-        # most ``ways`` lines in all; otherwise they are counted.
-        hit = np.append(False, same)
-        wide = np.flatnonzero(same & (np.diff(by_line) > ways)) + 1
-        wide = wide[distinct[seq_sets[by_line[wide]]] > ways]
-        if len(wide):
-            prev = np.full(total, -1, dtype=np.int64)
-            prev[by_line[1:][same]] = by_line[:-1][same]
-            hit[wide] = _fewer_distinct(prev, by_line[wide], ways)
-            del prev
-        starts = np.flatnonzero(~hit)
-        del hit, wide
+        del firsts
+        is_miss = np.zeros(total, dtype=bool)
+        is_miss[_lru_misses(by_line, same, ways)] = True
+        starts = np.flatnonzero(is_miss[by_line])
     else:
         # Every repeat hits: each line's touches make one residency.
         starts = firsts
-    del same, firsts, line_set
+    del same
 
     # A residency starts at each miss or held line and runs over the hits to
     # its line after it; it is dirty if any of them is.
@@ -734,8 +720,6 @@ def _lru_pass(
         misses = np.flatnonzero(missed[nheld:])
         _keep(lvl, touched, distinct, res_lines, res_dirty)
         return misses, misses[:0], res_lines[:0], res_dirty[:0]
-    is_miss = np.zeros(total, dtype=bool)
-    is_miss[by_line[starts]] = True
     del by_line, starts
 
     res_set = seq_sets[last_use]
@@ -797,52 +781,43 @@ def _argsort_positions(values: np.ndarray, size: int) -> np.ndarray:
     return slot[slot >= 0]
 
 
-def _fewer_distinct(prev: np.ndarray, ends: np.ndarray, ways: int) -> np.ndarray:
-    """For each position k in ``ends``, whether fewer than ``ways`` distinct
-    lines lie strictly between prev[k] and k.
+def _lru_misses(by_line: np.ndarray, same: np.ndarray, ways: int) -> np.ndarray:
+    """The positions, in order, of the touches that miss in ``ways``-way LRU
+    sets, of a run-compressed sequence that runs set by set; ``by_line``
+    orders its positions by line and then by time, and ``same`` marks where
+    one line's positions go on.
 
-    A position r in that window holds the first access to its line there
-    iff prev[r] < prev[k].  That holds for every r within _SLAB_COLUMNS
-    positions of prev[k] whose own previous access lies more than
-    _SLAB_COLUMNS back; if those alone reach ``ways``, the answer is no.
-    Past the window's first _SLAB_COLUMNS positions only such "far"
-    positions can qualify, so only they are scanned there.  Scans go
-    _SLAB_COLUMNS positions at a time, _SLAB_ROWS windows at once, until
-    ``ways`` first accesses are found or the window ends.
+    A touch u misses with j ways iff prev[u], its line's previous touch or
+    -1, lies before bound[u], the last touch of the j-th most recent line of
+    its set.  With one way, bound[u] is u - 1 and every touch misses.  Only
+    a miss with j ways pushes a line out of the j most recent, so bound[u]
+    with j+1 ways is bound with j ways at the previous miss with j.  By
+    inclusion, each round keeps the candidates that miss with one way more.
+    A bound from an earlier set lies below every prev of the set, as if the
+    way were empty; position 0 takes bound 0.  The rounds stop early once
+    every candidate is a first touch, which always misses.
     """
-    width = _SLAB_COLUMNS
-    columns = np.arange(1, width + 1)
-    last = len(prev) - 1
-    is_far = np.arange(len(prev)) - prev > width
-    far_prev = prev[is_far]
-    # rank[p]: the far positions up to and including p, in 32 bits where
-    # they fit, so that it takes half the room of prev.
-    rank = np.cumsum(is_far, dtype=np.int32 if len(prev) < 1 << 31 else np.intp)
-    del is_far
-    before = prev[ends]
-    sure = rank[np.minimum(before + width, ends - 1)] - rank[before]
-    fewer = sure < ways
-    open_ = np.flatnonzero(fewer)
-    for begin in range(0, len(open_), _SLAB_ROWS):
-        rows = open_[begin : begin + _SLAB_ROWS]
-        end = ends[rows]
-        start = before[rows]
-        near = start[:, None] + columns
-        first = (prev[np.minimum(near, last)] < start[:, None]) & (near < end[:, None])
-        count = np.einsum("ij->i", first, dtype=np.intp)
-        lo = rank[np.minimum(start + width, last)]
-        hi = rank[end - 1]
-        scan = np.flatnonzero((count < ways) & (lo < hi))
-        while len(scan):
-            index = lo[scan, None] + columns - 1
-            first = (far_prev[np.minimum(index, len(far_prev) - 1)] < start[scan, None]) & (
-                index < hi[scan, None]
-            )
-            count[scan] += np.einsum("ij->i", first, dtype=np.intp)
-            lo[scan] += width
-            scan = scan[(count[scan] < ways) & (lo[scan] < hi[scan])]
-        fewer[rows] = count < ways
-    return fewer
+    total = len(by_line)
+    index = np.int32 if total < 1 << 31 else np.intp
+    earlier = np.full(total, -1, dtype=index)
+    np.copyto(earlier[1:], by_line[:-1], where=same, casting="same_kind")
+    prev = np.empty_like(earlier)
+    prev[by_line] = earlier
+    del earlier
+    candidates = np.arange(total, dtype=index)
+    bound = candidates - 1
+    bound[:1] = 0
+    for _ in range(ways - 1):
+        if prev.max(initial=-1) < 0:
+            break
+        # Each candidate takes the bound of the one before it.
+        bound[1:] = bound[:-1]
+        keep = prev < bound
+        # One at a time, so that each old array goes before the next is made.
+        candidates = candidates[keep]
+        prev = prev[keep]
+        bound = bound[keep]
+    return candidates
 
 
 def _check_access(op: str, address: int, size: int, line: int) -> None:

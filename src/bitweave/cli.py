@@ -76,6 +76,18 @@ def _pattern_layout(args: argparse.Namespace) -> tuple[PatternSpec, Layout]:
     return parse_pattern(args.pattern), layout_from_text(args.layout)
 
 
+def _writable(path: Path) -> Path:
+    """``path``, checked to be writable by opening it for appending, which
+    changes no existing file; a file the check creates is removed again.
+    Commands check their outputs so before the work, not after it."""
+    existed = path.exists()
+    with open(path, "a"):
+        pass
+    if not existed:
+        path.unlink()
+    return path
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = Shape(_parse_ints(args.bits, "bits"))
     count = count_layouts(shape)
@@ -118,6 +130,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     pattern, layout = _pattern_layout(args)
     cache_name = _cache_name(args)
     hierarchy = load_cache_spec(cache_name)
+    if args.trace:
+        _writable(Path(args.trace))
     result = evaluate(layout, pattern, hierarchy)
     _print_report(layout, pattern, cache_name, result)
     if args.trace:
@@ -140,10 +154,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         seed=args.seed,
         contiguity=contiguity,
     )
-    history = run_evolution(pattern.primary_shape(), pattern, hierarchy, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "history.csv"
+    path = _writable(out_dir / "history.csv")
+    history = run_evolution(pattern.primary_shape(), pattern, hierarchy, config)
     with open(path, "w", newline="") as fh:
         write_history_csv(history, fh)
     print(f"best fitness {history.best.fitness.value!r} at generation {history.best_generation}")

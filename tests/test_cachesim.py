@@ -670,7 +670,7 @@ def set_cycles(draw):
     """A first level of 1-16 ways, alone or with links to a second level,
     and a trace that stays in one or two of its sets and cycles through
     ways-1, ways or ways+1 lines there, with runs of repeats and reuse
-    windows longer than the first-level pass's slab width."""
+    windows of up to 40 touches of two alternating lines."""
     ways = draw(st.integers(1, 16))
     sets = draw(st.sampled_from((1, 3, 5, 64)))
     links = st.sampled_from((None, "L2") if draw(st.booleans()) else (None,))
@@ -776,6 +776,28 @@ class TestFirstLevelPass:
         state = build_hierarchy(spec)
         state.run(chunked(events))
         assert state.flush_writeback() == accessed(spec, events).flush_writeback()
+
+    @pytest.mark.parametrize("sets, ways", [(1, 1024), (16, 256)])
+    def test_high_associativity(self, sets, ways):
+        # 40,000 events of a column-major Jacobi2D(7,9;4) touch 1,883 lines,
+        # so the sets overflow and evict, in passes of CHUNK_EVENTS.
+        pattern = parse_pattern("Jacobi2D(7,9;4)")
+        layout = canonical_layout(pattern.primary_shape(), (1, 0))
+        chunks = generate_trace(pattern, layout, bind_arrays(pattern, layout, line=64))
+        addresses, stores = (part[:40_000] for part in map(np.concatenate, zip(*chunks)))
+        spec = single_level(sets=sets, ways=ways, line=64)
+        reference = ReferenceHierarchy(spec)
+        for store, address in zip(stores.tolist(), addresses.tolist()):
+            reference.access(store, address)
+        state = build_hierarchy(spec)
+        state.run([(addresses, stores)])
+        assert state.collect_stats().level("L1").misses > 1_883
+        held = [
+            ([line for line, _ in pairs], [dirty for _, dirty in pairs])
+            for pairs in reference.lists["L1"]
+        ]
+        assert contents(state) == [held]
+        assert astuple(state.flush_writeback()) == reference.flush()
 
     def test_bulk_run_never_enters_the_per_event_path(self):
         pattern = parse_pattern("Jacobi2D(7,9;4)")
@@ -1111,23 +1133,65 @@ def run_compressed(rng, length):
     return seq
 
 
-class TestFewerDistinct:
-    """_fewer_distinct against counting each window's lines."""
+def set_major(rng, ways, nsets):
+    """A run-compressed line sequence of ``nsets`` sets, set by set, as the
+    first-level pass orders it; line l belongs to set l % nsets.  One set,
+    drawn at random, cycles over ways-1 to ways+1 lines; the others are
+    run_compressed stretches."""
+    seq = []
+    wide = rng.randrange(nsets)
+    for s in range(nsets):
+        if s == wide:
+            tags = rng.sample(range(4 * ways + 4), max(2, ways + rng.choice((-1, 0, 1))))
+            tags *= rng.randint(2, 3)
+        else:
+            tags = run_compressed(rng, rng.randint(2, 400))
+        seq += [tag * nsets + s for tag in tags]
+    return seq
 
-    @pytest.mark.parametrize("ways", [1, 2, 4, 8, 16])
-    def test_matches_brute_force(self, ways):
+
+def lru_stack_misses(seq, nsets, ways):
+    """The positions of ``seq`` that miss in ``ways``-way LRU sets, each set
+    kept as a list of all its lines, most recent last."""
+    stacks = [[] for _ in range(nsets)]
+    misses = []
+    for k, line in enumerate(seq):
+        stack = stacks[line % nsets]
+        if line not in stack[-ways:]:
+            misses.append(k)
+        if line in stack:
+            stack.remove(line)
+        stack.append(line)
+    return misses
+
+
+def lru_misses(seq, ways):
+    """cachesim._lru_misses of a line sequence, given as the pass gives it."""
+    seq = np.array(seq, dtype=np.uint64)
+    by_line = np.argsort(seq, kind="stable")
+    grouped = seq[by_line]
+    return cachesim._lru_misses(by_line, grouped[1:] == grouped[:-1], ways).tolist()
+
+
+class TestLruMisses:
+    """_lru_misses against per-set LRU stacks."""
+
+    @pytest.mark.parametrize("ways", [1, 2, 3, 4, 8, 16, 1024])
+    def test_matches_lru_stacks(self, ways):
         rng = random.Random(ways)
-        for _ in range(3):
-            seq = run_compressed(rng, 1500)
-            prev, latest = [], {}
-            for k, line in enumerate(seq):
-                prev.append(latest.get(line, -1))
-                latest[line] = k
-            ends = [k for k, p in enumerate(prev) if p >= 0]
-            assert ends[-1] == len(seq) - 1 and len(ends) > cachesim._SLAB_ROWS
-            rng.shuffle(ends)
-            got = cachesim._fewer_distinct(
-                np.array(prev, dtype=np.int64), np.array(ends, dtype=np.intp), ways
-            )
-            expected = [len(set(seq[prev[k] + 1 : k])) < ways for k in ends]
-            assert got.tolist() == expected
+        for nsets in (1, 2, 5):
+            seq = set_major(rng, ways, nsets)
+            assert lru_misses(seq, ways) == lru_stack_misses(seq, nsets, ways)
+        # Two sets, the first starting at position 0: line 0 comes back
+        # after one other line, so it misses with one way and hits with two.
+        expected = [0, 1, 2, 3, 4, 5] if ways == 1 else [0, 1, 3, 4]
+        assert lru_misses([0, 2, 0, 1, 3, 1], ways) == expected
+
+    def test_inclusion(self):
+        # A touch that misses with w + 1 ways misses with w.
+        rng = random.Random(5)
+        for nsets in (1, 3):
+            seq = set_major(rng, 6, nsets)
+            misses = [set(lru_misses(seq, ways)) for ways in range(1, 18)]
+            assert all(wider <= narrower for narrower, wider in zip(misses, misses[1:]))
+            assert misses[0] == set(range(len(seq)))

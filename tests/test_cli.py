@@ -6,6 +6,8 @@ import re
 
 import pytest
 
+import bitweave.cli as cli_module
+import bitweave.evolve as evolve_module
 from bitweave import cachesim
 from bitweave.cachesim import CacheLevelSpec, HierarchySpec, build_hierarchy
 from bitweave.cachespec import load_cache_spec, render_cache_spec
@@ -382,6 +384,40 @@ class TestExitCodes:
             "error: out of memory: cannot map 274877906944 bytes for a cache level:"
             " Cannot allocate memory\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "-p", "MMijk(2;4)", "--out", "{file}/run"],
+            ["evolve", "-p", "MMijk(2;4)", "--out", "{directory}"],
+            ["simulate", "-l", "[0,1,0,1]", "-p", "MMijk(2;4)", "--trace", "{missing}/t.txt"],
+            ["simulate", "-l", "[0,1,0,1]", "-p", "MMijk(2;4)", "--trace", "{directory}"],
+        ],
+        ids=["evolve-under-file", "history-is-dir", "trace-in-missing-dir", "trace-is-dir"],
+    )
+    def test_unwritable_output_fails_before_the_work(self, argv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "directory" / "history.csv").mkdir(parents=True)
+        paths = {name: tmp_path / name for name in ("file", "directory", "missing")}
+        calls = []
+        for module in (cli_module, evolve_module):
+            monkeypatch.setattr(module, "evaluate", lambda *args: calls.append(args))
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert calls == []
+
+    def test_output_check_changes_no_file(self, tmp_path, capsys):
+        # A usage error found by the search comes after the output check,
+        # which neither leaves an empty history nor empties an earlier one.
+        history = tmp_path / "run" / "history.csv"
+        argv = ["evolve", "-p", "MMijk(2;4)", "--contiguity", "0:5", "--out", str(history.parent)]
+        assert main(argv) == 1
+        assert not history.exists()
+        history.write_text("earlier\n")
+        assert main(argv) == 1
+        assert history.read_text() == "earlier\n"
 
     def test_no_command(self, capsys):
         assert main([]) == 1
