@@ -58,13 +58,16 @@ a ``tags`` and a ``dirty`` table of one row per set and ``ways`` columns,
 which hold each set's lines LRU first, and ``fill``, which counts the lines
 of each row.  The columns past a row's fill are stale and never read, so the
 tables start uninitialised and only the rows of sets a run touches are ever
-written.  A pass gathers the held cells of the sets it touches and
-scatters back what they keep; access() reads and writes one row.
+written.  Each table is one contiguous buffer, which the bulk path indexes
+flat, cell ``set * ways + way``: a pass gathers the held cells of the sets
+it touches and scatters back what they keep, and a flush gathers the held
+cells of every holding set, so the table work grows with the cells
+touched, not with the ways of every touched set.  access() reads and
+writes one row of the 2-D view of the same buffer.
 """
 
 from __future__ import annotations
 
-import math
 import mmap
 import reprlib
 from dataclasses import dataclass
@@ -230,18 +233,19 @@ class SimStats:
         return self.loads + self.stores
 
 
-def _table(shape: tuple[int, int], dtype: type) -> np.ndarray:
-    """An uninitialised table.  numpy advises a buffer of 4 MiB or more onto
-    2 MiB huge pages, so one touched set would hold 2 MiB; such a table is a
-    memory mapping of its own, which takes pages only as they are written."""
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    if size < 1 << 22:
-        return np.empty(shape, dtype=dtype)
+def _table(size: int, dtype: type) -> np.ndarray:
+    """An uninitialised flat table of ``size`` entries, in one contiguous
+    buffer.  numpy advises a buffer of 4 MiB or more onto 2 MiB huge pages,
+    so one touched set would hold 2 MiB; such a table is a memory mapping of
+    its own, which takes pages only as they are written."""
+    nbytes = size * np.dtype(dtype).itemsize
+    if nbytes < 1 << 22:
+        return np.empty(size, dtype=dtype)
     try:
-        buffer = mmap.mmap(-1, size)
+        buffer = mmap.mmap(-1, nbytes)
     except OSError as exc:
-        raise MemoryError(f"cannot map {size} bytes for a cache level: {exc.strerror}") from None
-    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
+        raise MemoryError(f"cannot map {nbytes} bytes for a cache level: {exc.strerror}") from None
+    return np.frombuffer(buffer, dtype=dtype)
 
 
 class _Level:
@@ -250,7 +254,9 @@ class _Level:
     pass.
 
     Set s holds ``fill[s]`` lines, LRU first, in ``tags[s]`` and their dirty
-    bits in ``dirty[s]``; the columns past them are stale.
+    bits in ``dirty[s]``; the columns past them are stale.  ``tag_cells`` and
+    ``dirty_cells`` are the same tables viewed flat, cell ``s * ways + w``
+    holding column w of row s.
     """
 
     __slots__ = (
@@ -262,6 +268,8 @@ class _Level:
         "slot",
         "tags",
         "dirty",
+        "tag_cells",
+        "dirty_cells",
         "fill",
         "hits",
         "misses",
@@ -284,8 +292,10 @@ class _Level:
         # What the merge key of a victim sent by this level adds to the key
         # of the touch that evicted it; its fill adds nothing.
         self.slot = np.uint64(slot)
-        self.tags = _table((spec.sets, spec.ways), np.uint64)
-        self.dirty = _table((spec.sets, spec.ways), np.bool_)
+        self.tag_cells = _table(spec.sets * spec.ways, np.uint64)
+        self.dirty_cells = _table(spec.sets * spec.ways, np.bool_)
+        self.tags = self.tag_cells.reshape(spec.sets, spec.ways)
+        self.dirty = self.dirty_cells.reshape(spec.sets, spec.ways)
         self.fill = np.zeros(spec.sets, dtype=np.intp)
         self.hits = 0
         self.misses = 0
@@ -570,19 +580,17 @@ class CacheState:
         for lvl in self._levels:
             self._run_pending(lvl)
             # The dirty lines the level holds, by ascending set and in LRU
-            # order within a set.  numpy finds the nonzero entries of a bool
-            # mask several times faster than those of the intp fill counts.
+            # order within a set.
             rows = np.flatnonzero(lvl.fill > 0)
-            held = np.arange(lvl.ways) < lvl.fill[rows, None]
-            found, columns = np.nonzero(lvl.dirty[rows] & held)
-            n = len(found)
+            cells = _cells(rows, lvl.fill[rows], lvl.ways)
+            cells = cells[lvl.dirty_cells[cells]]
+            n = len(cells)
             if not n:
                 continue
-            rows = rows[found]
-            lvl.dirty[rows, columns] = False
+            lvl.dirty_cells[cells] = False
             start = self._advance(n)
             keys = np.arange(start, start + n, dtype=np.uint64) << self._key_shift
-            self._write_back(lvl, lvl.tags[rows, columns], keys)
+            self._write_back(lvl, lvl.tag_cells[cells], keys)
         return self.collect_stats()
 
     def collect_stats(self) -> SimStats:
@@ -632,7 +640,9 @@ def _lru_pass(
     n = len(addresses)
     lines = addresses >> np.uint64(lvl.line_shift)
     if lvl.set_mask is None:
-        sets = lines % np.uint64(lvl.nsets)
+        # Exact for uint64, and about twice as fast as numpy's unsigned %.
+        nsets = np.uint64(lvl.nsets)
+        sets = lines - lines // nsets * nsets
     else:
         sets = lines & lvl.set_mask
     sets = sets.astype(np.intp)
@@ -648,9 +658,9 @@ def _lru_pass(
     ranks = rank_of[sets]
     del sets, seen, rank_of
     held_counts = lvl.fill[touched]
-    held = _cells(lvl, touched, held_counts)
-    held_lines = lvl.tags[held]
-    held_dirty = lvl.dirty[held]
+    held = _cells(touched, held_counts, ways)
+    held_lines = lvl.tag_cells[held]
+    held_dirty = lvl.dirty_cells[held]
     nheld = len(held_lines)
     all_keys = np.concatenate((np.repeat(np.arange(count, dtype=ranks.dtype), held_counts), ranks))
     # Each set's own sequence: the lines it holds, LRU first, as if just
@@ -748,21 +758,26 @@ def _lru_pass(
     return misses, evicting, res_lines[victim], res_dirty[victim]
 
 
-def _cells(lvl: _Level, touched: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and columns of the first ``counts`` ways of each touched
-    set, by set and then by way."""
-    rows, columns = np.nonzero(np.arange(lvl.ways) < counts[:, None])
-    return touched[rows], columns
+def _cells(touched: np.ndarray, counts: np.ndarray, ways: int) -> np.ndarray:
+    """The flat indices, ``set * ways + way``, of the first ``counts`` ways
+    of each touched set, by set and then by way: the k-th index, in the i-th
+    set, is ``touched[i] * ways + k - first[i]``, where ``first[i]`` counts
+    the cells of the sets before it."""
+    first = np.cumsum(counts) - counts
+    cells = np.repeat(touched * ways - first, counts)
+    cells += np.arange(len(cells))
+    return cells
 
 
 def _keep(
     lvl: _Level, touched: np.ndarray, counts: np.ndarray, lines: np.ndarray, dirty: np.ndarray
 ) -> None:
-    """Write each touched set's row: its ``counts`` lines of ``lines``, which
-    run by set and LRU first within a set, with their dirty bits."""
-    cells = _cells(lvl, touched, counts)
-    lvl.tags[cells] = lines
-    lvl.dirty[cells] = dirty
+    """Write the first ``counts`` cells of each touched set's row: its lines
+    of ``lines``, which run by set and LRU first within a set, with their
+    dirty bits."""
+    cells = _cells(touched, counts, lvl.ways)
+    lvl.tag_cells[cells] = lines
+    lvl.dirty_cells[cells] = dirty
     lvl.fill[touched] = counts
 
 

@@ -175,23 +175,23 @@ def cmd_sample(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "sample.csv"
+    path = _writable(out_dir / "sample.csv")
     header = ["layout", "fitness", "cycles"]
     for level in hierarchy.levels:
         name = level.name.lower()
         header += [f"{name}_hit", f"{name}_miss"]
     header.append("memory_accesses")
+    rows = [header]
+    for _ in range(args.count):
+        layout = random_layout(shape, rng)
+        result = evaluate(layout, pattern, hierarchy)
+        row = [layout.to_text(), repr(result.value), result.cycles]
+        for level in result.stats.levels:
+            row += [level.hits, level.misses]
+        row.append(result.stats.memory_accesses)
+        rows.append(row)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for _ in range(args.count):
-            layout = random_layout(shape, rng)
-            result = evaluate(layout, pattern, hierarchy)
-            row = [layout.to_text(), repr(result.value), result.cycles]
-            for level in result.stats.levels:
-                row += [level.hits, level.misses]
-            row.append(result.stats.memory_accesses)
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     print(f"wrote {path}")
     return 0
 

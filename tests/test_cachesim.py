@@ -976,6 +976,70 @@ class TestRowStorage:
         assert astuple(state.flush_writeback()) == reference.flush()
 
 
+    @pytest.mark.parametrize("nsets", [3, 25600])
+    def test_sets_not_a_power_of_two_at_the_top_of_the_address_range(self, nsets):
+        # Line addresses within 2^12 bytes of 2^64, whose set index the bulk
+        # pass takes by floor division and the reference by Python's %.
+        spec = single_level(nsets, 2, 16)
+        rng = random.Random(nsets)
+        top = [(1 << 64) - (1 << 12) + 16 * k for k in range(1 << 8)]
+        events = [
+            (rng.choice((LOAD, STORE)), rng.choice(top) + rng.randrange(16), 1)
+            for _ in range(3000)
+        ]
+        reference = ReferenceHierarchy(spec)
+        for op, addr, _ in events:
+            reference.access(op == STORE, addr)
+        state = build_hierarchy(spec)
+        state.run(chunked(events, [1000]))
+        assert astuple(state.collect_stats()) == reference.stats()
+        assert contents(state) == reference_contents(reference)
+        assert astuple(state.flush_writeback()) == reference.flush()
+        assert contents(state) == reference_contents(reference)
+
+    def test_mapped_table(self, monkeypatch):
+        # 2^16 sets of 8 ways: a uint64 tag table of 4 MiB, which _table
+        # maps on its own, behind a small first level.
+        mapped = []
+        mapping = cachesim.mmap.mmap
+
+        def record(fileno, length, *args, **kwargs):
+            mapped.append(length)
+            return mapping(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(cachesim.mmap, "mmap", record)
+        spec = HierarchySpec(
+            levels=(
+                CacheLevelSpec(
+                    name="L1", sets=4, ways=2, line=64, latency=1, load_from="L2", store_to="L2"
+                ),
+                CacheLevelSpec(name="L2", sets=1 << 16, ways=8, line=64, latency=2),
+            ),
+            memory_latency=100,
+        )
+        state = build_hierarchy(spec)
+        assert mapped == [4 << 20]
+        outer = state._levels[1]
+        assert np.shares_memory(outer.tags, outer.tag_cells)
+        assert np.shares_memory(outer.dirty, outer.dirty_cells)
+        # Lines of 64 sets spread over the table, 12 tags each: sets
+        # overflow their 8 ways.
+        rng = random.Random(16)
+        lines = [tag << 16 | rng.randrange(1 << 16) for tag in range(12) for _ in range(64)]
+        events = [
+            (rng.choice((LOAD, STORE)), rng.choice(lines) * 64 + 8 * rng.randrange(8), 8)
+            for _ in range(6000)
+        ]
+        reference = ReferenceHierarchy(spec)
+        for op, addr, _ in events:
+            reference.access(op == STORE, addr)
+        state.run(chunked(events, [2000, 4000]))
+        assert astuple(state.collect_stats()) == reference.stats()
+        assert contents(state) == reference_contents(reference)
+        assert astuple(state.flush_writeback()) == reference.flush()
+        assert contents(state) == reference_contents(reference)
+
+
 def contents(state):
     """Each level's sets as (lines LRU first, their dirty bits)."""
     return [
@@ -984,6 +1048,14 @@ def contents(state):
             for s, n in enumerate(level.fill.tolist())
         ]
         for level in state._levels
+    ]
+
+
+def reference_contents(reference):
+    """ReferenceHierarchy's sets in the shape of contents()."""
+    return [
+        [([line for line, _ in pairs], [dirty for _, dirty in pairs]) for pairs in sets]
+        for sets in reference.lists.values()
     ]
 
 
@@ -1195,3 +1267,22 @@ class TestLruMisses:
             misses = [set(lru_misses(seq, ways)) for ways in range(1, 18)]
             assert all(wider <= narrower for narrower, wider in zip(misses, misses[1:]))
             assert misses[0] == set(range(len(seq)))
+
+
+class TestCells:
+    """_cells against the rows and columns of a 2-D mask."""
+
+    @pytest.mark.parametrize("ways", [1, 2, 7, 16])
+    def test_matches_two_dimensional_cells(self, ways):
+        rng = np.random.default_rng(ways)
+        for nsets in (1, 2, 5, 300):
+            for _ in range(20):
+                touched = np.flatnonzero(rng.random(nsets) < 0.5)
+                counts = rng.integers(0, ways + 1, size=len(touched)).astype(np.intp)
+                # An empty and a full row, where there are two rows.
+                if len(counts) > 1:
+                    counts[:2] = 0, ways
+                    rng.shuffle(counts)
+                rows, columns = np.nonzero(np.arange(ways) < counts[:, None])
+                expected = touched[rows] * ways + columns
+                assert cachesim._cells(touched, counts, ways).tolist() == expected.tolist()

@@ -325,6 +325,22 @@ class TestSample:
         argv = ["sample", "-p", "MMijk(2;4)", "-c", tiny_cache, "--count", "0"]
         assert main(argv) == 1
 
+    # 128-byte elements straddle haswell's 64-byte lines, which evaluate
+    # finds after the output check: a usage error from the work itself.
+    def test_usage_error_keeps_an_earlier_csv(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["sample", "-p", "MMijk(2;4)", "--count", "2", "--out", str(out)]) == 0
+        earlier = (out / "sample.csv").read_bytes()
+        assert main(["sample", "-p", "MMijk(2;128)", "--out", str(out)]) == 1
+        assert "straddle" in capsys.readouterr().err
+        assert (out / "sample.csv").read_bytes() == earlier
+
+    def test_usage_error_leaves_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "new"
+        assert main(["sample", "-p", "MMijk(2;128)", "--out", str(out)]) == 1
+        assert "straddle" in capsys.readouterr().err
+        assert not (out / "sample.csv").exists()
+
 
 class TestBench:
     def test_runs(self, capsys):
