@@ -2,7 +2,7 @@
 
 The model is deliberately small: write-back write-allocate caches with
 strict LRU replacement, scalar in-order accesses, no prefetching and no
-coherence.  A demand access enters the first level and recurses along
+coherence.  A demand access enters the first level and goes on along
 ``load_from`` links until it hits or reaches memory; the line is then
 installed at every level on the path.  Evicted lines move to a
 ``victim_to`` target when one is configured (clean or dirty), and dirty
@@ -45,25 +45,23 @@ victims repeat less than accesses, so outer passes gain little from length.
 Events carry merge keys: an access's key is its trace position, a fill keeps
 the key of the touch that missed, and a victim adds its level's slot bit, so
 that where several levels feed one, sorting by key merges their events into
-the order the per-event recursion produces.  A first-level pass computes the
-keys of the events it sends on only, and a pass frees each of its arrays
-after its last use.  flush_writeback is the same cascade: once a level has
+the order that taking the accesses one at a time would give them.  A
+first-level pass computes the keys of the events it sends on only, and a
+pass frees each of its arrays after its last use.  flush_writeback is the same cascade: once a level has
 run all of its input, its dirty lines, by ascending set and in LRU order
 within a set, go to its store_to level as dirty installs keyed after
-everything sent before them.  access() simulates one access on its own,
-recursively: the per-event reference path.
+everything sent before them.
 
 A level keeps its contents in numpy arrays only, allocated with the level:
-a ``tags`` and a ``dirty`` table of one row per set and ``ways`` columns,
-which hold each set's lines LRU first, and ``fill``, which counts the lines
-of each row.  The columns past a row's fill are stale and never read, so the
+a tag and a dirty table of one row per set and ``ways`` columns, which
+hold each set's lines LRU first, and ``fill``, which counts the lines of
+each row.  The columns past a row's fill are stale and never read, so the
 tables start uninitialised and only the rows of sets a run touches are ever
-written.  Each table is one contiguous buffer, which the bulk path indexes
-flat, cell ``set * ways + way``: a pass gathers the held cells of the sets
-it touches and scatters back what they keep, and a flush gathers the held
-cells of every holding set, so the table work grows with the cells
-touched, not with the ways of every touched set.  access() reads and
-writes one row of the 2-D view of the same buffer.
+written.  Each table is one contiguous buffer, indexed flat, cell
+``set * ways + way``: a pass gathers the held cells of the sets it touches
+and scatters back what they keep, and a flush gathers the held cells of
+every holding set, so the table work grows with the cells touched, not with
+the ways of every touched set.
 """
 
 from __future__ import annotations
@@ -253,10 +251,10 @@ class _Level:
     module docstring); and the input events waiting for the level's next
     pass.
 
-    Set s holds ``fill[s]`` lines, LRU first, in ``tags[s]`` and their dirty
-    bits in ``dirty[s]``; the columns past them are stale.  ``tag_cells`` and
-    ``dirty_cells`` are the same tables viewed flat, cell ``s * ways + w``
-    holding column w of row s.
+    Set s holds ``fill[s]`` lines, LRU first, in ``tag_cells`` from cell
+    ``s * ways`` on, and their dirty bits in the same cells of
+    ``dirty_cells``; the cells after them, up to ``(s + 1) * ways``, are
+    stale.
     """
 
     __slots__ = (
@@ -266,8 +264,6 @@ class _Level:
         "line_shift",
         "set_mask",
         "slot",
-        "tags",
-        "dirty",
         "tag_cells",
         "dirty_cells",
         "fill",
@@ -294,8 +290,6 @@ class _Level:
         self.slot = np.uint64(slot)
         self.tag_cells = _table(spec.sets * spec.ways, np.uint64)
         self.dirty_cells = _table(spec.sets * spec.ways, np.bool_)
-        self.tags = self.tag_cells.reshape(spec.sets, spec.ways)
-        self.dirty = self.dirty_cells.reshape(spec.sets, spec.ways)
         self.fill = np.zeros(spec.sets, dtype=np.intp)
         self.hits = 0
         self.misses = 0
@@ -340,7 +334,6 @@ class CacheState:
             if lvl.spec.victim_to:
                 lvl.victim_next = by_name[lvl.spec.victim_to]
         self._first = self._levels[0]
-        self._min_line = min(lvl.spec.line for lvl in self._levels)
         # A merge key is a position above one slot bit per level that can
         # send an event on.  Positions count the events that entered the
         # first level, then the lines flushed, since no input last waited;
@@ -353,87 +346,7 @@ class CacheState:
         self.loads = 0
         self.stores = 0
 
-    # -- per-event reference path -----------------------------------------
-
-    def access(
-        self, op: str, address: int, size: int = 1
-    ) -> tuple[tuple[str, bool], ...]:
-        """Issue one demand access; returns ((level, hit), ..., ('memory', True)?).
-
-        The access must not straddle a line boundary at any level.  It is
-        simulated on its own, one recursive step per level it reaches: the
-        reference path that tests hold run() to.  Both paths share the
-        state, so calls to either may be mixed.
-        """
-        _check_access(op, address, size, self._min_line)
-        self._drain(everything=True)
-        if op == STORE:
-            self.stores += 1
-        else:
-            self.loads += 1
-        record: list[tuple[str, bool]] = []
-        self._demand(self._first, op == STORE, address, record)
-        return tuple(record)
-
-    def _demand(
-        self, lvl: _Level, is_store: bool, addr: int, record: list[tuple[str, bool]]
-    ) -> None:
-        line = addr >> lvl.line_shift
-        s = line % lvl.nsets
-        hit = line in lvl.tags[s, : lvl.fill[s]].tolist()
-        record.append((lvl.spec.name, hit))
-        if hit:
-            lvl.hits += 1
-        else:
-            lvl.misses += 1
-            nxt = lvl.load_next
-            if nxt is None:
-                self.memory_accesses += 1
-                record.append(("memory", True))
-            else:
-                # The fill fetch is a load regardless of the original op.
-                self._demand(nxt, False, addr, record)
-        self._install(lvl, line, is_store)
-
-    def _install(self, lvl: _Level, line: int, dirty: bool) -> None:
-        s = line % lvl.nsets
-        n = int(lvl.fill[s])
-        tags, flags = lvl.tags[s], lvl.dirty[s]
-        held = tags[:n].tolist()
-        victim = None
-        if line in held:
-            k = held.index(line)
-            dirty = dirty or bool(flags[k])
-        elif n < lvl.ways:
-            k = n
-            n += 1
-            lvl.fill[s] = n
-        else:
-            k = 0
-            victim = held[0], bool(flags[0])
-        # Way k leaves, the ways after it move down one, and the line goes
-        # in last, as MRU.
-        if k < n - 1:
-            tags[k : n - 1] = tags[k + 1 : n]
-            flags[k : n - 1] = flags[k + 1 : n]
-        tags[n - 1] = line
-        flags[n - 1] = dirty
-        if victim is not None:
-            self._evict(lvl, *victim)
-
-    def _evict(self, lvl: _Level, vline: int, vdirty: bool) -> None:
-        vaddr = vline << lvl.line_shift
-        if lvl.victim_next is not None:
-            lvl.victim_installs += 1
-            self._install(lvl.victim_next, vaddr >> lvl.victim_next.line_shift, vdirty)
-        elif vdirty:
-            lvl.writebacks += 1
-            if lvl.store_next is not None:
-                self._install(lvl.store_next, vaddr >> lvl.store_next.line_shift, True)
-            else:
-                self.memory_writebacks += 1
-
-    # -- bulk path: one pass per level --------------------------------------
+    # -- one pass per level ------------------------------------------------
 
     def run(self, chunks: Iterable[Chunk]) -> None:
         """Stream a whole trace given as chunks; see the module docstring.
@@ -444,7 +357,7 @@ class CacheState:
         CHUNK_EVENTS events.  After each, an outer level's input waits until
         it holds _OUTER_EVENTS events; then it and every level before it
         run.  Input still waiting runs before anything reads or changes the
-        state: access(), collect_stats() and flush_writeback().
+        state: collect_stats() and flush_writeback().
         """
         first = self._first
         for chunk in chunks:
@@ -594,6 +507,7 @@ class CacheState:
         return self.collect_stats()
 
     def collect_stats(self) -> SimStats:
+        """The counters, once all waiting input has run; before a flush."""
         self._drain(everything=True)
         return SimStats(
             levels=tuple(
@@ -833,21 +747,6 @@ def _lru_misses(by_line: np.ndarray, same: np.ndarray, ways: int) -> np.ndarray:
         prev = prev[keep]
         bound = bound[keep]
     return candidates
-
-
-def _check_access(op: str, address: int, size: int, line: int) -> None:
-    """Reject an access that is neither a load nor a store, has an address
-    or size that is not an integer (TypeError), a negative address or a size
-    below 1, an address of 2^64 or more, or straddles a ``line``-byte line."""
-    if op not in (LOAD, STORE):
-        raise ValueError(f"op must be {LOAD!r} or {STORE!r}, got {op!r}")
-    address, size = _integer(address, "address"), _integer(size, "size")
-    if address < 0 or size < 1:
-        raise ValueError(f"bad access address={address} size={size}")
-    if address >> 64:
-        raise ValueError("trace addresses must fit in 64 bits")
-    if (address & (line - 1)) + size > line:
-        raise ValueError(f"access at {address:#x} size {size} straddles a {line}-byte line")
 
 
 def _check_chunk(addresses: object, stores: object) -> None:

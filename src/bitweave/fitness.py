@@ -132,4 +132,5 @@ def cache_info() -> CacheInfo:
 
 
 def cache_size() -> int:
+    """How many results the memo holds."""
     return _evaluate.cache_info().currsize

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from bitweave.cachesim import LOAD, STORE, CacheLevelSpec, Chunk, HierarchySpec
+from bitweave import cachesim
+from bitweave.cachesim import LOAD, STORE, CacheLevelSpec, CacheState, Chunk, HierarchySpec
 from bitweave.layout import Layout, Shape
 from bitweave.patterns import _KERNELS, PATTERN_KINDS, _Loop
 
@@ -67,6 +70,11 @@ class RecencyListLRU:
         recency.append(line)
         return False
 
+    def misses(self, events) -> list[int]:
+        """The positions of the (op, address, size) events that miss, taken
+        one by one."""
+        return [k for k, (_, address, _) in enumerate(events) if not self.access(address)]
+
 
 class ReferenceHierarchy:
     """Brute-force multi-level reference for write-back write-allocate LRU
@@ -88,16 +96,19 @@ class ReferenceHierarchy:
         self.counts = {level.name: [0, 0, 0, 0] for level in spec.levels}
         self.memory_accesses = self.memory_writebacks = self.loads = self.stores = 0
 
-    def access(self, store: bool, address: int) -> tuple[tuple[str, bool], ...]:
-        """One demand access from the first level; returns the same records
-        as CacheState.access."""
+    def access(self, store: bool, address: int) -> None:
+        """One demand access, a store or a load, from the first level."""
         if store:
             self.stores += 1
         else:
             self.loads += 1
-        record: list[tuple[str, bool]] = []
-        self._demand(next(iter(self.levels)), store, address, record)
-        return tuple(record)
+        self._demand(next(iter(self.levels)), store, address)
+
+    def replay(self, events) -> ReferenceHierarchy:
+        """Take (op, address, size) events one by one; returns self."""
+        for op, address, _ in events:
+            self.access(op == STORE, address)
+        return self
 
     def _find(self, name: str, address: int):
         level = self.levels[name]
@@ -110,21 +121,18 @@ class ReferenceHierarchy:
                 return line, pairs, pair
         return line, pairs, None
 
-    def _demand(self, name: str, store: bool, address: int, record: list) -> None:
+    def _demand(self, name: str, store: bool, address: int) -> None:
         _, _, pair = self._find(name, address)
         if pair is not None:
             pair[1] = pair[1] or store
             self.counts[name][0] += 1
-            record.append((name, True))
             return
         self.counts[name][1] += 1
-        record.append((name, False))
         source = self.levels[name].load_from
         if source is None:
             self.memory_accesses += 1
-            record.append(("memory", True))
         else:
-            self._demand(source, False, address, record)
+            self._demand(source, False, address)
         self._install(name, address, store)
 
     def _install(self, name: str, address: int, dirty: bool) -> None:
@@ -171,6 +179,79 @@ class ReferenceHierarchy:
             self.loads,
             self.stores,
         )
+
+
+def contents(state: CacheState) -> list[dict]:
+    """Per level, each set that holds lines as set: (its lines LRU first,
+    their dirty bits), read from the level's tables viewed as one row per
+    set."""
+    held = []
+    for level in state._levels:
+        tags = level.tag_cells.reshape(level.nsets, level.ways)
+        dirty = level.dirty_cells.reshape(level.nsets, level.ways)
+        fill = enumerate(level.fill.tolist())
+        held.append({s: (tags[s, :n].tolist(), dirty[s, :n].tolist()) for s, n in fill if n})
+    return held
+
+
+def reference_contents(reference: ReferenceHierarchy) -> list[dict]:
+    """ReferenceHierarchy's sets in the shape of contents()."""
+    return [
+        {
+            s: ([line for line, _ in pairs], [dirty for _, dirty in pairs])
+            for s, pairs in enumerate(sets)
+            if pairs
+        }
+        for sets in reference.lists.values()
+    ]
+
+
+@dataclass
+class LruPass:
+    """One call of cachesim._lru_pass: its level and addresses, the lines the
+    sets it touches held before it, LRU first, set by set, and the positions
+    of its misses."""
+
+    level: object
+    addresses: np.ndarray
+    held: list[int]
+    misses: list[int]
+
+
+@contextmanager
+def lru_passes() -> Iterator[list[LruPass]]:
+    """Record every cachesim._lru_pass call made in the block, in order."""
+    record: list[LruPass] = []
+    original = cachesim._lru_pass
+
+    def spy(level, addresses, dirty):
+        rows = level.tag_cells.reshape(level.nsets, level.ways)
+        lines = (addresses >> np.uint64(level.line_shift)).tolist()
+        touched = sorted({line % level.nsets for line in lines})
+        held = [line for s in touched for line in rows[s, : level.fill[s]].tolist()]
+        result = original(level, addresses, dirty)
+        record.append(LruPass(level, addresses, held, result[0].tolist()))
+        return result
+
+    cachesim._lru_pass = spy
+    try:
+        yield record
+    finally:
+        cachesim._lru_pass = original
+
+
+def first_level_misses(state: CacheState, chunks: Iterable[Chunk]) -> list[int]:
+    """Run the chunks through the state; returns the trace positions, from
+    the first chunk's first event on, where its first level missed."""
+    with lru_passes() as passes:
+        state.run(chunks)
+    misses: list[int] = []
+    start = 0
+    for p in passes:
+        if p.level is state._levels[0]:
+            misses += [start + k for k in p.misses]
+            start += len(p.addresses)
+    return misses
 
 
 def single_level(

@@ -44,7 +44,14 @@ from bitweave import (
 from bitweave.cachesim import LOAD, STORE
 from bitweave.fitness import clear_cache
 
-from helpers import RecencyListLRU, random_cut, single_level, trace_events
+from helpers import (
+    RecencyListLRU,
+    chunked,
+    first_level_misses,
+    random_cut,
+    single_level,
+    trace_events,
+)
 
 
 def shape_family(max_bits=16, seed=4):
@@ -152,20 +159,23 @@ def test_05_simulator_matches_recency_list_oracle():
         ways = rng.choice([1, 2, 3, 4, 8])
         line = rng.choice([4, 8, 16, 32, 64])
         state = build_hierarchy(single_level(sets, ways, line))
-        oracle = RecencyListLRU(sets, ways, line)
         length = 10_000 if trace_no % 100 == 0 else rng.randint(50, 2000)
         window = max(4 * sets * ways * line, 4 * line)
+        events = []
         for _ in range(length):
             op = STORE if rng.random() < 0.25 else LOAD
-            address = rng.randrange(window)
-            record = state.access(op, address, 1)
-            assert record[0] == ("L1", oracle.access(address))
+            events.append((op, rng.randrange(window), 1))
+        # Each access's hit or miss, not only the totals.
+        expected = RecencyListLRU(sets, ways, line).misses(events)
+        assert first_level_misses(state, chunked(events)) == expected
     for preset in ("haswell", "zen3"):
         state = build_hierarchy(load_cache_spec(preset))
         n = 20_000
+        events = []
         for _ in range(n):
             op = STORE if rng.random() < 0.25 else LOAD
-            state.access(op, rng.randrange(0, 1 << 22, 4), 4)
+            events.append((op, rng.randrange(0, 1 << 22, 4), 4))
+        state.run(chunked(events))
         stats = state.collect_stats()
         l1, l2, l3 = (stats.level(name) for name in ("L1", "L2", "L3"))
         assert stats.accesses == n

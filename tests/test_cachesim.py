@@ -15,6 +15,8 @@ from bitweave.cachesim import (
     STORE,
     CacheLevelSpec,
     HierarchySpec,
+    LevelStats,
+    SimStats,
     build_hierarchy,
 )
 from bitweave.cachespec import load_cache_spec
@@ -22,7 +24,16 @@ from bitweave.fitness import place_arrays
 from bitweave.layout import canonical_layout
 from bitweave.patterns import bind_arrays, generate_trace, parse_pattern
 
-from helpers import RecencyListLRU, ReferenceHierarchy, chunked, single_level
+from helpers import (
+    RecencyListLRU,
+    ReferenceHierarchy,
+    chunked,
+    contents,
+    first_level_misses,
+    lru_passes,
+    reference_contents,
+    single_level,
+)
 
 
 def three_level(victim: bool = True) -> HierarchySpec:
@@ -171,75 +182,51 @@ class TestSpecs:
             assert all(lvl.hits == 0 and lvl.misses == 0 for lvl in stats.levels)
 
 
+def assert_matches(state, reference):
+    """The state's counters and the lines and dirty bits of its sets equal
+    the reference's, before and after both flush."""
+    assert astuple(state.collect_stats()) == reference.stats()
+    assert contents(state) == reference_contents(reference)
+    assert astuple(state.flush_writeback()) == reference.flush()
+    assert contents(state) == reference_contents(reference)
+
+
+def counters(*levels, memory=0, loads=0, stores=0):
+    """SimStats of (name, hits, misses) per level, with no write-backs or
+    victim installs."""
+    return SimStats(
+        levels=tuple(LevelStats(name, hits, misses, 0, 0) for name, hits, misses in levels),
+        memory_accesses=memory,
+        memory_writebacks=0,
+        loads=loads,
+        stores=stores,
+    )
+
+
 class TestAccess:
+    """What demand accesses count, through run()."""
+
     def test_cold_miss_reaches_memory(self):
         state = build_hierarchy(single_level(sets=4, ways=2, line=64))
-        record = state.access(LOAD, 0x0, 4)
-        assert record == (("L1", False), ("memory", True))
-        assert state.collect_stats().memory_accesses == 1
+        state.run(chunked([(LOAD, 0x0, 4)]))
+        assert state.collect_stats() == counters(("L1", 0, 1), memory=1, loads=1)
 
     def test_same_line_is_a_hit(self):
         state = build_hierarchy(single_level(sets=4, ways=2, line=64))
-        state.access(LOAD, 0x0, 4)
-        record = state.access(LOAD, 0x8, 4)
-        assert record == (("L1", True),)
+        state.run(chunked([(LOAD, 0x0, 4)]))
+        state.run(chunked([(LOAD, 0x8, 4)]))
+        assert state.collect_stats() == counters(("L1", 1, 1), memory=1, loads=2)
 
     def test_two_way_lru_eviction_example(self):
         state = build_hierarchy(single_level(sets=1, ways=2, line=64))
-        results = [state.access(LOAD, a, 4)[0][1] for a in (0, 0, 64, 0, 128, 64)]
-        assert results == [False, True, False, True, False, False]
-        stats = state.collect_stats()
-        assert stats.level("L1").hits == 2
-        assert stats.level("L1").misses == 4
-
-    def test_rejects_bad_op_and_straddle(self):
-        state = build_hierarchy(single_level(sets=4, ways=2, line=64))
-        with pytest.raises(ValueError):
-            state.access("X", 0, 4)
-        with pytest.raises(ValueError):
-            state.access(LOAD, 62, 4)
-
-    @pytest.mark.parametrize(
-        "event",
-        [
-            ("X", 0, 4),
-            (LOAD, 62, 4),
-            (STORE, 0, 0),
-            (LOAD, -4, 4),
-            (LOAD, 0, -1),
-            (LOAD, 1 << 64, 4),
-            (STORE, 1 << 70, 4),
-        ],
-    )
-    def test_rejects_invalid_accesses(self, event):
-        state = build_hierarchy(load_cache_spec("haswell"))
-        with pytest.raises(ValueError):
-            state.access(*event)
-        assert state.collect_stats().accesses == 0
-
-    @pytest.mark.parametrize("event", [(STORE, "4096", 4), (LOAD, 62.5, 1)])
-    def test_rejects_non_integer_addresses(self, event):
-        state = build_hierarchy(single_level(sets=4, ways=2, line=64))
-        with pytest.raises(TypeError, match="integer"):
-            state.access(*event)
-
-    @pytest.mark.parametrize("event", [(LOAD, 0, 1.5), (STORE, 128, 2.5), (LOAD, 192, "4")])
-    def test_rejects_non_integer_sizes(self, event):
-        state = build_hierarchy(load_cache_spec("haswell"))
-        with pytest.raises(TypeError, match="integer"):
-            state.access(*event)
-        assert state.collect_stats().accesses == 0
-
-    def test_rejects_addresses_beyond_64_bits(self):
-        state = build_hierarchy(single_level(sets=4, ways=2, line=64))
-        with pytest.raises(ValueError, match="64 bits"):
-            state.access(LOAD, 1 << 64, 4)
+        events = [(LOAD, a, 4) for a in (0, 0, 64, 0, 128, 64)]
+        assert first_level_misses(state, chunked(events)) == [0, 2, 4, 5]
+        assert state.collect_stats() == counters(("L1", 2, 4), memory=4, loads=6)
 
     def test_distinct_line_cold_misses_propagate(self):
         state = build_hierarchy(load_cache_spec("haswell"))
         n = 32
-        for i in range(n):
-            state.access(LOAD, i * 64, 4)
+        state.run(chunked([(LOAD, i * 64, 4) for i in range(n)]))
         stats = state.collect_stats()
         for name in ("L1", "L2", "L3"):
             assert stats.level(name).misses == n
@@ -248,27 +235,26 @@ class TestAccess:
 
     def test_store_miss_charges_load_path(self):
         state = build_hierarchy(three_level())
-        record = state.access(STORE, 0x0, 4)
-        assert record == (
-            ("L1", False),
-            ("L2", False),
-            ("L3", False),
-            ("memory", True),
+        state.run(chunked([(STORE, 0x0, 4)]))
+        # The store misses at every level, and each fill is a load.
+        assert state.collect_stats() == counters(
+            ("L1", 0, 1), ("L2", 0, 1), ("L3", 0, 1), memory=1, stores=1
         )
         # The line is now resident everywhere; a load hits L1.
-        assert state.access(LOAD, 0x4, 4) == (("L1", True),)
+        state.run(chunked([(LOAD, 0x4, 4)]))
+        assert state.collect_stats() == counters(
+            ("L1", 1, 1), ("L2", 0, 1), ("L3", 0, 1), memory=1, loads=1, stores=1
+        )
 
     def test_run_matches_access_loop(self):
         rng = random.Random(5)
         events = [
             (rng.choice((LOAD, STORE)), rng.randrange(0, 4096, 4), 4) for _ in range(5000)
         ]
-        a = build_hierarchy(three_level())
-        for op, addr, size in events:
-            a.access(op, addr, size)
-        b = build_hierarchy(three_level())
-        b.run(chunked(events))
-        assert a.flush_writeback() == b.flush_writeback()
+        reference = ReferenceHierarchy(three_level()).replay(events)
+        state = build_hierarchy(three_level())
+        state.run(chunked(events))
+        assert_matches(state, reference)
 
 
 class TestChunkChecks:
@@ -280,12 +266,12 @@ class TestChunkChecks:
         ids=["access-tuple", "one-array", "three-addresses", "int"],
     )
     def test_rejects_what_is_not_a_pair(self, chunk):
-        # The (op, address, size) tuples of access() are not a chunk.
+        # An (op, address, size) tuple is not a chunk.
         events = [(STORE, 0, 4), (LOAD, 64, 4)]
         state = build_hierarchy(three_level())
         with pytest.raises(TypeError, match=r"pair \(uint64 addresses, bool store mask\)"):
             state.run([*chunked(events), chunk])
-        assert state.collect_stats() == accessed(three_level(), events).collect_stats()
+        assert_matches(state, ReferenceHierarchy(three_level()).replay(events))
 
     @pytest.mark.parametrize(
         "chunk",
@@ -322,18 +308,20 @@ class TestChunkChecks:
         rng = random.Random(8)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 12, 4), 4) for _ in range(2000)]
         good = chunked(events, [700, 1300])
-        reference = build_hierarchy(three_level())
-        reference.run(good[:1])
+        first_chunk = build_hierarchy(three_level())
+        first_chunk.run(good[:1])
         state = build_hierarchy(three_level())
         bad = (good[1][0], np.ones(len(good[1][0]) + 1, bool))
         with pytest.raises(ValueError):
             state.run([good[0], bad, good[2]])
-        assert state.collect_stats() == reference.collect_stats()
+        assert state.collect_stats() == first_chunk.collect_stats()
         state.run(good[1:])
-        assert state.flush_writeback() == accessed(three_level(), events).flush_writeback()
+        assert_matches(state, ReferenceHierarchy(three_level()).replay(events))
 
 
 class TestOracleEquivalence:
+    """The first level's hit or miss at each access against RecencyListLRU."""
+
     def test_random_traces_single_level(self):
         rng = random.Random(0xCAC4E)
         for _ in range(60):
@@ -341,31 +329,31 @@ class TestOracleEquivalence:
             ways = rng.randint(1, 8)
             line = rng.choice((16, 32, 64))
             state = build_hierarchy(single_level(sets=sets, ways=ways, line=line))
-            oracle = RecencyListLRU(sets, ways, line)
             span = sets * ways * line * 4
+            events = []
             for _ in range(rng.randint(100, 2000)):
                 addr = rng.randrange(0, span, 4)
-                op = STORE if rng.random() < 0.3 else LOAD
-                got = state.access(op, addr, 4)[0][1]
-                assert got == oracle.access(addr)
+                events.append((STORE if rng.random() < 0.3 else LOAD, addr, 4))
+            expected = RecencyListLRU(sets, ways, line).misses(events)
+            assert first_level_misses(state, chunked(events)) == expected
 
     def test_fully_associative(self):
         rng = random.Random(77)
         state = build_hierarchy(single_level(sets=1, ways=8, line=64))
-        oracle = RecencyListLRU(1, 8, 64)
-        for _ in range(4000):
-            addr = rng.randrange(0, 64 * 64, 8)
-            assert state.access(LOAD, addr, 8)[0][1] == oracle.access(addr)
+        events = [(LOAD, rng.randrange(0, 64 * 64, 8), 8) for _ in range(4000)]
+        expected = RecencyListLRU(1, 8, 64).misses(events)
+        assert first_level_misses(state, chunked(events)) == expected
 
     def test_working_set_within_capacity(self):
         # 16 distinct lines into 4 sets x 4 ways: one miss per line, ever.
         state = build_hierarchy(single_level(sets=4, ways=4, line=64))
         rng = random.Random(9)
         lines = list(range(16))
+        events = []
         for _ in range(50):
             rng.shuffle(lines)
-            for ln in lines:
-                state.access(LOAD, ln * 64, 4)
+            events += [(LOAD, ln * 64, 4) for ln in lines]
+        state.run(chunked(events))
         stats = state.collect_stats()
         assert stats.level("L1").misses == 16
         assert stats.level("L1").hits == 50 * 16 - 16
@@ -377,9 +365,11 @@ class TestInclusionAccounting:
         state = build_hierarchy(load_cache_spec(preset))
         rng = random.Random(13)
         n = 20000
+        events = []
         for _ in range(n):
             op = STORE if rng.random() < 0.25 else LOAD
-            state.access(op, rng.randrange(0, 1 << 22, 4), 4)
+            events.append((op, rng.randrange(0, 1 << 22, 4), 4))
+        state.run(chunked(events))
         stats = state.collect_stats()
         l1, l2, l3 = (stats.level(n_) for n_ in ("L1", "L2", "L3"))
         assert l1.accesses == n == stats.accesses
@@ -391,9 +381,11 @@ class TestInclusionAccounting:
         def run_once():
             state = build_hierarchy(load_cache_spec("haswell"))
             rng = random.Random(21)
+            events = []
             for _ in range(5000):
                 op = STORE if rng.random() < 0.5 else LOAD
-                state.access(op, rng.randrange(0, 1 << 20, 8), 8)
+                events.append((op, rng.randrange(0, 1 << 20, 8), 8))
+            state.run(chunked(events))
             return state.flush_writeback()
 
         assert run_once() == run_once()
@@ -402,8 +394,7 @@ class TestInclusionAccounting:
 class TestFlush:
     def test_no_stores_changes_nothing(self):
         state = build_hierarchy(three_level())
-        for i in range(8):
-            state.access(LOAD, i * 64, 4)
+        state.run(chunked([(LOAD, i * 64, 4) for i in range(8)]))
         before = state.collect_stats()
         after = state.flush_writeback()
         assert after.levels == before.levels
@@ -411,7 +402,7 @@ class TestFlush:
 
     def test_single_store_one_writeback_per_level(self):
         state = build_hierarchy(three_level())
-        state.access(STORE, 0x40, 4)
+        state.run(chunked([(STORE, 0x40, 4)]))
         stats = state.flush_writeback()
         assert [lvl.writebacks for lvl in stats.levels] == [1, 1, 1]
         assert stats.memory_writebacks == 1
@@ -422,8 +413,7 @@ class TestFlush:
 
     def test_two_stores_same_line_coalesce(self):
         state = build_hierarchy(three_level())
-        state.access(STORE, 0x40, 4)
-        state.access(STORE, 0x44, 4)
+        state.run(chunked([(STORE, 0x40, 4), (STORE, 0x44, 4)], [1]))
         stats = state.flush_writeback()
         assert stats.level("L1").writebacks == 1
         assert stats.memory_writebacks == 1
@@ -431,9 +421,11 @@ class TestFlush:
     def test_flush_does_not_touch_demand_counters(self):
         state = build_hierarchy(three_level())
         rng = random.Random(31)
+        events = []
         for _ in range(2000):
             op = STORE if rng.random() < 0.5 else LOAD
-            state.access(op, rng.randrange(0, 1 << 14, 4), 4)
+            events.append((op, rng.randrange(0, 1 << 14, 4), 4))
+        state.run(chunked(events))
         before = state.collect_stats()
         after = state.flush_writeback()
         for b, a in zip(before.levels, after.levels):
@@ -460,21 +452,23 @@ class TestVictimCache:
             memory_latency=100,
         )
         state = build_hierarchy(spec)
-        state.access(LOAD, 0, 4)  # cold: install in L2 and L1
-        state.access(LOAD, 64, 4)  # evicts clean line 0 into L2
+        # Cold: install in L2 and L1; then evict clean line 0 into L2.
+        state.run(chunked([(LOAD, 0, 4), (LOAD, 64, 4)]))
         stats = state.collect_stats()
         assert stats.level("L1").victim_installs == 1
         assert stats.level("L2").accesses == 2  # the two demand misses only
-        # Line 0 is still resident in L2, so the re-reference hits there.
-        record = state.access(LOAD, 0, 4)
-        assert record == (("L1", False), ("L2", True))
+        # Line 0 is still resident in L2, so the re-reference misses L1 and
+        # hits there.
+        state.run(chunked([(LOAD, 0, 4)]))
+        stats = state.collect_stats()
+        assert (stats.level("L1").misses, stats.level("L2").hits) == (3, 1)
+        assert stats.memory_accesses == 2
 
     def test_dirty_victim_survives_round_trip(self):
         state = build_hierarchy(three_level(victim=True))
-        # Dirty a line, then push it out of L1 and L2 with conflicting lines.
-        state.access(STORE, 0x0, 4)
-        for i in range(1, 5):
-            state.access(LOAD, i * 128, 4)  # same L1 set as 0 (2 sets x 64B)
+        # Dirty a line, then push it out of L1 and L2 with conflicting lines
+        # of the same L1 set as 0 (2 sets x 64B).
+        state.run(chunked([(STORE, 0x0, 4)] + [(LOAD, i * 128, 4) for i in range(1, 5)]))
         stats = state.flush_writeback()
         # The dirtied line must have reached memory exactly once.
         assert stats.memory_writebacks >= 1
@@ -582,87 +576,54 @@ class TestReferenceHierarchy:
     @settings(max_examples=30, deadline=None)
     @given(spec=outer_hierarchies(), events=long_traces(), data=st.data())
     def test_outer_level_geometries(self, spec, events, data):
-        reference = ReferenceHierarchy(spec)
-        for op, addr, _ in events:
-            reference.access(op == STORE, addr)
+        reference = ReferenceHierarchy(spec).replay(events)
         cut = data.draw(st.integers(0, len(events)))
         state = build_hierarchy(spec)
         state.run(chunked(events, [cut, *range(0, len(events), _OUTER_EVENTS)]))
         assert astuple(state.flush_writeback()) == reference.flush()
 
     @settings(max_examples=300, deadline=None)
-    @given(spec=hierarchies(), events=traces())
-    def test_run_and_flush(self, spec, events):
-        reference = ReferenceHierarchy(spec)
-        for op, addr, _ in events:
-            reference.access(op == STORE, addr)
+    @given(spec=hierarchies(), events=traces(), data=st.data())
+    def test_run_and_flush(self, spec, events, data):
+        # Each segment between the drawn cuts goes to a run() call of its
+        # own; with no cut, the whole trace is one chunk.
+        reference = ReferenceHierarchy(spec).replay(events)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=5)))
         state = build_hierarchy(spec)
-        state.run(chunked(events))
-        assert astuple(state.flush_writeback()) == reference.flush()
-
-    @settings(max_examples=300, deadline=None)
-    @given(spec=hierarchies(), events=traces())
-    def test_access_records(self, spec, events):
-        reference = ReferenceHierarchy(spec)
-        state = build_hierarchy(spec)
-        for op, addr, size in events:
-            assert state.access(op, addr, size) == reference.access(op == STORE, addr)
-        assert astuple(state.flush_writeback()) == reference.flush()
+        for start, end in zip([0, *cuts], [*cuts, len(events)]):
+            state.run(chunked(events[start:end]))
+        assert_matches(state, reference)
 
 
 class TestRunMatchesAccess:
-    """run() with its repeat filter against a per-event access() loop."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(spec=hierarchies(), events=traces(), data=st.data())
-    def test_differential(self, spec, events, data):
-        expected = build_hierarchy(spec)
-        for op, addr, size in events:
-            expected.access(op, addr, size)
-        expected = expected.flush_writeback()
-
-        whole = build_hierarchy(spec)
-        whole.run(chunked(events))
-        assert whole.flush_writeback() == expected
-
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=5)))
-        split = build_hierarchy(spec)
-        for start, end in zip([0, *cuts], [*cuts, len(events)]):
-            split.run(chunked(events[start:end]))
-        assert split.flush_writeback() == expected
+    """run() against ReferenceHierarchy, which takes one access at a time."""
 
     def test_deepest_hierarchy(self):
         # 32 levels use every bit of the merge keys below the position.
         rng = random.Random(11)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 12, 4), 4) for _ in range(3000)]
-        expected = build_hierarchy(deep(32))
-        for event in events:
-            expected.access(*event)
         state = build_hierarchy(deep(32))
         state.run(chunked(events))
-        assert state.flush_writeback() == expected.flush_writeback()
+        assert_matches(state, ReferenceHierarchy(deep(32)).replay(events))
 
     def test_positions_restart_when_keys_run_out(self):
         # With room for only 100 positions per key, every chunk first runs
         # all waiting input and restarts the positions.
         rng = random.Random(12)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 13, 8), 8) for _ in range(3000)]
-        expected = build_hierarchy(three_level())
-        for event in events:
-            expected.access(*event)
         state = build_hierarchy(three_level())
         state._position_limit = 100
         state.run(chunked(events, range(0, 3000, 70)))
-        assert state.flush_writeback() == expected.flush_writeback()
+        assert_matches(state, ReferenceHierarchy(three_level()).replay(events))
 
     def test_chunks_and_tuples_agree(self):
-        # (op, address, size) tuples through access() against the same
-        # trace in chunks, an empty one among them.
+        # (op, address, size) tuples taken one by one by the reference
+        # against the same trace in chunks, an empty one among them.
         rng = random.Random(17)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 13, 8), 8) for _ in range(3000)]
         state = build_hierarchy(three_level())
         state.run(chunked(events, [1000, 1000]))
-        assert state.flush_writeback() == accessed(three_level(), events).flush_writeback()
+        assert_matches(state, ReferenceHierarchy(three_level()).replay(events))
 
 
 @st.composite
@@ -705,39 +666,18 @@ def set_cycles(draw):
     return spec, events
 
 
-def accessed(spec, events):
-    """A state that took the events one by one through access()."""
-    state = build_hierarchy(spec)
-    for event in events:
-        state.access(*event)
-    return state
-
-
 class TestFirstLevelPass:
-    """run' bulk first-level pass against per-event access()."""
+    """run()'s first-level pass against ReferenceHierarchy."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=set_cycles(), data=st.data())
     def test_set_cycles(self, case, data):
         spec, events = case
         cuts = data.draw(st.lists(st.integers(0, len(events)), max_size=6))
-        expected = accessed(spec, events)
         state = build_hierarchy(spec)
         state.run(chunked(events, cuts))
-        # Replaying the trace shows the LRU order each set was left in.
-        assert [state.access(*e) for e in events] == [expected.access(*e) for e in events]
-        assert state.flush_writeback() == expected.flush_writeback()
-
-    def test_run_then_access_then_run(self):
-        rng = random.Random(3)
-        events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 11, 4), 4) for _ in range(4000)]
-        expected = build_hierarchy(three_level())
-        records = [expected.access(*event) for event in events]
-        state = build_hierarchy(three_level())
-        state.run(chunked(events[:1500]))
-        assert [state.access(*event) for event in events[1500:1510]] == records[1500:1510]
-        state.run(chunked(events[1510:]))
-        assert state.flush_writeback() == expected.flush_writeback()
+        # The contents show the LRU order each set was left in.
+        assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
     @pytest.mark.parametrize("ways", [1, 2, 8, 16])
     def test_lru_cycles_in_one_set(self, ways):
@@ -775,7 +715,7 @@ class TestFirstLevelPass:
         ]
         state = build_hierarchy(spec)
         state.run(chunked(events))
-        assert state.flush_writeback() == accessed(spec, events).flush_writeback()
+        assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
     @pytest.mark.parametrize("sets, ways", [(1, 1024), (16, 256)])
     def test_high_associativity(self, sets, ways):
@@ -792,34 +732,7 @@ class TestFirstLevelPass:
         state = build_hierarchy(spec)
         state.run([(addresses, stores)])
         assert state.collect_stats().level("L1").misses > 1_883
-        held = [
-            ([line for line, _ in pairs], [dirty for _, dirty in pairs])
-            for pairs in reference.lists["L1"]
-        ]
-        assert contents(state) == [held]
-        assert astuple(state.flush_writeback()) == reference.flush()
-
-    def test_bulk_run_never_enters_the_per_event_path(self):
-        pattern = parse_pattern("Jacobi2D(7,9;4)")
-        layout = canonical_layout(pattern.primary_shape())
-        chunks = generate_trace(pattern, layout, bind_arrays(pattern, layout, line=64))
-        state = build_hierarchy(load_cache_spec("haswell"))
-        entered = []
-
-        def refuse(name):
-            def entry(*args):
-                entered.append(name)
-
-            return entry
-
-        for name in ("_demand", "_install", "_evict"):
-            setattr(state, name, refuse(name))
-        state.run(chunks)
-        stats = state.collect_stats()
-        assert stats.level("L2").accesses == stats.level("L1").misses
-        assert stats.level("L1").misses < stats.accesses // 20
-        assert state.flush_writeback().memory_writebacks > 0
-        assert entered == []
+        assert_matches(state, reference)
 
 
 # One trace per kernel kind the benchmark runs, each longer than
@@ -922,12 +835,13 @@ class TestRowStorage:
                 for _ in range(rng.choice((1, 1, 2)))
             ]
             rng.shuffle(events)
-            for op, addr, _ in events:
-                reference.access(op == STORE, addr)
+            reference.replay(events)
             state.run(chunked(events, sorted(rng.sample(range(len(events)), 3))))
-            # access() runs the waiting outer input first.
-            for op, addr, size in rng.sample(events, 5):
-                assert state.access(op, addr, size) == reference.access(op == STORE, addr)
+            # Five more events, each a one-event chunk and so a pass of its
+            # own, between the long ones.
+            single = rng.sample(events, 5)
+            reference.replay(single)
+            state.run(chunked(single, range(1, 5)))
             assert astuple(state.collect_stats()) == reference.stats()
         assert astuple(state.flush_writeback()) == reference.flush()
 
@@ -950,13 +864,15 @@ class TestRowStorage:
             grouped = sets[order]
             rank = np.arange(len(pool)) - np.searchsorted(grouped, grouped)
             fits = rank < level.ways
-            level.tags[:] = pool[0]
-            level.tags[grouped[fits], rank[fits]] = pool[order][fits]
-            level.dirty[:] = True
+            tags = level.tag_cells.reshape(level.nsets, level.ways)
+            tags[:] = pool[0]
+            tags[grouped[fits], rank[fits]] = pool[order][fits]
+            level.dirty_cells[:] = True
         reference = ReferenceHierarchy(spec)
         for phase in range(8):
             # Each phase brings 120 new lines and returns to some old ones;
-            # odd phases go through access() alone, even ones through run().
+            # odd phases go through run() one event per chunk, so one pass
+            # per event, even ones as one chunk.
             lines = pool[: 120 * (phase + 1)].tolist()
             picked = lines[-120:] + rng.sample(lines, min(len(lines) - 120, 60))
             events = [
@@ -965,13 +881,8 @@ class TestRowStorage:
                 for _ in range(rng.choice((1, 2)))
             ]
             rng.shuffle(events)
-            if phase % 2:
-                for op, addr, size in events:
-                    assert state.access(op, addr, size) == reference.access(op == STORE, addr)
-            else:
-                for op, addr, _ in events:
-                    reference.access(op == STORE, addr)
-                state.run(chunked(events))
+            reference.replay(events)
+            state.run(chunked(events, range(1, len(events)) if phase % 2 else ()))
             assert astuple(state.collect_stats()) == reference.stats()
         assert astuple(state.flush_writeback()) == reference.flush()
 
@@ -987,15 +898,9 @@ class TestRowStorage:
             (rng.choice((LOAD, STORE)), rng.choice(top) + rng.randrange(16), 1)
             for _ in range(3000)
         ]
-        reference = ReferenceHierarchy(spec)
-        for op, addr, _ in events:
-            reference.access(op == STORE, addr)
         state = build_hierarchy(spec)
         state.run(chunked(events, [1000]))
-        assert astuple(state.collect_stats()) == reference.stats()
-        assert contents(state) == reference_contents(reference)
-        assert astuple(state.flush_writeback()) == reference.flush()
-        assert contents(state) == reference_contents(reference)
+        assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
     def test_mapped_table(self, monkeypatch):
         # 2^16 sets of 8 ways: a uint64 tag table of 4 MiB, which _table
@@ -1019,9 +924,6 @@ class TestRowStorage:
         )
         state = build_hierarchy(spec)
         assert mapped == [4 << 20]
-        outer = state._levels[1]
-        assert np.shares_memory(outer.tags, outer.tag_cells)
-        assert np.shares_memory(outer.dirty, outer.dirty_cells)
         # Lines of 64 sets spread over the table, 12 tags each: sets
         # overflow their 8 ways.
         rng = random.Random(16)
@@ -1030,64 +932,37 @@ class TestRowStorage:
             (rng.choice((LOAD, STORE)), rng.choice(lines) * 64 + 8 * rng.randrange(8), 8)
             for _ in range(6000)
         ]
-        reference = ReferenceHierarchy(spec)
-        for op, addr, _ in events:
-            reference.access(op == STORE, addr)
         state.run(chunked(events, [2000, 4000]))
-        assert astuple(state.collect_stats()) == reference.stats()
-        assert contents(state) == reference_contents(reference)
-        assert astuple(state.flush_writeback()) == reference.flush()
-        assert contents(state) == reference_contents(reference)
-
-
-def contents(state):
-    """Each level's sets as (lines LRU first, their dirty bits)."""
-    return [
-        [
-            (level.tags[s, :n].tolist(), level.dirty[s, :n].tolist())
-            for s, n in enumerate(level.fill.tolist())
-        ]
-        for level in state._levels
-    ]
-
-
-def reference_contents(reference):
-    """ReferenceHierarchy's sets in the shape of contents()."""
-    return [
-        [([line for line, _ in pairs], [dirty for _, dirty in pairs]) for pairs in sets]
-        for sets in reference.lists.values()
-    ]
+        assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
 
 @pytest.fixture
-def passes(monkeypatch):
-    """Record each bulk pass as (level, overflows, line span, held), worked
-    out here from the pass's input and the level's rows before it: whether
-    some touched set sees more than ``ways`` distinct lines, held ones
-    included; how far apart its lowest and highest line lie; and how many
-    lines its touched sets hold."""
-    record = []
-    original = cachesim._lru_pass
+def passes():
+    """The bulk passes made while the test runs, as lru_passes records them."""
+    with lru_passes() as record:
+        yield record
 
-    def spy(level, addresses, dirty):
+
+def branches(passes):
+    """Each pass as (level, overflows, line span, held), worked out here from
+    the pass's input and the lines its sets held before it: whether some
+    touched set sees more than ``ways`` distinct lines, held ones included;
+    how far apart its lowest and highest line lie; and how many lines its
+    touched sets hold."""
+    summary = []
+    for p in passes:
+        level = p.level
         seen: dict[int, set[int]] = {}
-        for address in addresses.tolist():
-            line = address >> level.line_shift
+        for line in [address >> level.line_shift for address in p.addresses.tolist()] + p.held:
             seen.setdefault(line % level.nsets, set()).add(line)
-        held = sum(int(level.fill[s]) for s in seen)
-        for s, lines in seen.items():
-            lines.update(level.tags[s, : level.fill[s]].tolist())
         every = set().union(*seen.values())
         overflows = any(len(lines) > level.ways for lines in seen.values())
-        record.append((level.spec.name, overflows, max(every) - min(every), held))
-        return original(level, addresses, dirty)
-
-    monkeypatch.setattr(cachesim, "_lru_pass", spy)
-    return record
+        summary.append((level.spec.name, overflows, max(every) - min(every), len(p.held)))
+    return summary
 
 
 class TestPassBranches:
-    """Each way through the bulk pass, against per-event access()."""
+    """Each way through the bulk pass, against ReferenceHierarchy."""
 
     def test_outer_level_without_overflow(self, passes):
         # A two-set, two-way L1 in front of an L2 with room for every line
@@ -1111,18 +986,17 @@ class TestPassBranches:
             [(rng.choice((LOAD, STORE)), rng.randrange(32 * k) * 64, 4) for _ in range(700)]
             for k in (1, 2, 3)
         ]
-        expected = accessed(spec, [event for part in parts for event in part])
-        expected_stats = expected.flush_writeback()
-        passes.clear()
+        reference = ReferenceHierarchy(spec)
         state = build_hierarchy(spec)
         for part in parts:
             state.run(chunked(part))
             # Reading the stats runs the outer levels on what waits for them.
-            state.collect_stats()
-        assert state.flush_writeback() == expected_stats
-        assert contents(state) == contents(expected)
-        first = [overflows for name, overflows, _, _ in passes if name == "L1"]
-        second = [(overflows, held > 0) for name, overflows, _, held in passes if name == "L2"]
+            assert astuple(state.collect_stats()) == reference.replay(part).stats()
+        assert_matches(state, reference)
+        first = [overflows for name, overflows, _, _ in branches(passes) if name == "L1"]
+        second = [
+            (overflows, held > 0) for name, overflows, _, held in branches(passes) if name == "L2"
+        ]
         assert set(first) == {True}
         assert second == [(False, False), (False, True), (False, True), (False, True)]
 
@@ -1145,18 +1019,16 @@ class TestPassBranches:
             (rng.choice((LOAD, STORE)), (tag * 4 + rng.choice((0, 0, 1))) * 32, 4)
             for tag in rng.choices(range(10), k=60)
         ]
-        expected = accessed(spec, first + second)
-        expected_stats = expected.flush_writeback()
-        passes.clear()
         state = build_hierarchy(spec)
         state.run(chunked(first))
-        assert state._levels[0].fill[0] == 4 and state._levels[0].dirty[0, :4].all()
+        lines, dirty = contents(state)[0][0]
+        assert len(lines) == 4 and all(dirty)
         state.run(chunked(second))
         # Before the flush, only evictions write back.
         assert state.collect_stats().level("L1").writebacks > 0
-        assert state.flush_writeback() == expected_stats
-        assert contents(state) == contents(expected)
-        assert [overflows for name, overflows, _, _ in passes if name == "L1"] == [False, True]
+        assert_matches(state, ReferenceHierarchy(spec).replay(first + second))
+        overflows = [overflows for name, overflows, _, _ in branches(passes) if name == "L1"]
+        assert overflows == [False, True]
 
     def test_lines_far_apart_in_one_pass(self, passes):
         # Lines 2^16 and more apart, both in one set and across sets, with
@@ -1175,14 +1047,10 @@ class TestPassBranches:
         events = [(rng.choice((LOAD, STORE)), rng.choice(lines) * 64, 8) for _ in range(1500)]
         # The second chunk stays in two lines of a set the others never use.
         events[500:600] = [(STORE, (3 + 4 * (k % 2)) * 64, 8) for k in range(100)]
-        expected = accessed(spec, events)
-        expected_stats = expected.flush_writeback()
-        passes.clear()
         state = build_hierarchy(spec)
         state.run(chunked(events, [500, 600]))
-        assert state.flush_writeback() == expected_stats
-        assert contents(state) == contents(expected)
-        first = [(overflows, span) for name, overflows, span, _ in passes if name == "L1"]
+        assert_matches(state, ReferenceHierarchy(spec).replay(events))
+        first = [(over, span) for name, over, span, _ in branches(passes) if name == "L1"]
         assert first == [(True, 2 << 18 | 9), (False, 4), (True, 2 << 18 | 9)]
 
 

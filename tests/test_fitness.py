@@ -245,7 +245,7 @@ class TestEvaluate:
             evaluate(wrong, spec, single_level(4, 2, 16))
 
     def test_element_straddling_a_line_rejected(self):
-        # access() rejects such an element; evaluate must not score it.
+        # Such an element straddles a line; evaluate must not score it.
         clear_cache()
         spec = PatternSpec("MMijk", m=2, element_size=128)
         with pytest.raises(ValueError, match="straddle"):
