@@ -583,20 +583,26 @@ class TestReferenceHierarchy:
         assert astuple(state.flush_writeback()) == reference.flush()
 
     @settings(max_examples=300, deadline=None)
-    @given(spec=hierarchies(), events=traces(), data=st.data())
-    def test_run_and_flush(self, spec, events, data):
-        # Each segment between the drawn cuts goes to a run() call of its
-        # own; with no cut, the whole trace is one chunk.
-        reference = ReferenceHierarchy(spec).replay(events)
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=5)))
+    @given(spec=hierarchies(), events=traces())
+    def test_run_and_flush(self, spec, events):
         state = build_hierarchy(spec)
-        for start, end in zip([0, *cuts], [*cuts, len(events)]):
-            state.run(chunked(events[start:end]))
-        assert_matches(state, reference)
+        state.run(chunked(events))
+        assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
 
 class TestRunMatchesAccess:
     """run() against ReferenceHierarchy, which takes one access at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=hierarchies(), events=traces(), data=st.data())
+    def test_differential(self, spec, events, data):
+        # Each segment between the drawn cuts goes to a run() call of its
+        # own; with no cut, the whole trace is one chunk.
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=5)))
+        state = build_hierarchy(spec)
+        for start, end in zip([0, *cuts], [*cuts, len(events)]):
+            state.run(chunked(events[start:end]))
+        assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
     def test_deepest_hierarchy(self):
         # 32 levels use every bit of the merge keys below the position.
