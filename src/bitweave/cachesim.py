@@ -528,7 +528,12 @@ class CacheState:
 
 
 def build_hierarchy(spec: HierarchySpec) -> CacheState:
-    """Fresh simulation state: all sets empty, all counters zero."""
+    """Fresh simulation state: all sets empty, all counters zero.
+
+    The same as ``CacheState(spec)``, which the library and the tests call.
+    It is kept only because ``perfbench/harness.py`` imports it; it goes
+    once the harness builds ``CacheState(spec)`` itself.
+    """
     return CacheState(spec)
 
 

@@ -2,9 +2,8 @@
 
 Subcommands: enumerate (count/list layouts of a shape), index (coordinate
 to linear index and back), simulate (score one layout under a kernel and
-cache), evolve (run the genetic search and write its history CSV), sample
-(score random layouts into a CSV), and bench (time a replay of a kernel's
-trace on real data; hardware-dependent, informational only).
+cache), evolve (run the genetic search and write its history CSV), and
+sample (score random layouts into a CSV).
 
 Exit codes: 0 success, 1 usage or parse error, 2 runtime error.  The
 BITWEAVE_CACHE environment variable supplies the default cache preset.
@@ -17,7 +16,6 @@ import csv
 import os
 import random
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -35,7 +33,6 @@ from bitweave.layout import (
 )
 from bitweave.patterns import (
     PatternSpec,
-    bind_arrays,
     generate_trace,
     parse_pattern,
     write_trace,
@@ -70,10 +67,6 @@ def _parse_contiguity(text: str) -> tuple[int, int]:
 
 def _cache_name(args: argparse.Namespace) -> str:
     return args.cache or os.environ.get(ENV_CACHE) or DEFAULT_CACHE
-
-
-def _pattern_layout(args: argparse.Namespace) -> tuple[PatternSpec, Layout]:
-    return parse_pattern(args.pattern), layout_from_text(args.layout)
 
 
 def _writable(path: Path) -> Path:
@@ -127,7 +120,7 @@ def _print_report(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    pattern, layout = _pattern_layout(args)
+    pattern, layout = parse_pattern(args.pattern), layout_from_text(args.layout)
     cache_name = _cache_name(args)
     hierarchy = load_cache_spec(cache_name)
     if args.trace:
@@ -196,43 +189,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Replay the kernel's trace on real data and time the replay.
-
-    Memory is one list of random floats, one per element of the packed
-    arrays.  A load adds its element to an accumulator; a store writes the
-    accumulator to its element and resets it.  The trace is generated chunk
-    by chunk outside the timed loops.  Results depend on the host machine
-    and interpreter; this exists to poke at layouts interactively, not to
-    certify anything.
-    """
-    if args.repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {args.repeat}")
-    pattern, layout = _pattern_layout(args)
-    bindings = bind_arrays(pattern, layout)
-    size = pattern.element_size
-    rng = random.Random(0)
-    data = [rng.random() for _ in range(bindings[-1].end // size)]
-    best = float("inf")
-    for _ in range(args.repeat):
-        elapsed, accesses, acc = 0.0, 0, 0.0
-        for addresses, stores in generate_trace(pattern, layout, bindings):
-            elements = (addresses // size).tolist()
-            flags = stores.tolist()
-            start = time.perf_counter()
-            for element, store in zip(elements, flags):
-                if store:
-                    data[element] = acc
-                    acc = 0.0
-                else:
-                    acc += data[element]
-            elapsed += time.perf_counter() - start
-            accesses += len(elements)
-        best = min(best, elapsed)
-    print(f"{pattern} over {layout.to_text()}: best {best:.6f}s ({accesses} accesses)")
-    return 0
-
-
 def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
     """A parent parser holding one option that several subcommands share."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -297,14 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sample_p.add_argument("--count", type=int, default=100)
     sample_p.set_defaults(func=cmd_sample)
-
-    bench_p = sub.add_parser(
-        "bench",
-        parents=[layout, pattern],
-        help="time a replay of a kernel's trace on real data (informational)",
-    )
-    bench_p.add_argument("--repeat", type=int, default=3)
-    bench_p.set_defaults(func=cmd_bench)
 
     return parser
 

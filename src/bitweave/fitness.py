@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from bitweave.cachesim import HierarchySpec, SimStats, build_hierarchy
+from bitweave.cachesim import CacheState, HierarchySpec, SimStats
 from bitweave.layout import Layout
 from bitweave.patterns import ArrayBinding, PatternSpec, bind_arrays, generate_trace
 
@@ -115,7 +115,7 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
 @lru_cache(maxsize=MEMO_SIZE)
 def _evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
     chunks = generate_trace(pattern, layout, place_arrays(pattern, layout, spec))
-    state = build_hierarchy(spec)
+    state = CacheState(spec)
     state.run(chunks)
     return fitness(state.flush_writeback(), spec)
 

@@ -11,17 +11,7 @@ import numpy as np
 
 from bitweave import cachesim
 from bitweave.cachesim import LOAD, STORE, CacheLevelSpec, CacheState, Chunk, HierarchySpec
-from bitweave.layout import Layout, Shape
 from bitweave.patterns import _KERNELS, PATTERN_KINDS, _Loop
-
-
-def random_layout(rng: random.Random, shape: Shape) -> Layout:
-    """A uniformly random bijective layout for the shape (Fisher-Yates)."""
-    seq: list[int] = []
-    for d, b in enumerate(shape.bits):
-        seq.extend([d] * b)
-    rng.shuffle(seq)
-    return Layout(tuple(seq), shape)
 
 
 def random_cut(rng: random.Random, total: int) -> tuple[int, int]:

@@ -14,12 +14,12 @@ import pytest
 
 import bitweave.evolve as evolve_mod
 from bitweave import (
+    CacheState,
     GAConfig,
     LevelStats,
     SimStats,
     Shape,
     bind_arrays,
-    build_hierarchy,
     canonical_layout,
     coordinate_array,
     count_layouts,
@@ -158,7 +158,7 @@ def test_05_simulator_matches_recency_list_oracle():
         sets = rng.choice([1, 2, 4, 8, 16])
         ways = rng.choice([1, 2, 3, 4, 8])
         line = rng.choice([4, 8, 16, 32, 64])
-        state = build_hierarchy(single_level(sets, ways, line))
+        state = CacheState(single_level(sets, ways, line))
         length = 10_000 if trace_no % 100 == 0 else rng.randint(50, 2000)
         window = max(4 * sets * ways * line, 4 * line)
         events = []
@@ -169,7 +169,7 @@ def test_05_simulator_matches_recency_list_oracle():
         expected = RecencyListLRU(sets, ways, line).misses(events)
         assert first_level_misses(state, chunked(events)) == expected
     for preset in ("haswell", "zen3"):
-        state = build_hierarchy(load_cache_spec(preset))
+        state = CacheState(load_cache_spec(preset))
         n = 20_000
         events = []
         for _ in range(n):

@@ -14,10 +14,10 @@ from bitweave.cachesim import (
     LOAD,
     STORE,
     CacheLevelSpec,
+    CacheState,
     HierarchySpec,
     LevelStats,
     SimStats,
-    build_hierarchy,
 )
 from bitweave.cachespec import load_cache_spec
 from bitweave.fitness import place_arrays
@@ -176,7 +176,7 @@ class TestSpecs:
 
     def test_presets_build(self):
         for preset in ("haswell", "zen3"):
-            state = build_hierarchy(load_cache_spec(preset))
+            state = CacheState(load_cache_spec(preset))
             stats = state.collect_stats()
             assert stats.accesses == 0
             assert all(lvl.hits == 0 and lvl.misses == 0 for lvl in stats.levels)
@@ -207,24 +207,24 @@ class TestAccess:
     """What demand accesses count, through run()."""
 
     def test_cold_miss_reaches_memory(self):
-        state = build_hierarchy(single_level(sets=4, ways=2, line=64))
+        state = CacheState(single_level(sets=4, ways=2, line=64))
         state.run(chunked([(LOAD, 0x0, 4)]))
         assert state.collect_stats() == counters(("L1", 0, 1), memory=1, loads=1)
 
     def test_same_line_is_a_hit(self):
-        state = build_hierarchy(single_level(sets=4, ways=2, line=64))
+        state = CacheState(single_level(sets=4, ways=2, line=64))
         state.run(chunked([(LOAD, 0x0, 4)]))
         state.run(chunked([(LOAD, 0x8, 4)]))
         assert state.collect_stats() == counters(("L1", 1, 1), memory=1, loads=2)
 
     def test_two_way_lru_eviction_example(self):
-        state = build_hierarchy(single_level(sets=1, ways=2, line=64))
+        state = CacheState(single_level(sets=1, ways=2, line=64))
         events = [(LOAD, a, 4) for a in (0, 0, 64, 0, 128, 64)]
         assert first_level_misses(state, chunked(events)) == [0, 2, 4, 5]
         assert state.collect_stats() == counters(("L1", 2, 4), memory=4, loads=6)
 
     def test_distinct_line_cold_misses_propagate(self):
-        state = build_hierarchy(load_cache_spec("haswell"))
+        state = CacheState(load_cache_spec("haswell"))
         n = 32
         state.run(chunked([(LOAD, i * 64, 4) for i in range(n)]))
         stats = state.collect_stats()
@@ -234,7 +234,7 @@ class TestAccess:
         assert stats.memory_accesses == n
 
     def test_store_miss_charges_load_path(self):
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         state.run(chunked([(STORE, 0x0, 4)]))
         # The store misses at every level, and each fill is a load.
         assert state.collect_stats() == counters(
@@ -252,7 +252,7 @@ class TestAccess:
             (rng.choice((LOAD, STORE)), rng.randrange(0, 4096, 4), 4) for _ in range(5000)
         ]
         reference = ReferenceHierarchy(three_level()).replay(events)
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         state.run(chunked(events))
         assert_matches(state, reference)
 
@@ -268,7 +268,7 @@ class TestChunkChecks:
     def test_rejects_what_is_not_a_pair(self, chunk):
         # An (op, address, size) tuple is not a chunk.
         events = [(STORE, 0, 4), (LOAD, 64, 4)]
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         with pytest.raises(TypeError, match=r"pair \(uint64 addresses, bool store mask\)"):
             state.run([*chunked(events), chunk])
         assert_matches(state, ReferenceHierarchy(three_level()).replay(events))
@@ -284,7 +284,7 @@ class TestChunkChecks:
         ids=["mask-longer", "mask-shorter", "two-dimensional", "mask-two-dimensional"],
     )
     def test_rejects_mismatched_shapes(self, chunk):
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         with pytest.raises(ValueError, match="1-D and of one length"):
             state.run([chunk])
 
@@ -300,7 +300,7 @@ class TestChunkChecks:
         ids=["int64", "float", "list", "uint8-mask", "list-mask"],
     )
     def test_rejects_wrong_types(self, chunk):
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         with pytest.raises(TypeError, match="must be a (uint64|bool) array"):
             state.run([chunk])
 
@@ -308,9 +308,9 @@ class TestChunkChecks:
         rng = random.Random(8)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 12, 4), 4) for _ in range(2000)]
         good = chunked(events, [700, 1300])
-        first_chunk = build_hierarchy(three_level())
+        first_chunk = CacheState(three_level())
         first_chunk.run(good[:1])
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         bad = (good[1][0], np.ones(len(good[1][0]) + 1, bool))
         with pytest.raises(ValueError):
             state.run([good[0], bad, good[2]])
@@ -328,7 +328,7 @@ class TestOracleEquivalence:
             sets = rng.choice((1, 2, 3, 4, 8, 16, 25))
             ways = rng.randint(1, 8)
             line = rng.choice((16, 32, 64))
-            state = build_hierarchy(single_level(sets=sets, ways=ways, line=line))
+            state = CacheState(single_level(sets=sets, ways=ways, line=line))
             span = sets * ways * line * 4
             events = []
             for _ in range(rng.randint(100, 2000)):
@@ -339,14 +339,14 @@ class TestOracleEquivalence:
 
     def test_fully_associative(self):
         rng = random.Random(77)
-        state = build_hierarchy(single_level(sets=1, ways=8, line=64))
+        state = CacheState(single_level(sets=1, ways=8, line=64))
         events = [(LOAD, rng.randrange(0, 64 * 64, 8), 8) for _ in range(4000)]
         expected = RecencyListLRU(1, 8, 64).misses(events)
         assert first_level_misses(state, chunked(events)) == expected
 
     def test_working_set_within_capacity(self):
         # 16 distinct lines into 4 sets x 4 ways: one miss per line, ever.
-        state = build_hierarchy(single_level(sets=4, ways=4, line=64))
+        state = CacheState(single_level(sets=4, ways=4, line=64))
         rng = random.Random(9)
         lines = list(range(16))
         events = []
@@ -362,7 +362,7 @@ class TestOracleEquivalence:
 class TestInclusionAccounting:
     @pytest.mark.parametrize("preset", ["haswell", "zen3"])
     def test_arrivals_match_inner_misses(self, preset):
-        state = build_hierarchy(load_cache_spec(preset))
+        state = CacheState(load_cache_spec(preset))
         rng = random.Random(13)
         n = 20000
         events = []
@@ -379,7 +379,7 @@ class TestInclusionAccounting:
 
     def test_determinism(self):
         def run_once():
-            state = build_hierarchy(load_cache_spec("haswell"))
+            state = CacheState(load_cache_spec("haswell"))
             rng = random.Random(21)
             events = []
             for _ in range(5000):
@@ -393,7 +393,7 @@ class TestInclusionAccounting:
 
 class TestFlush:
     def test_no_stores_changes_nothing(self):
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         state.run(chunked([(LOAD, i * 64, 4) for i in range(8)]))
         before = state.collect_stats()
         after = state.flush_writeback()
@@ -401,7 +401,7 @@ class TestFlush:
         assert after.memory_writebacks == 0
 
     def test_single_store_one_writeback_per_level(self):
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         state.run(chunked([(STORE, 0x40, 4)]))
         stats = state.flush_writeback()
         assert [lvl.writebacks for lvl in stats.levels] == [1, 1, 1]
@@ -412,14 +412,14 @@ class TestFlush:
         assert again.memory_writebacks == 1
 
     def test_two_stores_same_line_coalesce(self):
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         state.run(chunked([(STORE, 0x40, 4), (STORE, 0x44, 4)], [1]))
         stats = state.flush_writeback()
         assert stats.level("L1").writebacks == 1
         assert stats.memory_writebacks == 1
 
     def test_flush_does_not_touch_demand_counters(self):
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         rng = random.Random(31)
         events = []
         for _ in range(2000):
@@ -451,7 +451,7 @@ class TestVictimCache:
             ),
             memory_latency=100,
         )
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         # Cold: install in L2 and L1; then evict clean line 0 into L2.
         state.run(chunked([(LOAD, 0, 4), (LOAD, 64, 4)]))
         stats = state.collect_stats()
@@ -465,7 +465,7 @@ class TestVictimCache:
         assert stats.memory_accesses == 2
 
     def test_dirty_victim_survives_round_trip(self):
-        state = build_hierarchy(three_level(victim=True))
+        state = CacheState(three_level(victim=True))
         # Dirty a line, then push it out of L1 and L2 with conflicting lines
         # of the same L1 set as 0 (2 sets x 64B).
         state.run(chunked([(STORE, 0x0, 4)] + [(LOAD, i * 128, 4) for i in range(1, 5)]))
@@ -578,14 +578,14 @@ class TestReferenceHierarchy:
     def test_outer_level_geometries(self, spec, events, data):
         reference = ReferenceHierarchy(spec).replay(events)
         cut = data.draw(st.integers(0, len(events)))
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         state.run(chunked(events, [cut, *range(0, len(events), _OUTER_EVENTS)]))
         assert astuple(state.flush_writeback()) == reference.flush()
 
     @settings(max_examples=300, deadline=None)
     @given(spec=hierarchies(), events=traces())
     def test_run_and_flush(self, spec, events):
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         state.run(chunked(events))
         assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
@@ -599,7 +599,7 @@ class TestRunMatchesAccess:
         # Each segment between the drawn cuts goes to a run() call of its
         # own; with no cut, the whole trace is one chunk.
         cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=5)))
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         for start, end in zip([0, *cuts], [*cuts, len(events)]):
             state.run(chunked(events[start:end]))
         assert_matches(state, ReferenceHierarchy(spec).replay(events))
@@ -608,7 +608,7 @@ class TestRunMatchesAccess:
         # 32 levels use every bit of the merge keys below the position.
         rng = random.Random(11)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 12, 4), 4) for _ in range(3000)]
-        state = build_hierarchy(deep(32))
+        state = CacheState(deep(32))
         state.run(chunked(events))
         assert_matches(state, ReferenceHierarchy(deep(32)).replay(events))
 
@@ -617,7 +617,7 @@ class TestRunMatchesAccess:
         # all waiting input and restarts the positions.
         rng = random.Random(12)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 13, 8), 8) for _ in range(3000)]
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         state._position_limit = 100
         state.run(chunked(events, range(0, 3000, 70)))
         assert_matches(state, ReferenceHierarchy(three_level()).replay(events))
@@ -627,7 +627,7 @@ class TestRunMatchesAccess:
         # against the same trace in chunks, an empty one among them.
         rng = random.Random(17)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 13, 8), 8) for _ in range(3000)]
-        state = build_hierarchy(three_level())
+        state = CacheState(three_level())
         state.run(chunked(events, [1000, 1000]))
         assert_matches(state, ReferenceHierarchy(three_level()).replay(events))
 
@@ -680,7 +680,7 @@ class TestFirstLevelPass:
     def test_set_cycles(self, case, data):
         spec, events = case
         cuts = data.draw(st.lists(st.integers(0, len(events)), max_size=6))
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         state.run(chunked(events, cuts))
         # The contents show the LRU order each set was left in.
         assert_matches(state, ReferenceHierarchy(spec).replay(events))
@@ -691,13 +691,13 @@ class TestFirstLevelPass:
         # on the first pass; over ways+1 lines it misses every time.
         rounds = 5
         fits = [(LOAD, line * 64, 4) for _ in range(rounds) for line in range(ways)]
-        state = build_hierarchy(single_level(sets=1, ways=ways, line=64))
+        state = CacheState(single_level(sets=1, ways=ways, line=64))
         state.run(chunked(fits, [3, 7]))
         stats = state.collect_stats().level("L1")
         assert (stats.misses, stats.hits) == (ways, (rounds - 1) * ways)
 
         over = [(STORE, line * 64, 4) for _ in range(rounds) for line in range(ways + 1)]
-        state = build_hierarchy(single_level(sets=1, ways=ways, line=64))
+        state = CacheState(single_level(sets=1, ways=ways, line=64))
         state.run(chunked(over, [5]))
         stats = state.collect_stats()
         assert (stats.level("L1").misses, stats.level("L1").hits) == (len(over), 0)
@@ -719,7 +719,7 @@ class TestFirstLevelPass:
             )
             for _ in range(3000)
         ]
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         state.run(chunked(events))
         assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
@@ -735,7 +735,7 @@ class TestFirstLevelPass:
         reference = ReferenceHierarchy(spec)
         for store, address in zip(stores.tolist(), addresses.tolist()):
             reference.access(store, address)
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         state.run([(addresses, stores)])
         assert state.collect_stats().level("L1").misses > 1_883
         assert_matches(state, reference)
@@ -778,7 +778,7 @@ class TestChunkSizes:
             cuts[size] = [0, *window[::size], window.stop, n]
         results = {}
         for size, bounds in cuts.items():
-            state = build_hierarchy(spec)
+            state = CacheState(spec)
             state.run((addresses[a:b], stores[a:b]) for a, b in zip(bounds, bounds[1:]))
             results[size] = state.flush_writeback()
         assert all(stats == results[n] for stats in results.values()), results
@@ -791,11 +791,11 @@ class TestChunkSizes:
         pattern = parse_pattern("Jacobi2D(9,9;4)")
         layout = canonical_layout(pattern.primary_shape())
         chunks = list(generate_trace(pattern, layout, place_arrays(pattern, layout, spec)))
-        chunked_state = build_hierarchy(spec)
+        chunked_state = CacheState(spec)
         chunked_state.run(chunks)
         whole = tuple(map(np.concatenate, zip(*chunks)))
         del chunks
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         tracemalloc.start()
         try:
             state.run([whole])
@@ -827,7 +827,7 @@ class TestRowStorage:
         spec = wide_outer()
         rng = random.Random(8)
         reference = ReferenceHierarchy(spec)
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         lines: list[int] = []
         for phase in range(8):
             # Each phase brings lines of sets never touched before, spread
@@ -859,7 +859,7 @@ class TestRowStorage:
     def test_stale_columns_are_never_read(self, spec):
         rng = random.Random(11)
         pool = np.array(rng.sample(range(1 << 20), 960), dtype=np.uint64)
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         # Column w of a set's row holds the w-th line of that set in pool
         # order, dirty, and the rounds below bring the lines in pool order:
         # reading a column past a row's fill turns the miss of a line new
@@ -904,7 +904,7 @@ class TestRowStorage:
             (rng.choice((LOAD, STORE)), rng.choice(top) + rng.randrange(16), 1)
             for _ in range(3000)
         ]
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         state.run(chunked(events, [1000]))
         assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
@@ -928,7 +928,7 @@ class TestRowStorage:
             ),
             memory_latency=100,
         )
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         assert mapped == [4 << 20]
         # Lines of 64 sets spread over the table, 12 tags each: sets
         # overflow their 8 ways.
@@ -993,7 +993,7 @@ class TestPassBranches:
             for k in (1, 2, 3)
         ]
         reference = ReferenceHierarchy(spec)
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         for part in parts:
             state.run(chunked(part))
             # Reading the stats runs the outer levels on what waits for them.
@@ -1025,7 +1025,7 @@ class TestPassBranches:
             (rng.choice((LOAD, STORE)), (tag * 4 + rng.choice((0, 0, 1))) * 32, 4)
             for tag in rng.choices(range(10), k=60)
         ]
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         state.run(chunked(first))
         lines, dirty = contents(state)[0][0]
         assert len(lines) == 4 and all(dirty)
@@ -1053,7 +1053,7 @@ class TestPassBranches:
         events = [(rng.choice((LOAD, STORE)), rng.choice(lines) * 64, 8) for _ in range(1500)]
         # The second chunk stays in two lines of a set the others never use.
         events[500:600] = [(STORE, (3 + 4 * (k % 2)) * 64, 8) for k in range(100)]
-        state = build_hierarchy(spec)
+        state = CacheState(spec)
         state.run(chunked(events, [500, 600]))
         assert_matches(state, ReferenceHierarchy(spec).replay(events))
         first = [(over, span) for name, over, span, _ in branches(passes) if name == "L1"]

@@ -2,27 +2,20 @@
 
 import errno
 import hashlib
-import re
 
 import pytest
 
 import bitweave.cli as cli_module
 import bitweave.evolve as evolve_module
 from bitweave import cachesim
-from bitweave.cachesim import CacheLevelSpec, HierarchySpec, build_hierarchy
+from bitweave.cachesim import CacheLevelSpec, CacheState, HierarchySpec
 from bitweave.cachespec import load_cache_spec, render_cache_spec
 from bitweave.cli import ENV_CACHE, build_parser, main
 from bitweave.evolve import GAConfig
-from bitweave.layout import canonical_layout, layout_from_text
-from bitweave.patterns import (
-    PATTERN_KINDS,
-    PatternSpec,
-    generate_trace,
-    parse_pattern,
-    trace_counts,
-)
+from bitweave.layout import layout_from_text
+from bitweave.patterns import parse_pattern, trace_counts
 
-from helpers import parse_trace, single_level, trace_events
+from helpers import parse_trace, single_level
 
 
 @pytest.fixture(autouse=True)
@@ -219,7 +212,7 @@ class TestSimulate:
             assert len(lines) == counts.loads + counts.stores
             assert all(line.split()[0] in ("L", "S") for line in lines)
             assert all(line.split()[1].startswith("0x") for line in lines)
-            state = build_hierarchy(load_cache_spec(cache))
+            state = CacheState(load_cache_spec(cache))
             state.run([parse_trace(lines)])
             stats = state.flush_writeback()
             for level in stats.levels:
@@ -342,40 +335,29 @@ class TestSample:
         assert not (out / "sample.csv").exists()
 
 
-class TestBench:
-    def test_runs(self, capsys):
-        argv = ["bench", "-l", "[0,1,0,1]", "-p", "MMijk(2;4)", "--repeat", "1"]
-        assert main(argv) == 0
-        assert "best" in capsys.readouterr().out
-
-    # Extents of 2^2 are the smallest at which every kind's trace is non-empty.
-    @pytest.mark.parametrize("kind", sorted(PATTERN_KINDS))
-    def test_replays_the_whole_trace(self, kind, capsys):
-        spec = PatternSpec(kind, *[2] * len(PATTERN_KINDS[kind]))
-        layout = canonical_layout(spec.primary_shape())
-        argv = ["bench", "-l", layout.to_text(), "-p", str(spec), "--repeat", "2"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "best" in out
-        accesses = int(re.search(r"\((\d+) accesses\)", out).group(1))
-        assert accesses == len(trace_events(generate_trace(spec, layout)))
-
-    @pytest.mark.parametrize("pattern", ["MMijk(2)", "Nope(2;4)", "MMijk(2,2;4)"])
-    def test_malformed_pattern(self, pattern, capsys):
-        argv = ["bench", "-l", "[0,1,0,1]", "-p", pattern, "--repeat", "1"]
-        assert main(argv) == 1
-
-    def test_repeat_must_be_positive(self, capsys):
-        argv = ["bench", "-l", "[0,1,0,1]", "-p", "MMijk(2;4)", "--repeat", "0"]
-        assert main(argv) == 1
-
-
 class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+        # The retired replay timer is an unknown command too.
+        assert main(["bench", "-l", "[0,1,0,1]", "-p", "MMijk(2;4)"]) == 1
+
+    @pytest.mark.parametrize("pattern", ["MMijk(2)", "Nope(2;4)", "MMijk(2,2;4)"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "-l", "[0,1,0,1]"],
+            ["evolve", "--generations", "1", "--out", "{tmp}"],
+            ["sample", "--count", "1", "--out", "{tmp}"],
+        ],
+        ids=["simulate", "evolve", "sample"],
+    )
+    def test_malformed_pattern(self, argv, pattern, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main([*argv, "-p", pattern]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_required(self, capsys):
         assert main(["simulate"]) == 1

@@ -21,9 +21,9 @@ from bitweave.evolve import (
     run_evolution,
     write_history_csv,
 )
-from bitweave.layout import Layout, Shape, canonical_layout, enumerate_layouts
+from bitweave.layout import Layout, Shape, canonical_layout, enumerate_layouts, random_layout
 
-from helpers import random_cut, random_layout, single_level
+from helpers import random_cut, single_level
 
 _DUMMY_STATS = SimStats(
     levels=(LevelStats("L1", 1, 0, 0, 0),),
@@ -108,7 +108,7 @@ class TestCrossover:
         rng = random.Random(5)
         for _ in range(300):
             shape = Shape(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))))
-            a = random_layout(rng, shape)
+            a = random_layout(shape, rng)
             total = len(a.ranks)
             i, j = sorted(rng.sample(range(total + 1), 2))
             assert ox_crossover(a, a, cut=(i, j)).ranks == a.ranks
@@ -133,8 +133,8 @@ class TestCrossover:
         rng = random.Random(17)
         for _ in range(1000):
             shape = Shape(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4))))
-            a = random_layout(rng, shape)
-            b = random_layout(rng, shape)
+            a = random_layout(shape, rng)
+            b = random_layout(shape, rng)
             child = ox_crossover(a, b, random_cut(rng, shape.total_bits))
             assert Counter(child.ranks) == Counter(a.ranks)
 
@@ -164,7 +164,7 @@ class TestMutation:
         rng = random.Random(23)
         for _ in range(1000):
             shape = Shape(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4))))
-            layout = random_layout(rng, shape)
+            layout = random_layout(shape, rng)
             mutated = inversion_mutation(layout, random_cut(rng, shape.total_bits))
             assert Counter(mutated.ranks) == Counter(layout.ranks)
 

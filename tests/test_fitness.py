@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from bitweave.cachesim import LevelStats, SimStats, build_hierarchy
+from bitweave.cachesim import CacheState, LevelStats, SimStats
 from bitweave.cachespec import load_cache_spec
 from bitweave.fitness import (
     FitnessValue,
@@ -172,7 +172,7 @@ class TestEvaluate:
         line = max(level.line for level in hierarchy.levels)
         buf = io.StringIO()
         write_trace(generate_trace(spec, layout, bind_arrays(spec, layout, line=line)), buf)
-        state = build_hierarchy(hierarchy)
+        state = CacheState(hierarchy)
         state.run([parse_trace(buf.getvalue().splitlines())])
         replayed = fitness(state.flush_writeback(), hierarchy)
         assert replayed == direct
@@ -293,7 +293,7 @@ class TestMemory:
         clear_cache()
         tracemalloc.start()
         try:
-            state = build_hierarchy(spec)
+            state = CacheState(spec)
             tables = tracemalloc.get_traced_memory()[0]
             del state
             tracemalloc.reset_peak()

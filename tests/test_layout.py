@@ -15,10 +15,11 @@ from bitweave.layout import (
     layout_from_text,
     morton_layout,
     parse_ranks,
+    random_layout,
     scatter_bits,
 )
 
-from helpers import naive_interleave, random_layout
+from helpers import naive_interleave
 
 
 class TestShape:
@@ -159,7 +160,7 @@ class TestLinearIndex:
             ndim = rng.randint(1, 4)
             bits = tuple(rng.randint(1, 6) for _ in range(ndim))
             shape = Shape(bits)
-            lay = random_layout(rng, shape)
+            lay = random_layout(shape, rng)
             for _ in range(20):
                 coord = tuple(rng.randrange(1 << b) for b in bits)
                 assert lay.index(coord) == naive_interleave(lay.ranks, coord)
@@ -169,7 +170,7 @@ class TestLinearIndex:
         rng = random.Random(7)
         shape = Shape((20, 21, 21))
         for _ in range(10):
-            lay = random_layout(rng, shape)
+            lay = random_layout(shape, rng)
             for _ in range(20):
                 coord = tuple(rng.randrange(1 << b) for b in shape.bits)
                 idx = lay.index(coord)
@@ -200,7 +201,7 @@ class TestInverseIndex:
         for bits in [(1,), (2, 2), (1, 3), (2, 2, 2), (1, 1, 1, 1)]:
             shape = Shape(bits)
             for _ in range(10):
-                lay = random_layout(rng, shape)
+                lay = random_layout(shape, rng)
                 for idx in range(shape.num_elements):
                     assert lay.index(lay.coordinate(idx)) == idx
 
@@ -211,7 +212,7 @@ class TestBijectivity:
         for bits in [(2, 2), (3, 3), (2, 3, 2), (1, 2, 1, 2)]:
             shape = Shape(bits)
             for _ in range(10):
-                lay = random_layout(rng, shape)
+                lay = random_layout(shape, rng)
                 image = {
                     lay.index(coord)
                     for coord in itertools.product(*(range(e) for e in shape.extents))
@@ -227,7 +228,7 @@ class TestRankSignificance:
         for _ in range(100):
             bits = tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 3)))
             shape = Shape(bits)
-            lay = random_layout(rng, shape)
+            lay = random_layout(shape, rng)
             d = rng.randrange(shape.ndim)
             b = bits[d]
             j = rng.randrange(b - 1)
@@ -243,7 +244,7 @@ class TestRankSignificance:
         rng = random.Random(29)
         for _ in range(50):
             bits = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
-            lay = random_layout(rng, Shape(bits))
+            lay = random_layout(Shape(bits), rng)
             for d, mask in enumerate(lay.deposit_masks):
                 vals = [scatter_bits(v, mask) for v in range(1 << bits[d])]
                 assert vals == sorted(set(vals))
@@ -364,7 +365,7 @@ class TestTextFormat:
         rng = random.Random(41)
         for _ in range(100):
             bits = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
-            lay = random_layout(rng, Shape(bits))
+            lay = random_layout(Shape(bits), rng)
             again = layout_from_text(lay.to_text())
             assert again.ranks == lay.ranks
             assert again.shape.bits == lay.shape.bits
@@ -385,7 +386,7 @@ class TestBatchIndexing:
         for _ in range(30):
             bits = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 3)))
             shape = Shape(bits)
-            lay = random_layout(rng, shape)
+            lay = random_layout(shape, rng)
             coords = np.array(
                 [
                     [rng.randrange(1 << b) for b in bits]

@@ -19,9 +19,9 @@ from bitweave.layout import (
     canonical_layout,
     index_array,
     morton_layout,
+    random_layout,
     scatter_bits,
 )
-from bitweave.layout import random_layout as seeded_layout
 from bitweave.patterns import (
     PATTERN_KINDS,
     ArrayBinding,
@@ -33,7 +33,7 @@ from bitweave.patterns import (
     write_trace,
 )
 
-from helpers import parse_trace, random_layout, trace_events, walk_trace
+from helpers import parse_trace, trace_events, walk_trace
 
 
 def small_specs():
@@ -186,7 +186,7 @@ class TestBind:
     def test_disjoint_ranges_all_kinds(self):
         rng = random.Random(7)
         for spec in small_specs():
-            layout = random_layout(rng, spec.primary_shape())
+            layout = random_layout(spec.primary_shape(), rng)
             arrays = bind_arrays(spec, layout, line=32)
             spans = sorted((a.base, a.end) for a in arrays)
             for (b1, e1), (b2, _e2) in zip(spans, spans[1:]):
@@ -264,7 +264,7 @@ class TestBind:
 
     def test_tables_deposit_and_scale(self):
         rng = random.Random(3)
-        layout = random_layout(rng, Shape((3, 4, 2)))
+        layout = random_layout(Shape((3, 4, 2)), rng)
         tables = ArrayBinding("X", layout, 0, 8).tables
         for table, bits, mask in zip(tables, layout.shape.bits, layout.deposit_masks):
             assert table.dtype == np.uint64
@@ -284,7 +284,7 @@ class TestBind:
         adapted = 0
         for spec in specs:
             for _ in range(4):
-                layout = random_layout(rng, spec.primary_shape())
+                layout = random_layout(spec.primary_shape(), rng)
                 for binding in bind_arrays(spec, layout):
                     adapted += binding.layout != layout
                     shape = binding.shape
@@ -455,12 +455,12 @@ class TestTraceProperties:
             shape = spec.primary_shape()
             reference = stores_of(spec, canonical_layout(shape))
             for _ in range(2):
-                assert stores_of(spec, random_layout(rng, shape)) == reference
+                assert stores_of(spec, random_layout(shape, rng)) == reference
 
     def test_addresses_in_exactly_one_array(self):
         rng = random.Random(13)
         for spec in small_specs():
-            layout = random_layout(rng, spec.primary_shape())
+            layout = random_layout(spec.primary_shape(), rng)
             arrays = bind_arrays(spec, layout)
             es = spec.element_size
             for _, address in trace_events(generate_trace(spec, layout, arrays)):
@@ -511,7 +511,7 @@ def golden_layout(text, name):
         return canonical_layout(shape)
     if name == "morton":
         return morton_layout(shape)
-    return seeded_layout(shape, random.Random(text))
+    return random_layout(shape, random.Random(text))
 
 
 class TestGoldenTraces:
@@ -631,7 +631,7 @@ class TestScalarOracle:
     @pytest.mark.parametrize("text", ORACLE_CASES)
     def test_matches_trace_chunks(self, text):
         spec = parse_pattern(text)
-        layout = seeded_layout(spec.primary_shape(), random.Random(text))
+        layout = random_layout(spec.primary_shape(), random.Random(text))
         bindings = bind_arrays(spec, layout, line=16)
         assert trace_events(generate_trace(spec, layout, bindings)) == walk_trace(spec, bindings)
 
@@ -679,7 +679,7 @@ class TestSmallChunks:
 
             monkeypatch.setattr(patterns, "_block", spy_block)
             monkeypatch.setattr(patterns, "_walk", spy_walk)
-            layout = seeded_layout(spec.primary_shape(), random.Random(text))
+            layout = random_layout(spec.primary_shape(), random.Random(text))
             bindings = bind_arrays(spec, layout, line=16)
             chunks = list(generate_trace(spec, layout, bindings))
             assert all(len(addresses) == size for addresses, _ in chunks[:-1])
@@ -743,7 +743,7 @@ class TestNumericSideCheck:
         spec = PatternSpec("MMijk", m=2)
         shape = spec.primary_shape()
         n = 4
-        for layout in (canonical_layout(shape), morton_layout(shape), random_layout(rng, shape)):
+        for layout in (canonical_layout(shape), morton_layout(shape), random_layout(shape, rng)):
             a_bind, b_bind, c_bind = bind_arrays(spec, layout)
             a = [0.0] * n * n
             b = [0.0] * n * n
@@ -766,7 +766,7 @@ class TestNumericSideCheck:
         spec = PatternSpec("MMTijk", m=2, n=3)
         shape = spec.primary_shape()
         rows, inner = 4, 8
-        layout = random_layout(rng, shape)
+        layout = random_layout(shape, rng)
         a_bind, b_bind, c_bind = bind_arrays(spec, layout)
         a = [0.0] * rows * inner
         b = [0.0] * rows * inner

@@ -39,7 +39,7 @@ def test_command_line_examples_run_as_written(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(ENV_CACHE, raising=False)
     commands = command_line_commands()
     assert [argv[1] for argv in commands] == [
-        "enumerate", "index", "index", "simulate", "simulate", "evolve", "sample", "bench",
+        "enumerate", "index", "index", "simulate", "simulate", "evolve", "sample",
     ]
     for argv in commands:
         assert main(argv[1:]) == 0, shlex.join(argv)
