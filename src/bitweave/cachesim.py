@@ -43,14 +43,17 @@ waits until it holds _OUTER_EVENTS events, and then it and every level
 before it run, each in passes of at most _OUTER_EVENTS events: misses and
 victims repeat less than accesses, so outer passes gain little from length.
 Events carry merge keys: an access's key is its trace position, a fill keeps
-the key of the touch that missed, and a victim adds its level's slot bit, so
-that where several levels feed one, sorting by key merges their events into
-the order that taking the accesses one at a time would give them.  A
-first-level pass computes the keys of the events it sends on only, and a
-pass frees each of its arrays after its last use.  flush_writeback is the same cascade: once a level has
-run all of its input, its dirty lines, by ascending set and in LRU order
-within a set, go to its store_to level as dirty installs keyed after
-everything sent before them.
+the key of the touch that missed, and every install a level sends, victim,
+write-back or flushed line, adds its sender's slot bit, so that where several
+levels feed one, sorting by key merges their events into the order that
+taking the accesses one at a time would give them.  The slot bits also tell
+the touches apart: one whose key has none is demand, and counts a hit or a
+miss; the others are installs.  The last level sends nothing, so its slot
+never shows.  A first-level pass computes the keys of the events it sends on
+only, and a pass frees each of its arrays after its last use.
+flush_writeback is the same cascade: once a level has run all of its input,
+its dirty lines, by ascending set and in LRU order within a set, go to its
+store_to level as dirty installs keyed after everything sent before them.
 
 A level keeps its contents in numpy arrays only, allocated with the level:
 a tag and a dirty table of one row per set and ``ways`` columns, which
@@ -76,8 +79,6 @@ import numpy as np
 from bitweave.layout import _integer, _is_pow2
 
 __all__ = [
-    "LOAD",
-    "STORE",
     "CacheLevelSpec",
     "HierarchySpec",
     "LevelStats",
@@ -87,9 +88,6 @@ __all__ = [
     "CHUNK_EVENTS",
     "Chunk",
 ]
-
-LOAD = "L"
-STORE = "S"
 
 # Events per trace chunk, and at most per first-level pass.  A pass pays a
 # fixed cost of several dozen numpy calls and re-reads every line its touched
@@ -285,8 +283,8 @@ class _Level:
         self.line_shift = spec.line.bit_length() - 1
         # A line's set is its low bits when the sets are a power of two.
         self.set_mask = np.uint64(spec.sets - 1) if _is_pow2(spec.sets) else None
-        # What the merge key of a victim sent by this level adds to the key
-        # of the touch that evicted it; its fill adds nothing.
+        # What the merge key of every install this level sends adds to its
+        # position; its fills add nothing, so they stay demand.
         self.slot = np.uint64(slot)
         self.tag_cells = _table(spec.sets * spec.ways, np.uint64)
         self.dirty_cells = _table(spec.sets * spec.ways, np.bool_)
@@ -298,21 +296,20 @@ class _Level:
         self.load_next: Optional[_Level] = None
         self.store_next: Optional[_Level] = None
         self.victim_next: Optional[_Level] = None
-        # (byte addresses, dirty bits, demand flags, merge keys) arrays
-        self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        # (byte addresses, dirty bits, merge keys) arrays; a touch whose key
+        # has a slot bit is an install, the others demand.
+        self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.npending = 0
 
-    def send(
-        self, addresses: np.ndarray, dirty: np.ndarray | bool, demand: bool, keys: np.ndarray
-    ) -> None:
-        """Queue touches of these byte addresses for the level's next pass:
-        counted ones if ``demand``, else installs; ``dirty`` is one bit for
-        all or one per address."""
+    def send(self, addresses: np.ndarray, dirty: np.ndarray | bool, keys: np.ndarray) -> None:
+        """Queue touches of these byte addresses for the level's next pass,
+        with their merge keys, whose slot bits mark the installs; ``dirty``
+        is one bit for all or one per address."""
         n = len(addresses)
         if n:
             if not isinstance(dirty, np.ndarray):
                 dirty = np.full(n, dirty)
-            self.pending.append((addresses, dirty, np.full(n, demand), keys))
+            self.pending.append((addresses, dirty, keys))
             self.npending += n
 
 
@@ -339,6 +336,7 @@ class CacheState:
         # first level, then the lines flushed, since no input last waited;
         # so no input waits while the position is 0.
         self._key_shift = np.uint64(depth)
+        self._slot_mask = np.uint64((1 << depth) - 1)
         self._position_limit = 1 << (64 - depth)
         self._position = 0
         self.memory_accesses = 0
@@ -375,7 +373,7 @@ class CacheState:
             for start in range(0, len(addresses), CHUNK_EVENTS):
                 part = slice(start, start + CHUNK_EVENTS)
                 events = addresses[part]
-                self._pass(first, events, stores[part], None, self._advance(len(events)))
+                self._pass(first, events, stores[part], self._advance(len(events)))
                 self._drain(everything=False)
 
     def _advance(self, n: int) -> int:
@@ -404,57 +402,43 @@ class CacheState:
         """Pass all of the level's input through it in merge-key order."""
         if not lvl.pending:
             return
-        addresses, dirty, demand, keys = map(np.concatenate, zip(*lvl.pending))
+        addresses, dirty, keys = map(np.concatenate, zip(*lvl.pending))
         # The keys of each send ascend, so one send is in order already.
         if len(lvl.pending) > 1:
             order = np.argsort(keys, kind="stable")
-            addresses, dirty = addresses[order], dirty[order]
-            demand, keys = demand[order], keys[order]
+            addresses, dirty, keys = addresses[order], dirty[order], keys[order]
         lvl.pending = []
         lvl.npending = 0
-        if demand.all():
-            demand = None
         for start in range(0, len(keys), _OUTER_EVENTS):
             part = slice(start, start + _OUTER_EVENTS)
-            self._pass(
-                lvl,
-                addresses[part],
-                dirty[part],
-                None if demand is None else demand[part],
-                keys[part],
-            )
+            self._pass(lvl, addresses[part], dirty[part], keys[part])
 
     def _pass(
-        self,
-        lvl: _Level,
-        addresses: np.ndarray,
-        dirty: np.ndarray,
-        demand: Optional[np.ndarray],
-        keys: np.ndarray | int,
+        self, lvl: _Level, addresses: np.ndarray, dirty: np.ndarray, keys: np.ndarray | int
     ) -> None:
         """Touch each address's line at ``lvl`` with its dirty bit, in order;
-        ``demand`` (None: all) marks the touches that count a hit or a miss,
-        and ``keys`` holds their merge keys or, for touches at consecutive
-        positions, the first position.  Sends each counted miss's fill and
-        then each victim on."""
+        ``keys`` holds the touches' merge keys or, at the first level, whose
+        touches are all demand and at consecutive positions, the first
+        position.  A touch whose key has no slot bit is demand and counts a
+        hit or a miss.  Sends each counted miss's fill and then each victim
+        on."""
         misses, evicting, victims, victims_dirty = _lru_pass(lvl, addresses, dirty)
         if isinstance(keys, np.ndarray):
+            demand = keys & self._slot_mask == 0
+            counted = int(np.count_nonzero(demand))
             miss_keys = keys[misses]
-        else:
-            miss_keys = (misses.astype(np.uint64) + np.uint64(keys)) << self._key_shift
-        if demand is None:
-            fills, fill_keys = misses, miss_keys
-            counted = len(addresses)
-        else:
             counted_misses = demand[misses]
             fills, fill_keys = misses[counted_misses], miss_keys[counted_misses]
-            counted = int(np.count_nonzero(demand))
+        else:
+            miss_keys = (misses.astype(np.uint64) + np.uint64(keys)) << self._key_shift
+            fills, fill_keys = misses, miss_keys
+            counted = len(addresses)
         lvl.misses += len(fills)
         lvl.hits += counted - len(fills)
         if lvl.load_next is None:
             self.memory_accesses += len(fills)
         else:
-            lvl.load_next.send(addresses[fills], False, True, fill_keys)
+            lvl.load_next.send(addresses[fills], False, fill_keys)
         if not len(victims):
             return
         # A victim goes to victim_to, clean or dirty; else a dirty one is
@@ -464,19 +448,17 @@ class CacheState:
             self._write_back(lvl, victims[victims_dirty], victim_keys[victims_dirty])
             return
         lvl.victim_installs += len(victims)
-        lvl.victim_next.send(
-            victims << np.uint64(lvl.line_shift), victims_dirty, False, victim_keys
-        )
+        lvl.victim_next.send(victims << np.uint64(lvl.line_shift), victims_dirty, victim_keys)
 
     def _write_back(self, lvl: _Level, lines: np.ndarray, keys: np.ndarray) -> None:
         """Count the write-backs of these dirty lines of ``lvl``, and send
-        them, with their merge keys, to its store_to level as installs of
-        dirty lines, or count them at memory."""
+        them, with their merge keys, which carry its slot bit, to its
+        store_to level as installs of dirty lines, or count them at memory."""
         lvl.writebacks += len(lines)
         if lvl.store_next is None:
             self.memory_writebacks += len(lines)
         else:
-            lvl.store_next.send(lines << np.uint64(lvl.line_shift), True, False, keys)
+            lvl.store_next.send(lines << np.uint64(lvl.line_shift), True, keys)
 
     # -- flush and reporting ---------------------------------------------
 
@@ -502,7 +484,8 @@ class CacheState:
                 continue
             lvl.dirty_cells[cells] = False
             start = self._advance(n)
-            keys = np.arange(start, start + n, dtype=np.uint64) << self._key_shift
+            # Fresh ascending positions, so the slot bit leaves their order.
+            keys = np.arange(start, start + n, dtype=np.uint64) << self._key_shift | lvl.slot
             self._write_back(lvl, lvl.tag_cells[cells], keys)
         return self.collect_stats()
 

@@ -153,6 +153,11 @@ def _satisfies(layout: Layout, contiguity: Optional[tuple[int, int]]) -> bool:
     return layout.contiguity_block(dim) >= block
 
 
+def _survivor_order(ind: Individual) -> tuple[float, tuple[int, ...]]:
+    """Sort key of survivors: fittest first, ties by the lower rank sequence."""
+    return -ind.fitness.value, ind.layout.ranks
+
+
 def next_generation(
     population: list[Individual],
     config: GAConfig,
@@ -180,13 +185,13 @@ def next_generation(
                 f"after {_MAX_REJECTIONS} attempts"
             )
         offspring.append(Individual(child, evaluator(child)))
-    offspring.sort(key=lambda ind: (-ind.fitness.value, ind.layout.ranks))
+    offspring.sort(key=_survivor_order)
     return offspring[: config.mu]
 
 
 def _stats_row(generation: int, population: list[Individual]) -> GenerationStats:
     values = [ind.fitness.value for ind in population]
-    best = min(population, key=lambda ind: (-ind.fitness.value, ind.layout.ranks))
+    best = min(population, key=_survivor_order)
     return GenerationStats(
         generation=generation,
         min_fitness=min(values),

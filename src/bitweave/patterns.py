@@ -41,10 +41,12 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from bitweave.cachesim import CHUNK_EVENTS, LOAD, STORE, Chunk
+from bitweave.cachesim import CHUNK_EVENTS, Chunk
 from bitweave.layout import Layout, Shape, _integer, _is_pow2
 
 __all__ = [
+    "LOAD",
+    "STORE",
     "PATTERN_KINDS",
     "PatternSpec",
     "ArrayBinding",
@@ -55,6 +57,10 @@ __all__ = [
     "TraceCounts",
     "write_trace",
 ]
+
+# The operation letters of a kernel's references and of a written trace.
+LOAD = "L"
+STORE = "S"
 
 # Wider dimensions would need gigabyte lookup tables and imply traces far
 # beyond anything a simulation could consume.
@@ -79,7 +85,7 @@ class _Ref(NamedTuple):
 
 class _Kernel(NamedTuple):
     params: tuple[str, ...]
-    arrays: tuple[tuple[str, tuple[str, ...]], ...]  # (name, extents as written)
+    arrays: tuple[tuple[str, tuple[str, ...]], ...]  # (name, extents in coordinate order)
     nest: _Loop
     counts: Callable[..., tuple[int, int]]  # published (loads, stores) from the extents
     exact: bool  # False where the published counts approximate the nest's
@@ -98,8 +104,10 @@ def _term(text: Union[str, int]) -> _Term:
 
 
 def _kernel(params: str, arrays: str, nest: tuple, counts: Callable, exact: bool) -> _Kernel:
-    """Compile one table entry; this is where written subscripts are reversed."""
-    decls = tuple((name, tuple(dims.split(","))) for name, dims in _DECL_RE.findall(arrays))
+    """Compile one table entry; this is where written order is reversed."""
+    decls = tuple(
+        (name, tuple(reversed(dims.split(",")))) for name, dims in _DECL_RE.findall(arrays)
+    )
     position = {name: k for k, (name, _) in enumerate(decls)}
 
     def item(entry):
@@ -281,7 +289,7 @@ class PatternSpec:
     def arrays(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """(name, shape bits) of every array, in binding order."""
         return tuple(
-            (name, tuple(getattr(self, extent.lower()) for extent in reversed(extents)))
+            (name, tuple(getattr(self, extent.lower()) for extent in extents))
             for name, extents in _KERNELS[self.kind].arrays
         )
 

@@ -10,8 +10,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from bitweave import cachesim
-from bitweave.cachesim import LOAD, STORE, CacheLevelSpec, CacheState, Chunk, HierarchySpec
-from bitweave.patterns import _KERNELS, PATTERN_KINDS, _Loop
+from bitweave.cachesim import CacheLevelSpec, CacheState, Chunk, HierarchySpec
+from bitweave.patterns import _KERNELS, LOAD, PATTERN_KINDS, STORE, _Loop
 
 
 def random_cut(rng: random.Random, total: int) -> tuple[int, int]:

@@ -41,8 +41,8 @@ from bitweave import (
     trace_counts,
     write_history_csv,
 )
-from bitweave.cachesim import LOAD, STORE
 from bitweave.fitness import clear_cache
+from bitweave.patterns import LOAD, STORE
 
 from helpers import (
     RecencyListLRU,

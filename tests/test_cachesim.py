@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from bitweave import cachesim
 from bitweave.cachesim import (
     _OUTER_EVENTS,
     CHUNK_EVENTS,
-    LOAD,
-    STORE,
     CacheLevelSpec,
     CacheState,
     HierarchySpec,
@@ -22,7 +20,7 @@ from bitweave.cachesim import (
 from bitweave.cachespec import load_cache_spec
 from bitweave.fitness import place_arrays
 from bitweave.layout import canonical_layout
-from bitweave.patterns import bind_arrays, generate_trace, parse_pattern
+from bitweave.patterns import LOAD, STORE, bind_arrays, generate_trace, parse_pattern
 
 from helpers import (
     RecencyListLRU,
@@ -431,6 +429,42 @@ class TestFlush:
         for b, a in zip(before.levels, after.levels):
             assert (b.hits, b.misses) == (a.hits, a.misses)
         assert before.memory_accesses == after.memory_accesses
+
+    @pytest.mark.parametrize("victims", [False, True])
+    def test_installs_carry_the_senders_slot_bit(self, monkeypatch, victims):
+        # Every install L1 sends, the flushed lines included, carries L1's
+        # slot bit, and every touch it sends without a slot bit is demand.
+        spec = three_level()
+        if victims:
+            l1_spec = replace(spec.levels[0], victim_to="L2")
+            spec = HierarchySpec((l1_spec,) + spec.levels[1:], spec.memory_latency)
+        state = CacheState(spec)
+        l1, l2 = state._levels[:2]
+        sent = []
+        send = cachesim._Level.send
+
+        def record(lvl, *args):
+            # Only L1 links to L2; the keys come last.
+            if lvl is l2:
+                sent.append(args[-1])
+            send(lvl, *args)
+
+        monkeypatch.setattr(cachesim._Level, "send", record)
+        rng = random.Random(47)
+        events = [
+            (STORE if rng.random() < 0.7 else LOAD, rng.randrange(0, 1 << 12, 4), 4)
+            for _ in range(3000)
+        ]
+        state.run(chunked(events))
+        before = state.collect_stats().level("L1")
+        stats = state.flush_writeback()
+        after = stats.level("L1")
+        assert after.writebacks > before.writebacks
+        assert (after.victim_installs > 0) == victims
+        keys = np.concatenate(sent)
+        slot_free = np.count_nonzero(keys & (l1.slot | l2.slot) == 0)
+        assert slot_free == stats.level("L2").accesses
+        assert np.count_nonzero(keys & l1.slot) == after.writebacks + after.victim_installs
 
 
 class TestVictimCache:
