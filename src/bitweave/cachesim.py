@@ -65,10 +65,36 @@ written.  Each table is one contiguous buffer, indexed flat, cell
 and scatters back what they keep, and a flush gathers the held cells of
 every holding set, so the table work grows with the cells touched, not with
 the ways of every touched set.
+
+A state may be given a footprint F in bytes, a promise that every address
+lies in [0, F); run() rejects a chunk that breaks it.  The lines a level
+can then see are [0, N), N = ceil(F / line), and each of its sets gets at
+most ceil(N / sets) of them, so when N <= sets * ways no set can ever
+fill.  Such a level is "roomy": it never evicts, so its misses are its
+compulsory ones (Hill & Smith, IEEE TC 1989), the first touches of lines it
+does not hold, and the LRU order it would keep is never used to pick a
+victim.  A roomy level keeps, instead of the tables, three arrays indexed
+by line: whether it holds the line, the line's dirty bit, and the line's
+last-touch stamp, read from a clock of the level's own that counts its
+touches and never resets.  Its pass is one sort of the touches by line and
+a few scatters; the stamps order each set's lines LRU first, which is the
+order flush_writeback sends them in.  Every level takes this way when it
+can, the first included, and only with a footprint: without one every level
+keeps the tables.
+
+Passes allocate and free arrays of up to a few hundred KiB each.  glibc's
+malloc serves an allocation of 128 KiB or more from a fresh memory mapping
+and unmaps it on free, until freeing a larger mapped block raises that
+threshold, so whether each pass faults in fresh pages would depend on which
+tables an earlier state happened to free.  The first CacheState therefore
+fixes the policy, once per process: blocks under 32 MiB come from the heap,
+and the heap keeps up to 64 MiB of free memory at its top.  Where the C
+library has no mallopt, nothing is changed.
 """
 
 from __future__ import annotations
 
+import functools
 import mmap
 import reprlib
 from dataclasses import dataclass
@@ -104,6 +130,14 @@ CHUNK_EVENTS = 1 << 15
 # L2 pass of Himeno(3,5,5;4) row-major on haswell allocated 2.4 MiB at its
 # peak, against 0.85 MiB at 2^13.
 _OUTER_EVENTS = 1 << 13
+
+# glibc mallopt parameters (malloc.h) and the values the first CacheState
+# sets; see the module docstring.  32 MiB is the largest mmap threshold a
+# 64-bit glibc accepts.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD = 64 << 20
+_MMAP_THRESHOLD = 32 << 20
 
 # (addresses, stores): uint64 byte addresses and a bool store mask, in trace order.
 Chunk = tuple[np.ndarray, np.ndarray]
@@ -244,6 +278,22 @@ def _table(size: int, dtype: type) -> np.ndarray:
     return np.frombuffer(buffer, dtype=dtype)
 
 
+@functools.cache
+def _tune_allocator() -> None:
+    """Fix the C allocator's policy for the process, once; see the module
+    docstring.  A no-op where the C library has no mallopt."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 class _Level:
     """Mutable per-level state: counters; the lines each set holds (see the
     module docstring); and the input events waiting for the level's next
@@ -252,7 +302,9 @@ class _Level:
     Set s holds ``fill[s]`` lines, LRU first, in ``tag_cells`` from cell
     ``s * ways`` on, and their dirty bits in the same cells of
     ``dirty_cells``; the cells after them, up to ``(s + 1) * ways``, are
-    stale.
+    stale.  A roomy level has none of these three: it holds line l iff
+    ``present[l]``, whose dirty bit is ``dirty[l]`` and whose last touch is
+    ``stamp[l]``, and ``clock`` is the stamp its next touch takes.
     """
 
     __slots__ = (
@@ -262,9 +314,14 @@ class _Level:
         "line_shift",
         "set_mask",
         "slot",
+        "roomy",
         "tag_cells",
         "dirty_cells",
         "fill",
+        "present",
+        "dirty",
+        "stamp",
+        "clock",
         "hits",
         "misses",
         "writebacks",
@@ -276,7 +333,7 @@ class _Level:
         "npending",
     )
 
-    def __init__(self, spec: CacheLevelSpec, slot: int) -> None:
+    def __init__(self, spec: CacheLevelSpec, slot: int, footprint: Optional[int]) -> None:
         self.spec = spec
         self.nsets = spec.sets
         self.ways = spec.ways
@@ -286,9 +343,19 @@ class _Level:
         # What the merge key of every install this level sends adds to its
         # position; its fills add nothing, so they stay demand.
         self.slot = np.uint64(slot)
-        self.tag_cells = _table(spec.sets * spec.ways, np.uint64)
-        self.dirty_cells = _table(spec.sets * spec.ways, np.bool_)
-        self.fill = np.zeros(spec.sets, dtype=np.intp)
+        lines = None if footprint is None else -(-footprint // spec.line)
+        self.roomy = lines is not None and lines <= spec.sets * spec.ways
+        if self.roomy:
+            self.tag_cells = self.dirty_cells = self.fill = None
+            self.present = np.zeros(lines, dtype=bool)
+            self.dirty = np.zeros(lines, dtype=bool)
+            self.stamp = _table(lines, np.int64)
+            self.clock = 0
+        else:
+            self.tag_cells = _table(spec.sets * spec.ways, np.uint64)
+            self.dirty_cells = _table(spec.sets * spec.ways, np.bool_)
+            self.fill = np.zeros(spec.sets, dtype=np.intp)
+            self.present = self.dirty = self.stamp = None
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -314,13 +381,31 @@ class _Level:
 
 
 class CacheState:
-    """One simulation instance; single-threaded, independent of all others."""
+    """One simulation instance; single-threaded, independent of all others.
 
-    def __init__(self, spec: HierarchySpec) -> None:
+    ``footprint``, when given, promises that every address the trace holds
+    lies in [0, footprint) bytes, and run() rejects a chunk with one that
+    does not.  A level that can hold every line of that range, whose
+    ceil(footprint / line) lines are at most sets * ways, can never fill a
+    set, since each set gets at most ceil(lines / sets) of them; it then
+    keeps no LRU order in tables but a last-touch stamp per line (see the
+    module docstring).  The counters and the lines each set holds are the
+    same either way.  The first CacheState of a process also fixes the C
+    allocator's policy, as the module docstring says.
+    """
+
+    def __init__(self, spec: HierarchySpec, footprint: Optional[int] = None) -> None:
+        if footprint is not None:
+            footprint = _integer(footprint, "footprint")
+            if footprint < 0:
+                raise ValueError(f"footprint must be >= 0 bytes, got {footprint}")
+        _tune_allocator()
         self.spec = spec
+        self.footprint = footprint
         depth = len(spec.levels) - 1
         self._levels = [
-            _Level(lvl, 1 << max(depth - 1 - k, 0)) for k, lvl in enumerate(spec.levels)
+            _Level(lvl, 1 << max(depth - 1 - k, 0), footprint)
+            for k, lvl in enumerate(spec.levels)
         ]
         by_name = {lvl.spec.name: lvl for lvl in self._levels}
         for lvl in self._levels:
@@ -350,8 +435,9 @@ class CacheState:
         """Stream a whole trace given as chunks; see the module docstring.
 
         A chunk is a pair: a 1-D uint64 array of byte addresses and a bool
-        store mask of the same length; anything else raises before the chunk
-        counts.  The first level takes each chunk in passes of at most
+        store mask of the same length; anything else, or an address at or
+        past the footprint, raises before the chunk counts.  The first level
+        takes each chunk in passes of at most
         CHUNK_EVENTS events.  After each, an outer level's input waits until
         it holds _OUTER_EVENTS events; then it and every level before it
         run.  Input still waiting runs before anything reads or changes the
@@ -367,6 +453,12 @@ class CacheState:
                     f"got {reprlib.repr(chunk)}"
                 ) from None
             _check_chunk(addresses, stores)
+            if self.footprint is not None and len(addresses):
+                top = int(addresses.max())
+                if top >= self.footprint:
+                    raise ValueError(
+                        f"address {top:#x} is at or past the footprint of {self.footprint} bytes"
+                    )
             nstores = int(np.count_nonzero(stores))
             self.stores += nstores
             self.loads += len(addresses) - nstores
@@ -422,7 +514,8 @@ class CacheState:
         position.  A touch whose key has no slot bit is demand and counts a
         hit or a miss.  Sends each counted miss's fill and then each victim
         on."""
-        misses, evicting, victims, victims_dirty = _lru_pass(lvl, addresses, dirty)
+        lru_pass = _roomy_pass if lvl.roomy else _lru_pass
+        misses, evicting, victims, victims_dirty = lru_pass(lvl, addresses, dirty)
         if isinstance(keys, np.ndarray):
             demand = keys & self._slot_mask == 0
             counted = int(np.count_nonzero(demand))
@@ -474,19 +567,14 @@ class CacheState:
         """
         for lvl in self._levels:
             self._run_pending(lvl)
-            # The dirty lines the level holds, by ascending set and in LRU
-            # order within a set.
-            rows = np.flatnonzero(lvl.fill > 0)
-            cells = _cells(rows, lvl.fill[rows], lvl.ways)
-            cells = cells[lvl.dirty_cells[cells]]
-            n = len(cells)
+            lines = _take_dirty(lvl)
+            n = len(lines)
             if not n:
                 continue
-            lvl.dirty_cells[cells] = False
             start = self._advance(n)
             # Fresh ascending positions, so the slot bit leaves their order.
             keys = np.arange(start, start + n, dtype=np.uint64) << self._key_shift | lvl.slot
-            self._write_back(lvl, lvl.tag_cells[cells], keys)
+            self._write_back(lvl, lines, keys)
         return self.collect_stats()
 
     def collect_stats(self) -> SimStats:
@@ -514,10 +602,56 @@ def build_hierarchy(spec: HierarchySpec) -> CacheState:
     """Fresh simulation state: all sets empty, all counters zero.
 
     The same as ``CacheState(spec)``, which the library and the tests call.
-    It is kept only because ``perfbench/harness.py`` imports it; it goes
-    once the harness builds ``CacheState(spec)`` itself.
+    It takes no footprint, so every level keeps its LRU tables and none
+    takes the roomy way that evaluate's states take: the benchmark's traced
+    replay, which builds its state here, times that general path.  It is
+    kept only because ``perfbench/harness.py`` imports it; it goes once the
+    harness builds ``CacheState(spec)`` itself.
     """
     return CacheState(spec)
+
+
+def _roomy_pass(
+    lvl: _Level, addresses: np.ndarray, dirty: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A sequence of touches through a roomy level, as _lru_pass takes them.
+
+    No set of the level can fill, so a touch misses iff it is the first of
+    the pass to a line the level does not hold, and nothing is evicted.
+    Each touched line is held from then on, takes the stamp of its last
+    touch, and ORs in the touches' dirty bits.  Returns what _lru_pass
+    returns: the positions of the misses in order, and no evicting misses
+    or victims.
+    """
+    n = len(addresses)
+    lines = (addresses >> np.uint64(lvl.line_shift)).astype(np.intp)
+    by_line = _argsort_lines(lines)
+    grouped = lines[by_line]
+    heads = np.flatnonzero(np.append(True, grouped[1:] != grouped[:-1]))
+    distinct = grouped[heads]
+    del grouped
+    firsts = by_line[heads]
+    misses = np.sort(firsts[~lvl.present[distinct]])
+    lvl.present[distinct] = True
+    lvl.stamp[distinct] = by_line[np.append(heads[1:], n) - 1] + lvl.clock
+    lvl.clock += n
+    lvl.dirty[lines[dirty]] = True
+    return misses, misses[:0], addresses[:0], dirty[:0]
+
+
+def _take_dirty(lvl: _Level) -> np.ndarray:
+    """The dirty lines the level holds, by ascending set and LRU first
+    within a set, as uint64; marks them clean."""
+    if lvl.roomy:
+        lines = np.flatnonzero(lvl.dirty)
+        lvl.dirty[lines] = False
+        order = np.lexsort((lvl.stamp[lines], lines % lvl.nsets))
+        return lines[order].astype(np.uint64)
+    rows = np.flatnonzero(lvl.fill > 0)
+    cells = _cells(rows, lvl.fill[rows], lvl.ways)
+    cells = cells[lvl.dirty_cells[cells]]
+    lvl.dirty_cells[cells] = False
+    return lvl.tag_cells[cells]
 
 
 def _lru_pass(
@@ -583,17 +717,8 @@ def _lru_pass(
         seq_sets = seq_sets[heads]
     del heads
     total = len(seq)
-    # The same positions grouped by line, each line's in time order.  Lines
-    # less than 2^16 apart sort as their offsets from the lowest, which
-    # 16-bit arithmetic gives exactly.
-    low = seq.min()
-    if seq.max() - low < 1 << 16:
-        offsets = seq.astype(np.uint16)
-        offsets -= low.astype(np.uint16)
-        by_line = np.argsort(offsets, kind="stable")
-        del offsets
-    else:
-        by_line = np.argsort(seq, kind="stable")
+    # The same positions grouped by line, each line's in time order.
+    by_line = _argsort_lines(seq)
     grouped = seq[by_line]
     same = grouped[1:] == grouped[:-1]
     del grouped
@@ -681,6 +806,18 @@ def _keep(
     lvl.tag_cells[cells] = lines
     lvl.dirty_cells[cells] = dirty
     lvl.fill[touched] = counts
+
+
+def _argsort_lines(lines: np.ndarray) -> np.ndarray:
+    """np.argsort(lines, kind="stable") of a non-empty line array.  Lines
+    less than 2^16 apart sort as their offsets from the lowest, which 16-bit
+    arithmetic gives exactly, and a stable argsort radix-sorts."""
+    low = lines.min()
+    if lines.max() - low < 1 << 16:
+        offsets = lines.astype(np.uint16)
+        offsets -= low.astype(np.uint16)
+        return np.argsort(offsets, kind="stable")
+    return np.argsort(lines, kind="stable")
 
 
 def _any_in_runs(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:

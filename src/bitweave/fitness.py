@@ -114,8 +114,11 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
-    chunks = generate_trace(pattern, layout, place_arrays(pattern, layout, spec))
-    state = CacheState(spec)
+    bindings = place_arrays(pattern, layout, spec)
+    chunks = generate_trace(pattern, layout, bindings)
+    # The arrays lie back to back from address 0, so the last one ends the
+    # footprint.
+    state = CacheState(spec, footprint=bindings[-1].end)
     state.run(chunks)
     return fitness(state.flush_writeback(), spec)
 

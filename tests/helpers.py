@@ -173,15 +173,29 @@ class ReferenceHierarchy:
 
 def contents(state: CacheState) -> list[dict]:
     """Per level, each set that holds lines as set: (its lines LRU first,
-    their dirty bits), read from the level's tables viewed as one row per
-    set."""
-    held = []
-    for level in state._levels:
-        tags = level.tag_cells.reshape(level.nsets, level.ways)
-        dirty = level.dirty_cells.reshape(level.nsets, level.ways)
-        fill = enumerate(level.fill.tolist())
-        held.append({s: (tags[s, :n].tolist(), dirty[s, :n].tolist()) for s, n in fill if n})
-    return held
+    their dirty bits), as level_contents reads them."""
+    return [level_contents(level) for level in state._levels]
+
+
+def level_contents(level, sets: Iterable[int] | None = None) -> dict:
+    """Each set of the level that holds lines, or each of ``sets`` that
+    does, as set: (its lines LRU first, their dirty bits).  A level with
+    tables is read from them viewed as one row per set; a roomy one from its
+    per-line arrays, each set's lines in the order of their stamps."""
+    if level.roomy:
+        held: dict = {}
+        lines = np.flatnonzero(level.present)
+        for line in lines[np.argsort(level.stamp[lines])].tolist():
+            set_lines, set_dirty = held.setdefault(line % level.nsets, ([], []))
+            set_lines.append(line)
+            set_dirty.append(bool(level.dirty[line]))
+        wanted = sorted(held) if sets is None else [s for s in sets if s in held]
+        return {s: held[s] for s in wanted}
+    tags = level.tag_cells.reshape(level.nsets, level.ways)
+    dirty = level.dirty_cells.reshape(level.nsets, level.ways)
+    fill = level.fill.tolist()
+    rows = range(level.nsets) if sets is None else sets
+    return {s: (tags[s, : fill[s]].tolist(), dirty[s, : fill[s]].tolist()) for s in rows if fill[s]}
 
 
 def reference_contents(reference: ReferenceHierarchy) -> list[dict]:
@@ -198,9 +212,9 @@ def reference_contents(reference: ReferenceHierarchy) -> list[dict]:
 
 @dataclass
 class LruPass:
-    """One call of cachesim._lru_pass: its level and addresses, the lines the
-    sets it touches held before it, LRU first, set by set, and the positions
-    of its misses."""
+    """One call of cachesim._lru_pass or cachesim._roomy_pass: its level and
+    addresses, the lines the sets it touches held before it, LRU first, set
+    by set, and the positions of its misses."""
 
     level: object
     addresses: np.ndarray
@@ -210,24 +224,30 @@ class LruPass:
 
 @contextmanager
 def lru_passes() -> Iterator[list[LruPass]]:
-    """Record every cachesim._lru_pass call made in the block, in order."""
+    """Record every cachesim._lru_pass and cachesim._roomy_pass call made in
+    the block, in order."""
     record: list[LruPass] = []
-    original = cachesim._lru_pass
+    originals = {name: getattr(cachesim, name) for name in ("_lru_pass", "_roomy_pass")}
 
-    def spy(level, addresses, dirty):
-        rows = level.tag_cells.reshape(level.nsets, level.ways)
-        lines = (addresses >> np.uint64(level.line_shift)).tolist()
-        touched = sorted({line % level.nsets for line in lines})
-        held = [line for s in touched for line in rows[s, : level.fill[s]].tolist()]
-        result = original(level, addresses, dirty)
-        record.append(LruPass(level, addresses, held, result[0].tolist()))
-        return result
+    def spy(original):
+        def recorded(level, addresses, dirty):
+            lines = (addresses >> np.uint64(level.line_shift)).tolist()
+            touched = sorted({line % level.nsets for line in lines})
+            sets = level_contents(level, touched).values()
+            held = [line for set_lines, _ in sets for line in set_lines]
+            result = original(level, addresses, dirty)
+            record.append(LruPass(level, addresses, held, result[0].tolist()))
+            return result
 
-    cachesim._lru_pass = spy
+        return recorded
+
+    for name, original in originals.items():
+        setattr(cachesim, name, spy(original))
     try:
         yield record
     finally:
-        cachesim._lru_pass = original
+        for name, original in originals.items():
+            setattr(cachesim, name, original)
 
 
 def first_level_misses(state: CacheState, chunks: Iterable[Chunk]) -> list[int]:

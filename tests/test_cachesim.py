@@ -1,3 +1,4 @@
+import ctypes
 import random
 import tracemalloc
 from dataclasses import astuple, replace
@@ -509,8 +510,9 @@ class TestVictimCache:
 
 
 @st.composite
-def hierarchies(draw):
-    """1-3 levels with random geometry and outward links."""
+def hierarchies(draw, set_counts=(1, 2, 3, 4, 8)):
+    """1-3 levels with random geometry, each of one of the set counts, and
+    outward links."""
     names = [f"L{k + 1}" for k in range(draw(st.integers(1, 3)))]
     levels = []
     for k, name in enumerate(names):
@@ -518,7 +520,7 @@ def hierarchies(draw):
         levels.append(
             CacheLevelSpec(
                 name=name,
-                sets=draw(st.sampled_from((1, 2, 3, 4, 8))),
+                sets=draw(st.sampled_from(set_counts)),
                 ways=draw(st.integers(1, 4)),
                 line=draw(st.sampled_from((16, 32, 64))),
                 latency=k + 1,
@@ -1194,3 +1196,169 @@ class TestCells:
                 rows, columns = np.nonzero(np.arange(ways) < counts[:, None])
                 expected = touched[rows] * ways + columns
                 assert cachesim._cells(touched, counts, ways).tolist() == expected.tolist()
+
+
+@st.composite
+def footprint_cases(draw):
+    """hierarchies() with power-of-two set counts and set counts like
+    haswell L3's 25,600; a footprint that some levels can hold whole and
+    others cannot, often one byte over, under or at a level's capacity; and
+    a trace of addresses within it, cut into run() calls, each followed by
+    a flush or not."""
+    spec = draw(hierarchies((1, 2, 4, 8, 25, 100, 25600)))
+    capacity = draw(st.sampled_from([lvl.sets * lvl.ways * lvl.line for lvl in spec.levels]))
+    footprint = max(1, capacity + draw(st.sampled_from((-1024, -1, 0, 1, 1024))))
+    # Addresses near 0 reuse lines and fill small sets; the others spread
+    # over the footprint, up to its last byte.
+    address = st.one_of(
+        st.integers(0, min(footprint, 2048) - 1),
+        st.integers(0, footprint - 1),
+        st.just(footprint - 1),
+    )
+    pool = draw(st.lists(address, min_size=1, max_size=40))
+    events = [
+        (draw(st.sampled_from((LOAD, STORE))), draw(st.sampled_from(pool)), 1)
+        for _ in range(draw(st.integers(1, 300)))
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, len(events)), max_size=4)))
+    parts = [events[a:b] for a, b in zip([0, *cuts], [*cuts, len(events)])]
+    flushes = [draw(st.booleans()) for _ in parts]
+    return spec, footprint, parts, flushes
+
+
+def roomy(spec: HierarchySpec, footprint: int) -> list[bool]:
+    """Per level, whether it can hold every line of [0, footprint)."""
+    return [-(-footprint // lvl.line) <= lvl.sets * lvl.ways for lvl in spec.levels]
+
+
+class TestFootprint:
+    """A state given a footprint: roomy levels, which keep no LRU tables,
+    against ReferenceHierarchy, and the footprint's checks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=footprint_cases())
+    def test_roomy_levels_match_the_reference(self, case):
+        spec, footprint, parts, flushes = case
+        reference = ReferenceHierarchy(spec)
+        states = [CacheState(spec, footprint), CacheState(spec)]
+        assert [lvl.roomy for lvl in states[0]._levels] == roomy(spec, footprint)
+        assert not any(lvl.roomy for lvl in states[1]._levels)
+        for part, flush in zip(parts, flushes):
+            reference.replay(part)
+            for state in states:
+                state.run(chunked(part))
+                assert astuple(state.collect_stats()) == reference.stats()
+                assert contents(state) == reference_contents(reference)
+            if flush:
+                expected = reference.flush()
+                for state in states:
+                    assert astuple(state.flush_writeback()) == expected
+                    assert contents(state) == reference_contents(reference)
+
+    @pytest.mark.parametrize("preset", ["haswell", "zen3"])
+    def test_first_level_exactly_full(self, preset):
+        # Cholesky(6;4)'s arrays are 512 lines, as many as haswell's and
+        # zen3's L1 can hold: every level is roomy, and one byte more leaves
+        # L1 to the tables.
+        spec = load_cache_spec(preset)
+        pattern = parse_pattern("Cholesky(6;4)")
+        layout = canonical_layout(pattern.primary_shape())
+        bindings = place_arrays(pattern, layout, spec)
+        footprint = bindings[-1].end
+        assert footprint == 512 * 64
+        results = []
+        for size, expected in (
+            (footprint, [True, True, True]),
+            (footprint + 1, [False, True, True]),
+            (None, [False, False, False]),
+        ):
+            state = CacheState(spec, size)
+            assert [lvl.roomy for lvl in state._levels] == expected
+            state.run(generate_trace(pattern, layout, bindings))
+            results.append(state.flush_writeback())
+        assert results[0] == results[1] == results[2]
+
+    def test_flush_sends_each_set_lru_first(self):
+        # A roomy L1 whose sets hold their dirty lines in an order other
+        # than the lines': the flush writes them into a one-set, two-way
+        # L2 LRU first, so L2 keeps each L1 set's two most recent lines.
+        spec = HierarchySpec(
+            levels=(
+                CacheLevelSpec(
+                    name="L1", sets=2, ways=4, line=16, latency=1, load_from="L2", store_to="L2"
+                ),
+                CacheLevelSpec(name="L2", sets=1, ways=2, line=16, latency=2),
+            ),
+            memory_latency=100,
+        )
+        events = [(STORE, line * 16, 1) for line in (6, 2, 4, 0, 3, 7, 1, 5)]
+        state = CacheState(spec, footprint=8 * 16)
+        assert [lvl.roomy for lvl in state._levels] == [True, False]
+        state.run(chunked(events))
+        assert_matches(state, ReferenceHierarchy(spec).replay(events))
+        assert contents(state)[1] == {0: ([1, 5], [False, False])}
+
+    def test_rejects_addresses_past_the_footprint(self):
+        state = CacheState(three_level(), footprint=1024)
+        state.run(chunked([(STORE, 1023, 1)]))
+        before = state.collect_stats()
+        chunk = (np.array([0, 1024, 64], dtype=np.uint64), np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="address 0x400 .* footprint of 1024 bytes"):
+            state.run([chunk])
+        assert state.collect_stats() == before
+
+    def test_zero_footprint_takes_no_address(self):
+        state = CacheState(three_level(), footprint=0)
+        state.run([(np.array([], dtype=np.uint64), np.array([], dtype=bool))])
+        with pytest.raises(ValueError, match="address 0x0 "):
+            state.run(chunked([(LOAD, 0, 1)]))
+        assert state.flush_writeback().accesses == 0
+
+    @pytest.mark.parametrize("footprint", [1024.0, "1024", 10.5])
+    def test_footprint_must_be_an_integer(self, footprint):
+        with pytest.raises(TypeError, match="footprint must be an integer"):
+            CacheState(three_level(), footprint)
+
+    def test_footprint_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="footprint must be >= 0"):
+            CacheState(three_level(), -1)
+
+
+class TestAllocator:
+    """The C allocator's policy, set by the first CacheState of a process."""
+
+    @pytest.fixture
+    def fresh(self):
+        """Forget that the policy was set, before and after the test."""
+        cachesim._tune_allocator.cache_clear()
+        yield
+        cachesim._tune_allocator.cache_clear()
+
+    def test_applied_once(self, monkeypatch, fresh):
+        calls = []
+
+        class Libc:
+            def __init__(self, name):
+                self.mallopt = self
+
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        for _ in range(3):
+            CacheState(three_level())
+        # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD.
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_libc_without_mallopt(self, monkeypatch, fresh):
+        class Libc:
+            def __init__(self, name):
+                pass
+
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        rng = random.Random(3)
+        events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 12, 4), 4) for _ in range(500)]
+        state = CacheState(three_level(), footprint=1 << 12)
+        state.run(chunked(events))
+        assert_matches(state, ReferenceHierarchy(three_level()).replay(events))

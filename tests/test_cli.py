@@ -365,7 +365,10 @@ class TestExitCodes:
     def test_unallocatable_geometry(self, tmp_path, monkeypatch, capsys):
         # The kernel refuses a mapping for 2^34 sets, as it does without
         # overcommit; a real request could succeed under overcommit and
-        # then exhaust memory, so none is made.
+        # then exhaust memory, so none is made.  MMijk(18;64)'s arrays are
+        # 3 * 2^36 lines, more than the level's 2^35 ways can hold, so the
+        # level needs its LRU tables.
+        layout = "[" + ",".join("0" * 18 + "1" * 18) + "]"
         path = tmp_path / "huge.yaml"
         path.write_text(render_cache_spec(single_level(1 << 34, 2, 64)))
         mapping = cachesim.mmap.mmap
@@ -376,7 +379,7 @@ class TestExitCodes:
             return mapping(fileno, length, *args, **kwargs)
 
         monkeypatch.setattr(cachesim.mmap, "mmap", refuse)
-        assert main(["simulate", "-l", "[0,0,1,1]", "-p", "MMijk(2;4)", "-c", str(path)]) == 2
+        assert main(["simulate", "-l", layout, "-p", "MMijk(18;64)", "-c", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == (
             "error: out of memory: cannot map 274877906944 bytes for a cache level:"
