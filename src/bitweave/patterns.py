@@ -21,13 +21,16 @@ contiguously.  An array declared ``(M,N)`` therefore has shape bits (n, m),
 and one declared ``(M,N,P)`` has bits (p, n, m).
 
 One interpreter turns a nest into the trace, as numpy chunks of uint64 byte
-addresses and a bool store mask, by broadcasting each array's per-dimension
-index tables over blocks of loop iterations.  A block is a run of one
-loop's iterations sized by its own rectangle: the iterations times the
-events of one body, every inner loop running from its lowest start to its
-highest stop in the block.  The rectangle holds at most CHUNK_EVENTS
-events; a triangular nest masks out what lies outside its bounds.  Only
-addresses matter here: every event has the pattern's element size.
+addresses and a bool store mask, a block of one loop's iterations at a
+time, each block at most CHUNK_EVENTS events.  Where no loop bound inside
+a loop varies with its variable, a block is a rectangle, the iterations by
+the events of one body, and each array's per-dimension index tables are
+broadcast over it.  A triangular nest is built exactly instead: each inner
+loop's iterations are listed per enclosing instance, the events of every
+iteration are summed bottom-up, and each reference's addresses are
+scattered to the positions those sums give.  No event is computed and then
+dropped.  Only addresses matter here: every event has the pattern's
+element size.
 """
 
 from __future__ import annotations
@@ -504,17 +507,22 @@ def _rechunk(blocks: Iterator[Chunk]) -> Iterator[Chunk]:
 
 
 # The interpreter.  ``env`` binds each extent and loop variable to an int or,
-# inside a block, to an array of its values that broadcasts against the
-# block's other variables; ``ranges`` holds the lowest and highest value of each.
+# inside a block, to an array of its values: in a rectangular block one that
+# broadcasts against the block's other variables, in an exact one a flat
+# array with one value per instance of its level.  ``ranges`` holds the
+# lowest and highest value of each.
 
 
 def _walk(items: tuple, env: dict, ranges: dict, tables: list) -> Iterator[Chunk]:
     """Blocks of the trace of a body whose variables are all bound to ints.
 
-    A loop is cut into blocks of consecutive iterations, each broadcast
-    against the loops inside it and sized by its own rectangle (see
-    _next_block), which holds at most CHUNK_EVENTS events.  An iteration
-    whose rectangle alone is wider than that is walked on its own.
+    A loop is cut into blocks of consecutive iterations of at most
+    CHUNK_EVENTS events.  Where no loop bound inside it varies with its
+    variable, every iteration is as wide, and a block is a rectangle of as
+    many as fit, each broadcast against the loops inside it.  Otherwise the
+    iterations are built exactly and a block is sized by their own events
+    (see _exact_blocks).  Either way an iteration wider than a block is
+    walked on its own.
     """
     for is_loop, group in groupby(items, lambda item: isinstance(item, _Loop)):
         if not is_loop:
@@ -525,83 +533,56 @@ def _walk(items: tuple, env: dict, ranges: dict, tables: list) -> Iterator[Chunk
             lo, hi, _, width = _iterations(loop, ranges)
             if not width:
                 continue
-            # The step that fits the widest iteration: the largest where every
-            # iteration is as wide.
+            if _ragged(loop.body, {loop.var}):
+                yield from _exact_blocks(loop, env, ranges, lo, hi, tables)
+                continue
+            # Every iteration is as wide, so a block is as many as fit.
             step = max(1, CHUNK_EVENTS // width)
-            first = lo
-            while first < hi:
-                step, block_ranges, shape = _next_block(loop, ranges, first, hi, step)
-                if shape[0] * shape[1] > CHUNK_EVENTS:
+            for first in range(lo, hi, step):
+                last = min(first + step, hi)
+                block_ranges = {**ranges, loop.var: (first, last - 1)}
+                if width > CHUNK_EVENTS:
                     yield from _walk(loop.body, {**env, loop.var: first}, block_ranges, tables)
                 else:
-                    block_env = {**env, loop.var: np.arange(first, first + shape[0])}
-                    yield _block(loop.body, block_env, block_ranges, shape, tables)
-                first += shape[0]
+                    block_env = {**env, loop.var: np.arange(first, last)}
+                    yield _block(loop.body, block_env, block_ranges, (last - first, width), tables)
 
 
-def _next_block(
-    loop: _Loop, ranges: dict, first: int, hi: int, step: int
-) -> tuple[int, dict, tuple[int, int]]:
-    """The next block of ``loop``'s iterations, from ``first`` to at most
-    ``hi``: its step, the ranges inside it and its rectangle's shape, the
-    iterations by the events of one body with every inner loop running
-    from its lowest start to its highest stop in the block.
-
-    The step comes from the previous block.  It doubles while the rectangle
-    fits in CHUNK_EVENTS and halves until it does, so a block costs a few
-    width sums; a rectangle of one iteration may still not fit.
-    """
-    block_ranges, shape = _rectangle(loop, ranges, first, min(first + step, hi))
-    while shape[0] * shape[1] <= CHUNK_EVENTS and first + shape[0] < hi:
-        last = min(first + 2 * step, hi)
-        # A wider block is never narrower: skip one that cannot fit.
-        if (last - first) * shape[1] > CHUNK_EVENTS:
-            break
-        wider_ranges, wider = _rectangle(loop, ranges, first, last)
-        if wider[0] * wider[1] > CHUNK_EVENTS:
-            break
-        step, block_ranges, shape = 2 * step, wider_ranges, wider
-    while shape[0] > 1 and shape[0] * shape[1] > CHUNK_EVENTS:
-        step //= 2
-        block_ranges, shape = _rectangle(loop, ranges, first, min(first + step, hi))
-    return step, block_ranges, shape
-
-
-def _rectangle(loop: _Loop, ranges: dict, first: int, last: int) -> tuple[dict, tuple[int, int]]:
-    """The ranges inside the block of ``loop``'s iterations [first, last),
-    and its rectangle's shape."""
-    block_ranges = {**ranges, loop.var: (first, last - 1)}
-    return block_ranges, (last - first, _width(loop.body, block_ranges))
+def _ragged(items: tuple, varying: set) -> bool:
+    """Whether a loop among ``items`` has a bound that names a variable of
+    ``varying`` or of a loop inside ``items``."""
+    return any(
+        isinstance(item, _Loop)
+        and (
+            item.start[0] in varying
+            or item.stop[0] in varying
+            or _ragged(item.body, varying | {item.var})
+        )
+        for item in items
+    )
 
 
 def _block(items: tuple, env: dict, ranges: dict, shape: tuple, tables: list) -> Chunk:
-    """The events of ``items`` for the bodies of a block, filled into one
-    preallocated array of ``shape``, the block's rectangle: the block's
-    bodies by the events of one body, at most CHUNK_EVENTS events unless it
-    is one body of references.  Every loop runs from its lowest start to
-    its highest stop in the block; where a bound varies across the block,
-    the iterations outside a body's own bounds are masked out."""
+    """The events of ``items`` for the bodies of a rectangular block, filled
+    into one preallocated array of ``shape``: the block's bodies by the
+    events of one body, at most CHUNK_EVENTS events unless it is one body of
+    references.  No loop bound varies across the block, so the rectangle
+    holds exactly its events."""
     addresses = np.empty(shape, dtype=np.uint64)
     stores = np.empty(shape[-1], dtype=bool)
-    keep = np.ones(shape, dtype=bool)
-    ragged = _fill(items, env, ranges, addresses, stores, keep, tables)
-    stores = np.broadcast_to(stores, shape)
-    if ragged:
-        return addresses[keep], stores[keep]
-    return addresses.ravel(), stores.ravel()
+    _fill(items, env, ranges, addresses, stores, tables)
+    return addresses.ravel(), np.broadcast_to(stores, shape).ravel()
 
 
-def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, keep, tables: list) -> bool:
+def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, tables: list) -> None:
     """Write the events of ``items`` along the last axis of ``addresses``
     and their store flags along that of ``stores``; the other axes are the
-    block's and the enclosing loops'.  Clears ``keep`` where a loop bound
-    that varies across those axes excludes an iteration, and returns
-    whether any bound varied."""
+    block's and the enclosing loops'.  Each loop adds one axis, its
+    iterations, and one body's events take the place of the last."""
     terms = {term for item in items if isinstance(item, _Ref) for term in item.subscripts}
     values = {term: _value(term, env) for term in terms}
     lead = addresses.shape[:-1]
     pos = 0
-    ragged = False
     for item in items:
         if isinstance(item, _Ref):
             first, *rest = map(getitem, tables[item.array], map(values.get, item.subscripts))
@@ -616,22 +597,11 @@ def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, keep, tables
             continue
         part, shape = slice(pos, pos + (hi - lo) * width), (hi - lo, width)
         pos = part.stop
-        steps = np.arange(lo, hi).reshape(*[1] * len(lead), hi - lo)
-        part_keep = keep[..., part]
-        for bound, within in ((item.start, np.greater_equal), (item.stop, np.less)):
-            limit = _value(bound, env)
-            if isinstance(limit, np.ndarray):
-                # Each iteration's flag repeated over its events: one pass
-                # along the contiguous axis, however short the body.
-                part_keep &= np.repeat(within(steps, limit[..., None]), width, axis=-1)
-                ragged = True
-        sub_keep = part_keep.reshape(*lead, *shape)
         sub_env = {k: v[..., None] if isinstance(v, np.ndarray) else v for k, v in env.items()}
-        sub_env[item.var] = steps
+        sub_env[item.var] = np.arange(lo, hi).reshape(*[1] * len(lead), hi - lo)
         sub_addresses = addresses[..., part].reshape(*lead, *shape)
         sub_stores = stores[..., part].reshape(*stores.shape[:-1], *shape)
-        ragged |= _fill(item.body, sub_env, inner, sub_addresses, sub_stores, sub_keep, tables)
-    return ragged
+        _fill(item.body, sub_env, inner, sub_addresses, sub_stores, tables)
 
 
 def _iterations(loop: _Loop, ranges: dict) -> tuple[int, int, dict, int]:
@@ -655,6 +625,210 @@ def _width(items: tuple, ranges: dict) -> int:
             lo, hi, _, each = _iterations(item, ranges)
             width += (hi - lo) * each
     return width
+
+
+# The exact path.  A plan lists the instances of each level of a window of
+# a loop's iterations, in trace order: the window's iterations, then each
+# inner loop's iterations over every instance of the level above.  It keeps
+# how many iterations each instance has and how many events each iteration
+# has; the variables' values are listed again per block, for that block's
+# instances only, as flat arrays with one value per instance.
+
+
+def _exact_blocks(
+    loop: _Loop, env: dict, ranges: dict, lo: int, hi: int, tables: list
+) -> Iterator[Chunk]:
+    """Blocks of ``loop``'s iterations [lo, hi), where a loop bound inside
+    it varies with its variable.
+
+    The iterations are planned a window at a time (_window, _expand), which
+    gives each iteration's events exactly.  A window is cut into blocks of
+    as many whole iterations as half a chunk holds, each scattered from its
+    slice of the plan (_exact_block).  Half, because building a block takes
+    about twice its events' bytes in index arrays, and _rechunk may join it
+    with its neighbours.  If more iterations follow, a window's last block
+    starts the next window instead, so that blocks stay full.  An iteration
+    that fills a block alone is walked on its own, which makes it one
+    rectangle where no bound inside it varies with an inner variable.
+    """
+    half = max(1, CHUNK_EVENTS // 2)
+    alone = not _ragged(loop.body, set())
+    first = lo
+    while first < hi:
+        n = _window(loop, env, first, hi)
+        window = np.arange(first, first + n)
+        width, parts = _expand(loop.body, {**env, loop.var: window}, n)
+        ends = width.cumsum()
+        done = 0
+        while done < n:
+            before = int(ends[done - 1]) if done else 0
+            cut = int(np.searchsorted(ends, before + half, "right"))
+            if cut == done or (alone and cut == done + 1):
+                x = first + done
+                yield from _walk(loop.body, {**env, loop.var: x}, {**ranges, loop.var: (x, x)}, tables)
+                done += 1
+            elif cut == n and first + n < hi and done:
+                break  # the rest of the window starts the next one
+            else:
+                span = slice(done, cut)
+                at = ends[span] - width[span]
+                at -= before
+                block_env = {**env, loop.var: window[span]}
+                yield _exact_block(parts, block_env, span, at, int(ends[cut - 1]) - before, tables)
+                done = cut
+        first += done
+
+
+def _window(loop: _Loop, env: dict, first: int, hi: int) -> int:
+    """How many of ``loop``'s iterations from ``first`` on, up to ``hi``,
+    one plan lists: at least one, at most CHUNK_EVENTS // 8, and no more
+    than have that many iterations of the loops directly inside them that
+    hold loops.  A plan keeps a few numbers per such iteration (see
+    _Iterations), so it takes less memory than a block."""
+    budget = CHUNK_EVENTS // 8
+    env = {**env, loop.var: np.arange(first, min(hi, first + max(1, budget)))}
+    kept = np.zeros(len(env[loop.var]), dtype=np.int64)
+    for item in loop.body:
+        if isinstance(item, _Loop) and any(isinstance(sub, _Loop) for sub in item.body):
+            kept += np.maximum(np.subtract(_value(item.stop, env), _value(item.start, env)), 0)
+    return max(1, int(np.searchsorted(kept.cumsum(), budget, "right")))
+
+
+class _Iterations(NamedTuple):
+    """A loop's iterations over the instances of the level above."""
+
+    loop: _Loop
+    offsets: np.ndarray  # where each instance's iterations start, then their total
+    # The body's parts (see _expand), or an innermost loop's references.
+    body: Union[list, tuple]
+    # Events per iteration of an innermost loop, whose body is references
+    # only; otherwise where each iteration's events start, then their total.
+    step: Union[int, np.ndarray]
+
+
+def _expand(items: tuple, env: dict, n: int) -> tuple:
+    """The events of each of ``n`` instances of ``items``, and the parts
+    _place writes: runs of references, and each loop's _Iterations.  Widths
+    are summed bottom-up: a reference is 1 event, and a loop is its
+    iterations' events per instance.  An innermost loop's iterations are
+    all as wide, so its variable is not listed here."""
+    width, parts = np.zeros(n, dtype=np.int64), []
+    for is_loop, group in groupby(items, lambda item: isinstance(item, _Loop)):
+        if not is_loop:
+            refs = tuple(group)
+            width += len(refs)
+            parts.append(refs)
+            continue
+        for loop in group:
+            counts = np.subtract(_value(loop.stop, env), _value(loop.start, env))
+            counts = np.maximum(counts, 0, out=counts) if counts.ndim else np.full(n, max(counts, 0))
+            offsets = _offsets(counts)
+            total = int(offsets[-1])
+            if not total:
+                continue
+            if any(isinstance(item, _Loop) for item in loop.body):
+                sub_env = {k: v.repeat(counts) if isinstance(v, np.ndarray) else v for k, v in env.items()}
+                sub_env[loop.var] = _own(loop, env, offsets, counts, np.arange(total))
+                step, body = _expand(loop.body, sub_env, total)
+                del sub_env
+                step = _offsets(step)
+                width += step[offsets[1:]]
+                width -= step[offsets[:-1]]
+            else:
+                step, body = len(loop.body), loop.body
+                width += counts * step
+            parts.append(_Iterations(loop, offsets, body, step))
+    return width, parts
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """0, then the running sums of ``counts``."""
+    offsets = np.empty(len(counts) + 1, dtype=np.int64)
+    offsets[0] = 0
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _own(loop: _Loop, env: dict, offsets, counts, ramp) -> np.ndarray:
+    """``loop``'s variable in its iterations ``ramp`` (their indices) over
+    instances with ``counts`` iterations from ``offsets``: counting up from
+    each instance's start."""
+    own = (_value(loop.start, env) - offsets[:-1]).repeat(counts)
+    own += ramp
+    return own
+
+
+def _exact_block(parts: list, env: dict, span: slice, at, count: int, tables: list) -> Chunk:
+    """The ``count`` events of the instances ``span`` of a plan's first
+    level, whose variables ``env`` holds and which start at positions
+    ``at``, each written once into arrays of exactly that length."""
+    addresses = np.empty(count, dtype=np.uint64)
+    stores = np.zeros(count, dtype=bool)
+    _place(parts, env, span, at, addresses, stores, tables)
+    return addresses, stores
+
+
+def _place(parts: list, env: dict, span: slice, at, addresses, stores, tables: list) -> None:
+    """Scatter the events of ``parts`` (see _expand) for their level's
+    instances ``span``, whose variables ``env`` holds, into ``addresses``
+    and ``stores``.  The instances start at positions ``at``, which this
+    advances in place: a loop's iterations start where the events before
+    them end, by the widths the plan gives each."""
+    for part in parts:
+        if not isinstance(part, _Iterations):
+            _place_refs(part, env, None, at, addresses, stores, tables)
+            at += len(part)
+            continue
+        offsets = part.offsets[span.start : span.stop + 1]
+        counts = offsets[1:] - offsets[:-1]
+        inner = slice(int(offsets[0]), int(offsets[-1]))
+        if inner.start == inner.stop:
+            continue
+        ramp = np.arange(inner.start, inner.stop)
+        own = _own(part.loop, env, offsets, counts, ramp)
+        if isinstance(part.step, int):
+            sub_at = (at - offsets[:-1] * part.step).repeat(counts)
+            sub_at += ramp * part.step if part.step > 1 else ramp
+            del ramp
+            _place_refs(part.body, env, (part.loop.var, own, counts), sub_at, addresses, stores, tables)
+            at += counts * part.step
+        else:
+            ends = part.step[offsets]
+            sub_at = (at - ends[:-1]).repeat(counts)
+            sub_at += part.step[inner]
+            del ramp
+            sub_env = {k: v.repeat(counts) if isinstance(v, np.ndarray) else v for k, v in env.items()}
+            sub_env[part.loop.var] = own
+            del own
+            _place(part.body, sub_env, inner, sub_at, addresses, stores, tables)
+            at += ends[1:]
+            at -= ends[:-1]
+
+
+def _place_refs(refs: tuple, env: dict, innermost, at, addresses, stores, tables: list) -> None:
+    """Scatter a run of references, the r-th at positions ``at`` plus r, for
+    the instances whose variables ``env`` holds.  Given ``innermost``
+    (variable, values, counts), they are the body of an innermost loop
+    whose variable takes those values, each instance of ``env`` repeated
+    its count of times: table entries of subscripts that do not name the
+    variable are then summed once per instance and repeated."""
+    var, own, counts = innermost or (None, None, None)
+    for r, ref in enumerate(refs):
+        value, inner = None, []
+        for table, term in zip(tables[ref.array], ref.subscripts):
+            if innermost and term[0] == var:
+                inner.append(table[own + term[1] if term[1] else own])
+                continue
+            entry = table[_value(term, env)]
+            value = entry if value is None else value + entry
+        if innermost and isinstance(value, np.ndarray):
+            value = value.repeat(counts)
+        for entry in inner:
+            value = entry if value is None else value + entry
+        addresses[r:][at] = value
+        del value, inner
+        if ref.store:
+            stores[r:][at] = True
 
 
 def _value(term: _Term, env: dict):

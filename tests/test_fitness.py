@@ -3,6 +3,7 @@
 import io
 import random
 import tracemalloc
+from collections import defaultdict
 
 import pytest
 
@@ -264,6 +265,29 @@ class TestEvaluate:
         spec = PatternSpec("MMijk", m=31, element_size=8)
         with pytest.raises(ValueError, match="64-bit"):
             evaluate(canonical_layout(spec.primary_shape()), spec, load_cache_spec("haswell"))
+
+
+class TestLayoutClasses:
+    def test_mmijk_4_64_depends_on_the_low_six_ranks_only(self):
+        """On haswell, MMijk(4;64) puts one element on each 64-byte line, so
+        L1's 64 sets index the element by the bits at its layout's six
+        lowest rank positions, and the rest of the index is the tag.  Two
+        layouts that give dimension 0 as many of those positions therefore
+        differ only in how those bits are ordered, which renames L1's sets.
+        L2 and L3 can hold all 768 lines, so neither evicts.  The 70 layouts
+        fall into 3 such classes, each with one SimStats."""
+        pattern = parse_pattern("MMijk(4;64)")
+        spec = load_cache_spec("haswell")
+        classes = defaultdict(set)
+        clear_cache()
+        try:
+            for layout in enumerate_layouts(pattern.primary_shape()):
+                classes[layout.ranks[:6].count(0)].add(evaluate(layout, pattern, spec).stats)
+        finally:
+            clear_cache()
+        assert sorted(classes) == [2, 3, 4]
+        assert all(len(stats) == 1 for stats in classes.values())
+        assert len(set().union(*classes.values())) == 2
 
 
 class TestMemory:

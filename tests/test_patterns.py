@@ -657,20 +657,28 @@ class TestSmallChunks:
     @pytest.mark.parametrize("size", [7, 64, 257, 1000])
     def test_matches_oracle_in_bounded_blocks(self, size, monkeypatch):
         monkeypatch.setattr(patterns, "CHUNK_EVENTS", size)
-        block, walk = patterns._block, patterns._walk
+        block, exact_block, walk = patterns._block, patterns._exact_block, patterns._walk
         mixed = []
         for text in SMALL_CHUNK_CASES:
             spec = parse_pattern(text)
             nest = patterns._KERNELS[spec.kind].nest
             # How the outermost loop's iterations went: in blocks of several,
-            # or walked on their own.
+            # rectangular or exact, or walked on their own.
             rectangles, paths = [], set()
+
+            def grouped(env):
+                if isinstance(env.get(nest.var), np.ndarray) and len(env[nest.var]) > 1:
+                    paths.add("grouped")
 
             def spy_block(items, env, ranges, shape, tables):
                 rectangles.append(math.prod(shape))
-                if isinstance(env.get(nest.var), np.ndarray) and len(env[nest.var]) > 1:
-                    paths.add("grouped")
+                grouped(env)
                 return block(items, env, ranges, shape, tables)
+
+            def spy_exact_block(parts, env, span, at, count, tables):
+                rectangles.append(count)
+                grouped(env)
+                return exact_block(parts, env, span, at, count, tables)
 
             def spy_walk(items, env, ranges, tables):
                 if isinstance(env.get(nest.var), int):
@@ -678,6 +686,7 @@ class TestSmallChunks:
                 return walk(items, env, ranges, tables)
 
             monkeypatch.setattr(patterns, "_block", spy_block)
+            monkeypatch.setattr(patterns, "_exact_block", spy_exact_block)
             monkeypatch.setattr(patterns, "_walk", spy_walk)
             layout = random_layout(spec.primary_shape(), random.Random(text))
             bindings = bind_arrays(spec, layout, line=16)
@@ -696,9 +705,10 @@ class TestGenerationMemory:
     """What generating a trace alone allocates at its peak: the index
     tables, a block's arrays and the chunk being cut.  Each bound is the
     figure measured (Python 3.11, numpy 2.4.6) plus 25%, as in
-    test_fitness.TestMemory.  A triangular nest's blocks are no larger
-    than a rectangular one's, so with their masks and compacted copies
-    they may not peak above the largest rectangular trace, Jacobi2D's."""
+    test_fitness.TestMemory.  A triangular nest's exact blocks hold at most
+    half a chunk, and building one takes about as much again in index
+    arrays, besides the plan of its window, so they may not peak above the
+    largest rectangular trace, Jacobi2D's."""
 
     JACOBI_PEAK = 1_381_316
 
@@ -706,7 +716,7 @@ class TestGenerationMemory:
         "text, measured",
         [
             ("Crout(6;8)", 1_082_374),
-            ("Cholesky(6;4)", 1_107_454),
+            ("Cholesky(6;4)", 1_075_936),
             ("Jacobi2D(7,9;4)", JACOBI_PEAK),
             ("Himeno(3,5,5;4)", 1_189_620),
         ],
@@ -724,6 +734,34 @@ class TestGenerationMemory:
         assert peak <= measured * 1.25
         if spec.kind in ("Cholesky", "Crout"):
             assert peak <= self.JACOBI_PEAK
+
+
+class TestNoDiscardedEvents:
+    """Every address a block computes is an event of the trace.  A
+    triangular nest's iterations are built exactly, where a rectangle with a
+    mask would compute 206,448 events of Cholesky(6;4) to keep 93,536."""
+
+    @pytest.mark.parametrize("text", ["Cholesky(6;4)", "Crout(6;8)", "Cholesky(8;4)", "Crout(7;4)"])
+    def test_every_computed_event_is_kept(self, text, monkeypatch):
+        block, exact_block = patterns._block, patterns._exact_block
+        made = []  # (events a block computed, events it returned)
+
+        def spy_block(items, env, ranges, shape, tables):
+            addresses, stores = block(items, env, ranges, shape, tables)
+            made.append((math.prod(shape), len(addresses)))
+            return addresses, stores
+
+        def spy_exact_block(parts, env, span, at, count, tables):
+            addresses, stores = exact_block(parts, env, span, at, count, tables)
+            made.append((count, len(addresses)))
+            return addresses, stores
+
+        monkeypatch.setattr(patterns, "_block", spy_block)
+        monkeypatch.setattr(patterns, "_exact_block", spy_exact_block)
+        spec = parse_pattern(text)
+        events = sum(len(a) for a, _ in generate_trace(spec, canonical_layout(spec.primary_shape())))
+        assert sum(computed for computed, _ in made) == events
+        assert all(computed == kept for computed, kept in made)
 
 
 def fill_matrix(binding, rows, cols, rng, flat):
