@@ -28,14 +28,11 @@ one way more.  Each miss, and each line held when the pass
 starts, begins a residency that runs over the hits to its line until it is
 evicted.  A set evicts its residencies in the order of their last use, and
 only its last misses find it full, so sorting gives every victim and its
-dirty bit (the OR of the residency's dirty bits).  When no touched set sees
-more than ``ways`` distinct lines in a pass, held ones included, the pass
-takes a shorter way: every repeat hits, the misses are the first touches of
-lines the set did not hold, nothing is evicted, and each set keeps all of
-its lines in the order of their last touch.  That is the common case at
-outer levels, whose passes often bring only compulsory misses.  A counted
-miss sends a load of its byte address to ``load_from``; then its victim
-goes on.
+dirty bit (the OR of the residency's dirty bits).  Outer levels whose
+passes bring only compulsory misses are mostly roomy levels (below), which
+take no rounds at all; elsewhere the rounds stop once only first touches are
+left.  A counted miss sends a load of its byte address to ``load_from``;
+then its victim goes on.
 
 The first level takes each chunk in passes of at most CHUNK_EVENTS events,
 so a pass's memory does not grow with the chunk.  An outer level's input
@@ -663,10 +660,8 @@ def _lru_pass(
     line's dirty bit; when the line is absent it misses, evicting the set's
     LRU line if the set is full.  The lines the touched sets hold are read
     from their rows of the level's tables, and the lines they keep written
-    back, LRU first.  When no touched set sees more than ``ways`` distinct
-    lines, held ones included, every repeat hits and nothing is evicted, so
-    the inclusion rounds of _lru_misses and the eviction bookkeeping are
-    skipped.
+    back, LRU first.  A level that can hold the whole footprint takes
+    _roomy_pass instead, so compulsory-only traffic mostly goes there.
     Returns the positions of the misses in order; the indices, among those,
     of the misses that evict; and the line each of these evicts and its
     dirty bit.  Each array as long as the touches is deleted after its last
@@ -722,18 +717,10 @@ def _lru_pass(
     grouped = seq[by_line]
     same = grouped[1:] == grouped[:-1]
     del grouped
-    firsts = np.flatnonzero(np.append(True, ~same))
-    distinct = np.bincount(seq_sets[by_line[firsts]], minlength=count)
-    overflow = distinct.max() > ways
-    if overflow:
-        del firsts
-        is_miss = np.zeros(total, dtype=bool)
-        is_miss[_lru_misses(by_line, same, ways)] = True
-        starts = np.flatnonzero(is_miss[by_line])
-    else:
-        # Every repeat hits: each line's touches make one residency.
-        starts = firsts
+    is_miss = np.zeros(total, dtype=bool)
+    is_miss[_lru_misses(by_line, same, ways)] = True
     del same
+    starts = np.flatnonzero(is_miss[by_line])
 
     # A residency starts at each miss or held line and runs over the hits to
     # its line after it; it is dirty if any of them is.
@@ -747,23 +734,15 @@ def _lru_pass(
     last_use = last_use[by_use]
     res_dirty = res_dirty[by_use]
     res_lines = seq[last_use]
-    del by_use, seq
-    # The misses are the residencies' starts that are accesses, not held
-    # lines.
-    if not overflow:
-        # Nothing is evicted, and each set keeps all of its lines.
-        missed = np.zeros(nheld + n, dtype=bool)
-        missed[order[by_line[starts]]] = True
-        misses = np.flatnonzero(missed[nheld:])
-        _keep(lvl, touched, distinct, res_lines, res_dirty)
-        return misses, misses[:0], res_lines[:0], res_dirty[:0]
-    del by_line, starts
+    del by_use, seq, by_line, starts
 
     res_set = seq_sets[last_use]
     residencies = np.bincount(res_set, minlength=count)
-    # A set keeps its last min(ways, distinct lines) residencies; the others
-    # are evicted, in order, by the misses that find it full: its last ones.
-    kept_counts = np.minimum(distinct, ways)
+    # A set that sees at most ``ways`` distinct lines never evicts, so it has
+    # one residency per line and keeps them all; one that sees more has more
+    # than ``ways`` residencies and keeps its last ``ways``.  The others are
+    # evicted, in order, by the misses that find it full: its last ones.
+    kept_counts = np.minimum(residencies, ways)
     evicted = residencies - kept_counts
     first_res = np.cumsum(residencies) - residencies
     kept = np.flatnonzero(np.arange(len(last_use)) - first_res[res_set] >= evicted[res_set])

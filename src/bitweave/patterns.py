@@ -478,9 +478,7 @@ def generate_trace(
     # The per-dimension terms of an address have disjoint bits, so their OR
     # is their sum, and the base can be folded into the first table.
     tables = [(b.tables[0] + np.uint64(b.base), *b.tables[1:]) for b in bindings]
-    extents = _extents(spec)
-    ranges = {name: (value, value) for name, value in extents.items()}
-    return _rechunk(_walk((_KERNELS[spec.kind].nest,), extents, ranges, tables))
+    return _rechunk(_walk((_KERNELS[spec.kind].nest,), _extents(spec), tables))
 
 
 def _rechunk(blocks: Iterator[Chunk]) -> Iterator[Chunk]:
@@ -509,43 +507,44 @@ def _rechunk(blocks: Iterator[Chunk]) -> Iterator[Chunk]:
 # The interpreter.  ``env`` binds each extent and loop variable to an int or,
 # inside a block, to an array of its values: in a rectangular block one that
 # broadcasts against the block's other variables, in an exact one a flat
-# array with one value per instance of its level.  ``ranges`` holds the
-# lowest and highest value of each.
+# array with one value per instance of its level.  A rectangular block's
+# loops have no bound that names a variable of the block, so every bound it
+# reads is an int.
 
 
-def _walk(items: tuple, env: dict, ranges: dict, tables: list) -> Iterator[Chunk]:
+def _walk(items: tuple, env: dict, tables: list) -> Iterator[Chunk]:
     """Blocks of the trace of a body whose variables are all bound to ints.
 
     A loop is cut into blocks of consecutive iterations of at most
-    CHUNK_EVENTS events.  Where no loop bound inside it varies with its
-    variable, every iteration is as wide, and a block is a rectangle of as
-    many as fit, each broadcast against the loops inside it.  Otherwise the
-    iterations are built exactly and a block is sized by their own events
-    (see _exact_blocks).  Either way an iteration wider than a block is
-    walked on its own.
+    CHUNK_EVENTS events.  Where a loop bound inside it varies with its
+    variable (_ragged), the iterations are built exactly and a block is
+    sized by their own events (see _exact_blocks).  Otherwise every
+    iteration is as wide, and a block is a rectangle of as many as fit,
+    each broadcast against the loops inside it.  Either way an iteration
+    wider than a block is walked on its own.
     """
     for is_loop, group in groupby(items, lambda item: isinstance(item, _Loop)):
         if not is_loop:
             refs = tuple(group)
-            yield _block(refs, env, ranges, (len(refs),), tables)
+            yield _block(refs, env, (len(refs),), tables)
             continue
         for loop in group:
-            lo, hi, _, width = _iterations(loop, ranges)
-            if not width:
-                continue
             if _ragged(loop.body, {loop.var}):
-                yield from _exact_blocks(loop, env, ranges, lo, hi, tables)
+                lo, hi = _value(loop.start, env), _value(loop.stop, env)
+                yield from _exact_blocks(loop, env, lo, hi, tables)
+                continue
+            lo, hi, width = _iterations(loop, env)
+            if not width:
                 continue
             # Every iteration is as wide, so a block is as many as fit.
             step = max(1, CHUNK_EVENTS // width)
             for first in range(lo, hi, step):
                 last = min(first + step, hi)
-                block_ranges = {**ranges, loop.var: (first, last - 1)}
                 if width > CHUNK_EVENTS:
-                    yield from _walk(loop.body, {**env, loop.var: first}, block_ranges, tables)
+                    yield from _walk(loop.body, {**env, loop.var: first}, tables)
                 else:
                     block_env = {**env, loop.var: np.arange(first, last)}
-                    yield _block(loop.body, block_env, block_ranges, (last - first, width), tables)
+                    yield _block(loop.body, block_env, (last - first, width), tables)
 
 
 def _ragged(items: tuple, varying: set) -> bool:
@@ -562,7 +561,7 @@ def _ragged(items: tuple, varying: set) -> bool:
     )
 
 
-def _block(items: tuple, env: dict, ranges: dict, shape: tuple, tables: list) -> Chunk:
+def _block(items: tuple, env: dict, shape: tuple, tables: list) -> Chunk:
     """The events of ``items`` for the bodies of a rectangular block, filled
     into one preallocated array of ``shape``: the block's bodies by the
     events of one body, at most CHUNK_EVENTS events unless it is one body of
@@ -570,11 +569,11 @@ def _block(items: tuple, env: dict, ranges: dict, shape: tuple, tables: list) ->
     holds exactly its events."""
     addresses = np.empty(shape, dtype=np.uint64)
     stores = np.empty(shape[-1], dtype=bool)
-    _fill(items, env, ranges, addresses, stores, tables)
+    _fill(items, env, addresses, stores, tables)
     return addresses.ravel(), np.broadcast_to(stores, shape).ravel()
 
 
-def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, tables: list) -> None:
+def _fill(items: tuple, env: dict, addresses, stores, tables: list) -> None:
     """Write the events of ``items`` along the last axis of ``addresses``
     and their store flags along that of ``stores``; the other axes are the
     block's and the enclosing loops'.  Each loop adds one axis, its
@@ -592,7 +591,7 @@ def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, tables: list
             stores[..., pos] = item.store
             pos += 1
             continue
-        lo, hi, inner, width = _iterations(item, ranges)
+        lo, hi, width = _iterations(item, env)
         if not width:
             continue
         part, shape = slice(pos, pos + (hi - lo) * width), (hi - lo, width)
@@ -601,30 +600,23 @@ def _fill(items: tuple, env: dict, ranges: dict, addresses, stores, tables: list
         sub_env[item.var] = np.arange(lo, hi).reshape(*[1] * len(lead), hi - lo)
         sub_addresses = addresses[..., part].reshape(*lead, *shape)
         sub_stores = stores[..., part].reshape(*stores.shape[:-1], *shape)
-        _fill(item.body, sub_env, inner, sub_addresses, sub_stores, tables)
+        _fill(item.body, sub_env, sub_addresses, sub_stores, tables)
 
 
-def _iterations(loop: _Loop, ranges: dict) -> tuple[int, int, dict, int]:
-    """A loop's lowest start and highest stop over ``ranges``, the ranges
-    inside it, and the events of its widest iteration."""
-    (start, start_offset), (stop, stop_offset) = loop.start, loop.stop
-    lo = start_offset + (ranges[start][0] if start else 0)
-    hi = stop_offset + (ranges[stop][1] if stop else 0)
-    inner = {**ranges, loop.var: (lo, hi - 1)}
-    return lo, hi, inner, _width(loop.body, inner) if hi > lo else 0
-
-
-def _width(items: tuple, ranges: dict) -> int:
-    """Events per body of ``items``, every loop running from its lowest
-    start to its highest stop over ``ranges``."""
+def _iterations(loop: _Loop, env: dict) -> tuple[int, int, int]:
+    """A loop's start and stop and the events of each of its iterations, 0
+    when it has none.  No bound inside it may vary, so each bound it reads
+    is an int in ``env`` and every iteration is as wide."""
+    lo, hi = _value(loop.start, env), _value(loop.stop, env)
     width = 0
-    for item in items:
-        if isinstance(item, _Ref):
-            width += 1
-        else:
-            lo, hi, _, each = _iterations(item, ranges)
-            width += (hi - lo) * each
-    return width
+    if hi > lo:
+        for item in loop.body:
+            if isinstance(item, _Ref):
+                width += 1
+            else:
+                inner_lo, inner_hi, each = _iterations(item, env)
+                width += (inner_hi - inner_lo) * each
+    return lo, hi, width
 
 
 # The exact path.  A plan lists the instances of each level of a window of
@@ -635,9 +627,7 @@ def _width(items: tuple, ranges: dict) -> int:
 # instances only, as flat arrays with one value per instance.
 
 
-def _exact_blocks(
-    loop: _Loop, env: dict, ranges: dict, lo: int, hi: int, tables: list
-) -> Iterator[Chunk]:
+def _exact_blocks(loop: _Loop, env: dict, lo: int, hi: int, tables: list) -> Iterator[Chunk]:
     """Blocks of ``loop``'s iterations [lo, hi), where a loop bound inside
     it varies with its variable.
 
@@ -665,7 +655,7 @@ def _exact_blocks(
             cut = int(np.searchsorted(ends, before + half, "right"))
             if cut == done or (alone and cut == done + 1):
                 x = first + done
-                yield from _walk(loop.body, {**env, loop.var: x}, {**ranges, loop.var: (x, x)}, tables)
+                yield from _walk(loop.body, {**env, loop.var: x}, tables)
                 done += 1
             elif cut == n and first + n < hi and done:
                 break  # the rest of the window starts the next one

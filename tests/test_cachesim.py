@@ -1004,7 +1004,9 @@ def branches(passes):
 
 
 class TestPassBranches:
-    """Each way through the bulk pass, against ReferenceHierarchy."""
+    """Each kind of pass input, against ReferenceHierarchy: sets that see
+    more than ``ways`` distinct lines or not, with held lines or none, and
+    lines near or far apart."""
 
     def test_outer_level_without_overflow(self, passes):
         # A two-set, two-way L1 in front of an L2 with room for every line

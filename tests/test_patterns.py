@@ -670,20 +670,20 @@ class TestSmallChunks:
                 if isinstance(env.get(nest.var), np.ndarray) and len(env[nest.var]) > 1:
                     paths.add("grouped")
 
-            def spy_block(items, env, ranges, shape, tables):
+            def spy_block(items, env, shape, tables):
                 rectangles.append(math.prod(shape))
                 grouped(env)
-                return block(items, env, ranges, shape, tables)
+                return block(items, env, shape, tables)
 
             def spy_exact_block(parts, env, span, at, count, tables):
                 rectangles.append(count)
                 grouped(env)
                 return exact_block(parts, env, span, at, count, tables)
 
-            def spy_walk(items, env, ranges, tables):
+            def spy_walk(items, env, tables):
                 if isinstance(env.get(nest.var), int):
                     paths.add("alone")
-                return walk(items, env, ranges, tables)
+                return walk(items, env, tables)
 
             monkeypatch.setattr(patterns, "_block", spy_block)
             monkeypatch.setattr(patterns, "_exact_block", spy_exact_block)
@@ -746,8 +746,8 @@ class TestNoDiscardedEvents:
         block, exact_block = patterns._block, patterns._exact_block
         made = []  # (events a block computed, events it returned)
 
-        def spy_block(items, env, ranges, shape, tables):
-            addresses, stores = block(items, env, ranges, shape, tables)
+        def spy_block(items, env, shape, tables):
+            addresses, stores = block(items, env, shape, tables)
             made.append((math.prod(shape), len(addresses)))
             return addresses, stores
 
