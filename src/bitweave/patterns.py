@@ -1,9 +1,9 @@
 """Memory access traces of classic loop kernels.
 
 Every kernel kind is described once, as data, in ``_KERNELS``: its log2
-size parameters, its arrays, its loop nest, and the published closed-form
-totals of its trace.  PATTERN_KINDS, the array shapes of PatternSpec, the
-trace and trace_counts are all read from that table.
+size parameters, its arrays and its loop nest.  PATTERN_KINDS, the array
+shapes of PatternSpec, the trace and trace_counts are all read from that
+table; the trace's loads and stores are counted from the nest itself.
 
 Extent ``M`` is 2^m, and likewise for each parameter.  A loop is (variable,
 start, stop, body...) and runs from start up to but excluding stop; a bound
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import getitem
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -90,8 +90,6 @@ class _Kernel(NamedTuple):
     params: tuple[str, ...]
     arrays: tuple[tuple[str, tuple[str, ...]], ...]  # (name, extents in coordinate order)
     nest: _Loop
-    counts: Callable[..., tuple[int, int]]  # published (loads, stores) from the extents
-    exact: bool  # False where the published counts approximate the nest's
 
 
 _TERM_RE = re.compile(r"([A-Za-z]\w*)([+-]\d+)?")
@@ -106,7 +104,7 @@ def _term(text: Union[str, int]) -> _Term:
     return name, int(offset or 0)
 
 
-def _kernel(params: str, arrays: str, nest: tuple, counts: Callable, exact: bool) -> _Kernel:
+def _kernel(params: str, arrays: str, nest: tuple) -> _Kernel:
     """Compile one table entry; this is where written order is reversed."""
     decls = tuple(
         (name, tuple(reversed(dims.split(",")))) for name, dims in _DECL_RE.findall(arrays)
@@ -121,7 +119,7 @@ def _kernel(params: str, arrays: str, nest: tuple, counts: Callable, exact: bool
         var, start, stop, *body = entry
         return _Loop(var, _term(start), _term(stop), tuple(map(item, body)))
 
-    return _Kernel(tuple(params.split()), decls, item(nest), counts, exact)
+    return _Kernel(tuple(params.split()), decls, item(nest))
 
 
 _KERNELS = {
@@ -132,7 +130,6 @@ _KERNELS = {
             ("j", 0, "M",
                 ("k", 0, "M", "L A(i,k)", "L B(k,j)"),
                 "S C(i,j)")),
-        lambda M: (2 * M**3, M**2), exact=True,
     ),
     "MMTijk": _kernel(
         "m n", "A(M,N) B(M,N) C(M,M)",
@@ -141,7 +138,6 @@ _KERNELS = {
             ("j", 0, "M",
                 ("k", 0, "N", "L A(i,k)", "L B(j,k)"),
                 "S C(i,j)")),
-        lambda M, N: (2 * M * M * N, M * M), exact=True,
     ),
     "MMikj": _kernel(
         "m", "A(M,M) B(M,M) C(M,M)",
@@ -149,7 +145,6 @@ _KERNELS = {
         ("i", 0, "M",
             ("k", 0, "M",
                 ("j", 0, "M", "L C(i,j)", "L A(i,k)", "L B(k,j)", "S C(i,j)"))),
-        lambda M: (3 * M**3, M**3), exact=True,
     ),
     "MMTikj": _kernel(
         "m n", "A(M,N) B(M,N) C(M,M)",
@@ -157,7 +152,6 @@ _KERNELS = {
         ("i", 0, "M",
             ("k", 0, "N",
                 ("j", 0, "M", "L C(i,j)", "L A(i,k)", "L B(j,k)", "S C(i,j)"))),
-        lambda M, N: (3 * M * M * N, M * M * N), exact=True,
     ),
     "Jacobi2D": _kernel(
         "m n", "src(M,N) dst(M,N)",
@@ -166,8 +160,6 @@ _KERNELS = {
             ("j", 1, "N-1",
                 "L src(i-1,j)", "L src(i+1,j)", "L src(i,j-1)", "L src(i,j+1)",
                 "S dst(i,j)")),
-        # the published figures count every point, not the interior
-        lambda M, N: (4 * M * N, M * N), exact=False,
     ),
     "Cholesky": _kernel(
         "m", "A(M,M) L(M,M)",
@@ -179,8 +171,6 @@ _KERNELS = {
             # L(i,i) = sqrt(A(i,i) - s), s = sum_{k<i} L(i,k) * L(i,k)
             ("k", 0, "i", "L L(i,k)", "L L(i,k)"),
             "L A(i,i)", "S L(i,i)"),
-        # published approximations
-        lambda M: (2 * M * M, M * M // 2), exact=False,
     ),
     "Crout": _kernel(
         "m", "A(M,M) LU(M,M)",
@@ -195,8 +185,6 @@ _KERNELS = {
             ("i", "j+1", "M",
                 ("k", 0, "j", "L LU(j,k)", "L LU(k,i)"),
                 "L A(j,i)", "L LU(j,j)", "S LU(j,i)")),
-        # published approximations
-        lambda M: (7 * M * M // 2, M * M), exact=False,
     ),
     "Himeno": _kernel(
         "m n p",
@@ -226,8 +214,6 @@ _KERNELS = {
                     # wrk = p + omega*(s0*a3 - p); p(i,j,k) is loaded once
                     "L a3(i,j,k)", "L p(i,j,k)",
                     "S wrk(i,j,k)"))),
-        # published approximations
-        lambda M, N, P: (24 * M * N * P, M * N * P), exact=False,
     ),
 }
 
@@ -236,8 +222,9 @@ PATTERN_KINDS = {kind: kernel.params for kind, kernel in _KERNELS.items()}
 
 
 class TraceCounts(NamedTuple):
-    """Closed-form load/store totals; exact is False where the published
-    figures are approximations rather than loop-nest counts."""
+    """The loads and stores of a pattern's trace.  They are counted from the
+    same loop nest the trace is generated from, so ``exact`` is always True;
+    it remains for callers that still test it."""
 
     loads: int
     stores: int
@@ -519,9 +506,10 @@ def _walk(items: tuple, env: dict, tables: list) -> Iterator[Chunk]:
     CHUNK_EVENTS events.  Where a loop bound inside it varies with its
     variable (_ragged), the iterations are built exactly and a block is
     sized by their own events (see _exact_blocks).  Otherwise every
-    iteration is as wide, and a block is a rectangle of as many as fit,
-    each broadcast against the loops inside it.  Either way an iteration
-    wider than a block is walked on its own.
+    iteration has as many events as _events counts for one body, and a
+    block is a rectangle of as many as fit, each broadcast against the
+    loops inside it.  Either way an iteration wider than a block is walked
+    on its own.
     """
     for is_loop, group in groupby(items, lambda item: isinstance(item, _Loop)):
         if not is_loop:
@@ -529,12 +517,12 @@ def _walk(items: tuple, env: dict, tables: list) -> Iterator[Chunk]:
             yield _block(refs, env, (len(refs),), tables)
             continue
         for loop in group:
+            lo, hi = _value(loop.start, env), _value(loop.stop, env)
             if _ragged(loop.body, {loop.var}):
-                lo, hi = _value(loop.start, env), _value(loop.stop, env)
                 yield from _exact_blocks(loop, env, lo, hi, tables)
                 continue
-            lo, hi, width = _iterations(loop, env)
-            if not width:
+            width = _events(loop.body, env)
+            if hi <= lo or not width:
                 continue
             # Every iteration is as wide, so a block is as many as fit.
             step = max(1, CHUNK_EVENTS // width)
@@ -591,8 +579,9 @@ def _fill(items: tuple, env: dict, addresses, stores, tables: list) -> None:
             stores[..., pos] = item.store
             pos += 1
             continue
-        lo, hi, width = _iterations(item, env)
-        if not width:
+        lo, hi = _value(item.start, env), _value(item.stop, env)
+        width = _events(item.body, env)
+        if hi <= lo or not width:
             continue
         part, shape = slice(pos, pos + (hi - lo) * width), (hi - lo, width)
         pos = part.stop
@@ -603,20 +592,25 @@ def _fill(items: tuple, env: dict, addresses, stores, tables: list) -> None:
         _fill(item.body, sub_env, sub_addresses, sub_stores, tables)
 
 
-def _iterations(loop: _Loop, env: dict) -> tuple[int, int, int]:
-    """A loop's start and stop and the events of each of its iterations, 0
-    when it has none.  No bound inside it may vary, so each bound it reads
-    is an int in ``env`` and every iteration is as wide."""
-    lo, hi = _value(loop.start, env), _value(loop.stop, env)
-    width = 0
-    if hi > lo:
-        for item in loop.body:
-            if isinstance(item, _Ref):
-                width += 1
-            else:
-                inner_lo, inner_hi, each = _iterations(item, env)
-                width += (inner_hi - inner_lo) * each
-    return lo, hi, width
+def _events(items: tuple, env: dict, store: Optional[bool] = None) -> int:
+    """The events of a body whose bounds read only ints in ``env``: all of
+    them, or only its stores (``store`` True) or its loads (False).  A loop
+    with no bound inside it that varies with its variable (_ragged) is its
+    trip count times one iteration's events; any other is summed over its
+    iterations."""
+    count = 0
+    for item in items:
+        if isinstance(item, _Ref):
+            count += store is None or item.store == store
+            continue
+        lo, hi = _value(item.start, env), _value(item.stop, env)
+        if hi <= lo:
+            continue
+        if _ragged(item.body, {item.var}):
+            count += sum(_events(item.body, {**env, item.var: x}, store) for x in range(lo, hi))
+        else:
+            count += (hi - lo) * _events(item.body, env, store)
+    return count
 
 
 # The exact path.  A plan lists the instances of each level of a window of
@@ -828,15 +822,10 @@ def _value(term: _Term, env: dict):
 
 
 def trace_counts(spec: PatternSpec) -> TraceCounts:
-    """Closed-form load/store totals per pattern, as published.
-
-    Exact for the four multiplication nests.  The stencils sweep interior
-    points only, which their published figures do not subtract, and the
-    factorization figures are approximations, so those carry exact=False.
-    """
-    kernel = _KERNELS[spec.kind]
-    loads, stores = kernel.counts(**_extents(spec))
-    return TraceCounts(loads, stores, kernel.exact)
+    """The loads and stores of the pattern's trace, counted from its loop
+    nest without generating it (see _events)."""
+    nest, env = (_KERNELS[spec.kind].nest,), _extents(spec)
+    return TraceCounts(_events(nest, env, store=False), _events(nest, env, store=True), True)
 
 
 def write_trace(chunks: Iterable[Chunk], stream: IO[str]) -> int:

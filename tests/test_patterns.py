@@ -403,7 +403,6 @@ class TestCounts:
         interior = (2**m - 2) * (2**n - 2)
         got = count_ops(generate_trace(spec, canonical_layout(spec.primary_shape())))
         assert got == (4 * interior, interior)
-        assert not trace_counts(spec).exact
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_cholesky_structural(self, m):
@@ -415,7 +414,6 @@ class TestCounts:
         assert loads == sum(
             2 * j + (1 if i == j else 2) for i in range(n) for j in range(i + 1)
         )
-        assert not trace_counts(spec).exact
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_crout_structural(self, m):
@@ -426,7 +424,6 @@ class TestCounts:
         col = sum(2 * j + 1 for j in range(n) for _ in range(j, n))
         row = sum(2 * j + 2 for j in range(n) for _ in range(j + 1, n))
         assert loads == col + row
-        assert not trace_counts(spec).exact
 
     @pytest.mark.parametrize("m,n,p", [(1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 3)])
     def test_himeno_structural(self, m, n, p):
@@ -435,12 +432,28 @@ class TestCounts:
         got = count_ops(generate_trace(spec, canonical_layout(spec.primary_shape())))
         # 10 coefficient loads + 19 stencil loads, one store per point
         assert got == (29 * interior, interior)
-        assert not trace_counts(spec).exact
 
     def test_count_examples(self):
         assert trace_counts(PatternSpec("MMTikj", m=3, n=3)) == (3 * 2**9, 2**9, True)
-        assert trace_counts(PatternSpec("Himeno", m=2, n=2, p=2)).loads == 24 * 2**6
-        assert trace_counts(PatternSpec("Crout", m=2)).loads == 56
+        assert trace_counts(PatternSpec("Himeno", m=2, n=2, p=2)) == (232, 8, True)
+        assert trace_counts(PatternSpec("Crout", m=2)) == (50, 16, True)
+
+    @pytest.mark.parametrize("text", [
+        "MMijk(1;4)", "MMijk(4;64)", "MMikj(1;4)", "MMikj(5;32)",
+        "MMTijk(1,1;4)", "MMTijk(3,2;4)", "MMTikj(1,2;4)", "MMTikj(3,3;4)",
+        "Jacobi2D(1,1;4)", "Jacobi2D(2,3;4)", "Jacobi2D(7,9;4)",
+        "Cholesky(1;4)", "Cholesky(3;4)", "Cholesky(6;4)",
+        "Crout(1;8)", "Crout(3;8)", "Crout(6;8)",
+        "Himeno(1,2,2;4)", "Himeno(2,3,2;4)", "Himeno(3,5,5;4)",
+    ])
+    def test_counts_equal_generated(self, text):
+        # every kind at m=1 (an empty interior for the stencils), a small
+        # size, and the size the benchmark runs
+        spec = parse_pattern(text)
+        counts = trace_counts(spec)
+        got = count_ops(generate_trace(spec, canonical_layout(spec.primary_shape())))
+        assert (counts.loads, counts.stores) == got
+        assert counts.exact
 
 
 def stores_of(spec, layout):

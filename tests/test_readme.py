@@ -46,3 +46,15 @@ def test_command_line_examples_run_as_written(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "\n39\n3,5\n" in out  # the index examples print what they claim
     assert (tmp_path / "runs" / "mm5" / "history.csv").is_file()
+
+
+def test_kernel_entry_is_copied_from_the_table():
+    """The README's kernel entry is the one in patterns.py, line for line,
+    comments included; only indentation may differ."""
+    block = re.search(r"```text\n(.*?)```", README.read_text(), re.S).group(1)
+    source = (README.parent / "src" / "bitweave" / "patterns.py").read_text()
+
+    def dedent(text):
+        return "\n".join(line.strip() for line in text.splitlines()) + "\n"
+
+    assert dedent(block) in dedent(source)
