@@ -28,10 +28,9 @@ one way more.  Each miss, and each line held when the pass
 starts, begins a residency that runs over the hits to its line until it is
 evicted.  A set evicts its residencies in the order of their last use, and
 only its last misses find it full, so sorting gives every victim and its
-dirty bit (the OR of the residency's dirty bits).  Outer levels whose
-passes bring only compulsory misses are mostly roomy levels (below), which
-take no rounds at all; elsewhere the rounds stop once only first touches are
-left.  A counted miss sends a load of its byte address to ``load_from``;
+dirty bit (the OR of the residency's dirty bits).  A roomy level (below)
+takes no rounds at all; elsewhere the rounds stop once only first touches
+are left.  A counted miss sends a load of its byte address to ``load_from``;
 then its victim goes on.
 
 The first level takes each chunk in passes of at most CHUNK_EVENTS events,
@@ -52,32 +51,29 @@ flush_writeback is the same cascade: once a level has run all of its input,
 its dirty lines, by ascending set and in LRU order within a set, go to its
 store_to level as dirty installs keyed after everything sent before them.
 
-A level keeps its contents in numpy arrays only, allocated with the level:
-a tag and a dirty table of one row per set and ``ways`` columns, which
-hold each set's lines LRU first, and ``fill``, which counts the lines of
-each row.  The columns past a row's fill are stale and never read, so the
-tables start uninitialised and only the rows of sets a run touches are ever
-written.  Each table is one contiguous buffer, indexed flat, cell
-``set * ways + way``: a pass gathers the held cells of the sets it touches
-and scatters back what they keep, and a flush gathers the held cells of
-every holding set, so the table work grows with the cells touched, not with
-the ways of every touched set.
+A level keeps its contents in numpy arrays only.  It starts "roomy": while
+every line it has seen lies below N = sets * ways, each of its sets has
+seen at most N / sets = ways lines, so none can have filled.  It has never
+evicted, its misses are its compulsory ones (Hill & Smith, IEEE TC 1989),
+the first touches of lines it does not hold, and the LRU order it would
+keep has never picked a victim.  So it keeps three arrays indexed by line,
+grown, at least doubling, to its highest line seen and never past N:
+whether it holds the line, the line's dirty bit, and the line's last-touch
+stamp, read from a clock of the level's own that counts its touches and
+never resets.  Its pass is one sort of the touches by line and a few
+scatters; the stamps order each set's lines LRU first, which is the order
+flush_writeback sends them in.
 
-A state may be given a footprint F in bytes, a promise that every address
-lies in [0, F); run() rejects a chunk that breaks it.  The lines a level
-can then see are [0, N), N = ceil(F / line), and each of its sets gets at
-most ceil(N / sets) of them, so when N <= sets * ways no set can ever
-fill.  Such a level is "roomy": it never evicts, so its misses are its
-compulsory ones (Hill & Smith, IEEE TC 1989), the first touches of lines it
-does not hold, and the LRU order it would keep is never used to pick a
-victim.  A roomy level keeps, instead of the tables, three arrays indexed
-by line: whether it holds the line, the line's dirty bit, and the line's
-last-touch stamp, read from a clock of the level's own that counts its
-touches and never resets.  Its pass is one sort of the touches by line and
-a few scatters; the stamps order each set's lines LRU first, which is the
-order flush_writeback sends them in.  Every level takes this way when it
-can, the first included, and only with a footprint: without one every level
-keeps the tables.
+Before the first pass that brings it a line at or past N, a level moves
+for good to tables that hold the same lines: a tag and a dirty table of one
+row per set and ``ways`` columns, which hold each set's lines LRU first,
+and ``fill``, which counts the lines of each row.  The columns past a row's
+fill are stale and never read, so the tables start uninitialised and only
+the rows of sets that hold lines are ever written.  Each table is one
+contiguous buffer, indexed flat, cell ``set * ways + way``: a pass gathers
+the held cells of the sets it touches and scatters back what they keep, and
+a flush gathers the held cells of every holding set, so the table work
+grows with the cells touched, not with the ways of every touched set.
 
 Passes allocate and free arrays of up to a few hundred KiB each.  glibc's
 malloc serves an allocation of 128 KiB or more from a fresh memory mapping
@@ -330,7 +326,7 @@ class _Level:
         "npending",
     )
 
-    def __init__(self, spec: CacheLevelSpec, slot: int, footprint: Optional[int]) -> None:
+    def __init__(self, spec: CacheLevelSpec, slot: int) -> None:
         self.spec = spec
         self.nsets = spec.sets
         self.ways = spec.ways
@@ -340,19 +336,10 @@ class _Level:
         # What the merge key of every install this level sends adds to its
         # position; its fills add nothing, so they stay demand.
         self.slot = np.uint64(slot)
-        lines = None if footprint is None else -(-footprint // spec.line)
-        self.roomy = lines is not None and lines <= spec.sets * spec.ways
-        if self.roomy:
-            self.tag_cells = self.dirty_cells = self.fill = None
-            self.present = np.zeros(lines, dtype=bool)
-            self.dirty = np.zeros(lines, dtype=bool)
-            self.stamp = _table(lines, np.int64)
-            self.clock = 0
-        else:
-            self.tag_cells = _table(spec.sets * spec.ways, np.uint64)
-            self.dirty_cells = _table(spec.sets * spec.ways, np.bool_)
-            self.fill = np.zeros(spec.sets, dtype=np.intp)
-            self.present = self.dirty = self.stamp = None
+        self.roomy = True
+        self.present, self.dirty, self.stamp = (np.zeros(0, dtype) for dtype in (bool, bool, int))
+        self.clock = 0
+        self.tag_cells = self.dirty_cells = self.fill = None
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -380,29 +367,19 @@ class _Level:
 class CacheState:
     """One simulation instance; single-threaded, independent of all others.
 
-    ``footprint``, when given, promises that every address the trace holds
-    lies in [0, footprint) bytes, and run() rejects a chunk with one that
-    does not.  A level that can hold every line of that range, whose
-    ceil(footprint / line) lines are at most sets * ways, can never fill a
-    set, since each set gets at most ceil(lines / sets) of them; it then
-    keeps no LRU order in tables but a last-touch stamp per line (see the
-    module docstring).  The counters and the lines each set holds are the
-    same either way.  The first CacheState of a process also fixes the C
-    allocator's policy, as the module docstring says.
+    Each level keeps a last-touch stamp per line while it has seen no line
+    at or past sets * ways, and LRU tables from the first pass that brings
+    one (see the module docstring); the counters and the lines each set
+    holds are the same either way.  The first CacheState of a process also
+    fixes the C allocator's policy, as the module docstring says.
     """
 
-    def __init__(self, spec: HierarchySpec, footprint: Optional[int] = None) -> None:
-        if footprint is not None:
-            footprint = _integer(footprint, "footprint")
-            if footprint < 0:
-                raise ValueError(f"footprint must be >= 0 bytes, got {footprint}")
+    def __init__(self, spec: HierarchySpec) -> None:
         _tune_allocator()
         self.spec = spec
-        self.footprint = footprint
         depth = len(spec.levels) - 1
         self._levels = [
-            _Level(lvl, 1 << max(depth - 1 - k, 0), footprint)
-            for k, lvl in enumerate(spec.levels)
+            _Level(lvl, 1 << max(depth - 1 - k, 0)) for k, lvl in enumerate(spec.levels)
         ]
         by_name = {lvl.spec.name: lvl for lvl in self._levels}
         for lvl in self._levels:
@@ -432,9 +409,8 @@ class CacheState:
         """Stream a whole trace given as chunks; see the module docstring.
 
         A chunk is a pair: a 1-D uint64 array of byte addresses and a bool
-        store mask of the same length; anything else, or an address at or
-        past the footprint, raises before the chunk counts.  The first level
-        takes each chunk in passes of at most
+        store mask of the same length; anything else raises before the chunk
+        counts.  The first level takes each chunk in passes of at most
         CHUNK_EVENTS events.  After each, an outer level's input waits until
         it holds _OUTER_EVENTS events; then it and every level before it
         run.  Input still waiting runs before anything reads or changes the
@@ -450,12 +426,6 @@ class CacheState:
                     f"got {reprlib.repr(chunk)}"
                 ) from None
             _check_chunk(addresses, stores)
-            if self.footprint is not None and len(addresses):
-                top = int(addresses.max())
-                if top >= self.footprint:
-                    raise ValueError(
-                        f"address {top:#x} is at or past the footprint of {self.footprint} bytes"
-                    )
             nstores = int(np.count_nonzero(stores))
             self.stores += nstores
             self.loads += len(addresses) - nstores
@@ -511,6 +481,8 @@ class CacheState:
         position.  A touch whose key has no slot bit is demand and counts a
         hit or a miss.  Sends each counted miss's fill and then each victim
         on."""
+        if lvl.roomy:
+            _make_room(lvl, addresses)
         lru_pass = _roomy_pass if lvl.roomy else _lru_pass
         misses, evicting, victims, victims_dirty = lru_pass(lvl, addresses, dirty)
         if isinstance(keys, np.ndarray):
@@ -596,16 +568,46 @@ class CacheState:
 
 
 def build_hierarchy(spec: HierarchySpec) -> CacheState:
-    """Fresh simulation state: all sets empty, all counters zero.
-
-    The same as ``CacheState(spec)``, which the library and the tests call.
-    It takes no footprint, so every level keeps its LRU tables and none
-    takes the roomy way that evaluate's states take: the benchmark's traced
-    replay, which builds its state here, times that general path.  It is
-    kept only because ``perfbench/harness.py`` imports it; it goes once the
-    harness builds ``CacheState(spec)`` itself.
-    """
+    """The same as ``CacheState(spec)``; kept while ``perfbench/harness.py`` imports it."""
     return CacheState(spec)
+
+
+def _make_room(lvl: _Level, addresses: np.ndarray) -> None:
+    """Before a pass of a roomy level: grow its per-line arrays, doubling at
+    least but never past sets * ways lines, to hold the pass's highest line;
+    or, when that line is at or past sets * ways, switch the level to tables."""
+    top = int(addresses.max()) >> lvl.line_shift
+    capacity = lvl.nsets * lvl.ways
+    size = len(lvl.present)
+    if top >= capacity:
+        _take_tables(lvl)
+    elif top >= size:
+        more = min(max(top + 1, 2 * size), capacity) - size
+        lvl.present, lvl.dirty, lvl.stamp = (
+            np.append(array, np.zeros(more, array.dtype))
+            for array in (lvl.present, lvl.dirty, lvl.stamp)
+        )
+
+
+def _take_tables(lvl: _Level) -> None:
+    """Switch a roomy level for good to tables that hold its lines, each
+    set's LRU first.  The tag table comes before anything else the set count
+    sizes, so a geometry too large to map fails there."""
+    lvl.tag_cells = _table(lvl.nsets * lvl.ways, np.uint64)
+    lvl.dirty_cells = _table(lvl.nsets * lvl.ways, np.bool_)
+    lvl.fill = np.zeros(lvl.nsets, dtype=np.intp)
+    # The arrays grow only before a pass, so they are empty iff no line is held.
+    if len(lvl.present):
+        lines = _lru_first(lvl, np.flatnonzero(lvl.present))
+        touched, counts = np.unique(lines % lvl.nsets, return_counts=True)
+        _keep(lvl, touched, counts, lines.astype(np.uint64), lvl.dirty[lines])
+    lvl.roomy = False
+    lvl.present = lvl.dirty = lvl.stamp = None
+
+
+def _lru_first(lvl: _Level, lines: np.ndarray) -> np.ndarray:
+    """These lines of a roomy level by ascending set, LRU first within a set."""
+    return lines[np.lexsort((lvl.stamp[lines], lines % lvl.nsets))]
 
 
 def _roomy_pass(
@@ -642,8 +644,7 @@ def _take_dirty(lvl: _Level) -> np.ndarray:
     if lvl.roomy:
         lines = np.flatnonzero(lvl.dirty)
         lvl.dirty[lines] = False
-        order = np.lexsort((lvl.stamp[lines], lines % lvl.nsets))
-        return lines[order].astype(np.uint64)
+        return _lru_first(lvl, lines).astype(np.uint64)
     rows = np.flatnonzero(lvl.fill > 0)
     cells = _cells(rows, lvl.fill[rows], lvl.ways)
     cells = cells[lvl.dirty_cells[cells]]
@@ -660,8 +661,8 @@ def _lru_pass(
     line's dirty bit; when the line is absent it misses, evicting the set's
     LRU line if the set is full.  The lines the touched sets hold are read
     from their rows of the level's tables, and the lines they keep written
-    back, LRU first.  A level that can hold the whole footprint takes
-    _roomy_pass instead, so compulsory-only traffic mostly goes there.
+    back, LRU first.  Until a pass brings it a line at or past sets * ways,
+    a level takes _roomy_pass instead.
     Returns the positions of the misses in order; the indices, among those,
     of the misses that evict; and the line each of these evicts and its
     dirty bit.  Each array as long as the touches is deleted after its last

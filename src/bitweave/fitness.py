@@ -116,9 +116,7 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
 def _evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
     bindings = place_arrays(pattern, layout, spec)
     chunks = generate_trace(pattern, layout, bindings)
-    # The arrays lie back to back from address 0, so the last one ends the
-    # footprint.
-    state = CacheState(spec, footprint=bindings[-1].end)
+    state = CacheState(spec)
     state.run(chunks)
     return fitness(state.flush_writeback(), spec)
 

@@ -171,6 +171,16 @@ class ReferenceHierarchy:
         )
 
 
+def with_tables(spec: HierarchySpec) -> CacheState:
+    """A new state whose every level has switched to its LRU tables, as a
+    pass that brings a line at or past the level's sets * ways would switch
+    it; a new CacheState(spec) starts with roomy levels."""
+    state = CacheState(spec)
+    for level in state._levels:
+        cachesim._take_tables(level)
+    return state
+
+
 def contents(state: CacheState) -> list[dict]:
     """Per level, each set that holds lines as set: (its lines LRU first,
     their dirty bits), as level_contents reads them."""

@@ -1,3 +1,4 @@
+import copy
 import ctypes
 import random
 import tracemalloc
@@ -32,7 +33,12 @@ from helpers import (
     lru_passes,
     reference_contents,
     single_level,
+    with_tables,
 )
+
+# A new state, whose levels start roomy, and one whose levels keep LRU
+# tables from the start.
+NEW_STATES = (CacheState, with_tables)
 
 
 def three_level(victim: bool = True) -> HierarchySpec:
@@ -183,7 +189,9 @@ class TestSpecs:
 
 def assert_matches(state, reference):
     """The state's counters and the lines and dirty bits of its sets equal
-    the reference's, before and after both flush."""
+    the reference's, before and after both flush; the reference passed in
+    is left as it was, so several states can be held to it."""
+    reference = copy.deepcopy(reference)
     assert astuple(state.collect_stats()) == reference.stats()
     assert contents(state) == reference_contents(reference)
     assert astuple(state.flush_writeback()) == reference.flush()
@@ -612,18 +620,21 @@ class TestReferenceHierarchy:
     @settings(max_examples=30, deadline=None)
     @given(spec=outer_hierarchies(), events=long_traces(), data=st.data())
     def test_outer_level_geometries(self, spec, events, data):
-        reference = ReferenceHierarchy(spec).replay(events)
+        expected = ReferenceHierarchy(spec).replay(events).flush()
         cut = data.draw(st.integers(0, len(events)))
-        state = CacheState(spec)
-        state.run(chunked(events, [cut, *range(0, len(events), _OUTER_EVENTS)]))
-        assert astuple(state.flush_writeback()) == reference.flush()
+        for new_state in NEW_STATES:
+            state = new_state(spec)
+            state.run(chunked(events, [cut, *range(0, len(events), _OUTER_EVENTS)]))
+            assert astuple(state.flush_writeback()) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(spec=hierarchies(), events=traces())
     def test_run_and_flush(self, spec, events):
-        state = CacheState(spec)
-        state.run(chunked(events))
-        assert_matches(state, ReferenceHierarchy(spec).replay(events))
+        reference = ReferenceHierarchy(spec).replay(events)
+        for new_state in NEW_STATES:
+            state = new_state(spec)
+            state.run(chunked(events))
+            assert_matches(state, reference)
 
 
 class TestRunMatchesAccess:
@@ -635,37 +646,45 @@ class TestRunMatchesAccess:
         # Each segment between the drawn cuts goes to a run() call of its
         # own; with no cut, the whole trace is one chunk.
         cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=5)))
-        state = CacheState(spec)
-        for start, end in zip([0, *cuts], [*cuts, len(events)]):
-            state.run(chunked(events[start:end]))
-        assert_matches(state, ReferenceHierarchy(spec).replay(events))
+        reference = ReferenceHierarchy(spec).replay(events)
+        for new_state in NEW_STATES:
+            state = new_state(spec)
+            for start, end in zip([0, *cuts], [*cuts, len(events)]):
+                state.run(chunked(events[start:end]))
+            assert_matches(state, reference)
 
     def test_deepest_hierarchy(self):
         # 32 levels use every bit of the merge keys below the position.
         rng = random.Random(11)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 12, 4), 4) for _ in range(3000)]
-        state = CacheState(deep(32))
-        state.run(chunked(events))
-        assert_matches(state, ReferenceHierarchy(deep(32)).replay(events))
+        reference = ReferenceHierarchy(deep(32)).replay(events)
+        for new_state in NEW_STATES:
+            state = new_state(deep(32))
+            state.run(chunked(events))
+            assert_matches(state, reference)
 
     def test_positions_restart_when_keys_run_out(self):
         # With room for only 100 positions per key, every chunk first runs
         # all waiting input and restarts the positions.
         rng = random.Random(12)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 13, 8), 8) for _ in range(3000)]
-        state = CacheState(three_level())
-        state._position_limit = 100
-        state.run(chunked(events, range(0, 3000, 70)))
-        assert_matches(state, ReferenceHierarchy(three_level()).replay(events))
+        reference = ReferenceHierarchy(three_level()).replay(events)
+        for new_state in NEW_STATES:
+            state = new_state(three_level())
+            state._position_limit = 100
+            state.run(chunked(events, range(0, 3000, 70)))
+            assert_matches(state, reference)
 
     def test_chunks_and_tuples_agree(self):
         # (op, address, size) tuples taken one by one by the reference
         # against the same trace in chunks, an empty one among them.
         rng = random.Random(17)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 13, 8), 8) for _ in range(3000)]
-        state = CacheState(three_level())
-        state.run(chunked(events, [1000, 1000]))
-        assert_matches(state, ReferenceHierarchy(three_level()).replay(events))
+        reference = ReferenceHierarchy(three_level()).replay(events)
+        for new_state in NEW_STATES:
+            state = new_state(three_level())
+            state.run(chunked(events, [1000, 1000]))
+            assert_matches(state, reference)
 
 
 @st.composite
@@ -716,31 +735,35 @@ class TestFirstLevelPass:
     def test_set_cycles(self, case, data):
         spec, events = case
         cuts = data.draw(st.lists(st.integers(0, len(events)), max_size=6))
-        state = CacheState(spec)
-        state.run(chunked(events, cuts))
-        # The contents show the LRU order each set was left in.
-        assert_matches(state, ReferenceHierarchy(spec).replay(events))
+        reference = ReferenceHierarchy(spec).replay(events)
+        for new_state in NEW_STATES:
+            state = new_state(spec)
+            state.run(chunked(events, cuts))
+            # The contents show the LRU order each set was left in.
+            assert_matches(state, reference)
 
     @pytest.mark.parametrize("ways", [1, 2, 8, 16])
     def test_lru_cycles_in_one_set(self, ways):
         # One set of ``ways`` ways: cycling over ``ways`` lines misses only
         # on the first pass; over ways+1 lines it misses every time.
         rounds = 5
+        spec = single_level(sets=1, ways=ways, line=64)
         fits = [(LOAD, line * 64, 4) for _ in range(rounds) for line in range(ways)]
-        state = CacheState(single_level(sets=1, ways=ways, line=64))
-        state.run(chunked(fits, [3, 7]))
-        stats = state.collect_stats().level("L1")
-        assert (stats.misses, stats.hits) == (ways, (rounds - 1) * ways)
-
         over = [(STORE, line * 64, 4) for _ in range(rounds) for line in range(ways + 1)]
-        state = CacheState(single_level(sets=1, ways=ways, line=64))
-        state.run(chunked(over, [5]))
-        stats = state.collect_stats()
-        assert (stats.level("L1").misses, stats.level("L1").hits) == (len(over), 0)
-        # Every store dirties its line and every eviction writes one back.
-        assert stats.level("L1").writebacks == stats.memory_writebacks == len(over) - ways
-        flushed = state.flush_writeback()
-        assert flushed.memory_writebacks == len(over)
+        for new_state in NEW_STATES:
+            state = new_state(spec)
+            state.run(chunked(fits, [3, 7]))
+            stats = state.collect_stats().level("L1")
+            assert (stats.misses, stats.hits) == (ways, (rounds - 1) * ways)
+
+            state = new_state(spec)
+            state.run(chunked(over, [5]))
+            stats = state.collect_stats()
+            assert (stats.level("L1").misses, stats.level("L1").hits) == (len(over), 0)
+            # Every store dirties its line and every eviction writes one back.
+            assert stats.level("L1").writebacks == stats.memory_writebacks == len(over) - ways
+            flushed = state.flush_writeback()
+            assert flushed.memory_writebacks == len(over)
 
     def test_sets_beyond_16_bits(self):
         # Four lines each in three sets of two ways; 5 and 65541 share
@@ -755,9 +778,11 @@ class TestFirstLevelPass:
             )
             for _ in range(3000)
         ]
-        state = CacheState(spec)
-        state.run(chunked(events))
-        assert_matches(state, ReferenceHierarchy(spec).replay(events))
+        reference = ReferenceHierarchy(spec).replay(events)
+        for new_state in NEW_STATES:
+            state = new_state(spec)
+            state.run(chunked(events))
+            assert_matches(state, reference)
 
     @pytest.mark.parametrize("sets, ways", [(1, 1024), (16, 256)])
     def test_high_associativity(self, sets, ways):
@@ -771,10 +796,11 @@ class TestFirstLevelPass:
         reference = ReferenceHierarchy(spec)
         for store, address in zip(stores.tolist(), addresses.tolist()):
             reference.access(store, address)
-        state = CacheState(spec)
-        state.run([(addresses, stores)])
-        assert state.collect_stats().level("L1").misses > 1_883
-        assert_matches(state, reference)
+        for new_state in NEW_STATES:
+            state = new_state(spec)
+            state.run([(addresses, stores)])
+            assert state.collect_stats().level("L1").misses > 1_883
+            assert_matches(state, reference)
 
 
 # One trace per kernel kind the benchmark runs, each longer than
@@ -895,12 +921,15 @@ class TestRowStorage:
     def test_stale_columns_are_never_read(self, spec):
         rng = random.Random(11)
         pool = np.array(rng.sample(range(1 << 20), 960), dtype=np.uint64)
-        state = CacheState(spec)
+        poisoned = with_tables(spec)
         # Column w of a set's row holds the w-th line of that set in pool
         # order, dirty, and the rounds below bring the lines in pool order:
         # reading a column past a row's fill turns the miss of a line new
-        # to its set into a hit, or flushes a line never stored.
-        for level in state._levels:
+        # to its set into a hit, or flushes a line never stored.  A new
+        # state takes its tables, uninitialised, when it first sees a line
+        # past a level's capacity.
+        states = [poisoned, CacheState(spec)]
+        for level in poisoned._levels:
             sets = pool % np.uint64(level.nsets)
             order = np.argsort(sets, kind="stable")
             grouped = sets[order]
@@ -924,10 +953,12 @@ class TestRowStorage:
             ]
             rng.shuffle(events)
             reference.replay(events)
-            state.run(chunked(events, range(1, len(events)) if phase % 2 else ()))
-            assert astuple(state.collect_stats()) == reference.stats()
-        assert astuple(state.flush_writeback()) == reference.flush()
-
+            for state in states:
+                state.run(chunked(events, range(1, len(events)) if phase % 2 else ()))
+                assert astuple(state.collect_stats()) == reference.stats()
+        expected = reference.flush()
+        for state in states:
+            assert astuple(state.flush_writeback()) == expected
 
     @pytest.mark.parametrize("nsets", [3, 25600])
     def test_sets_not_a_power_of_two_at_the_top_of_the_address_range(self, nsets):
@@ -965,9 +996,10 @@ class TestRowStorage:
             memory_latency=100,
         )
         state = CacheState(spec)
-        assert mapped == [4 << 20]
+        assert mapped == []
         # Lines of 64 sets spread over the table, 12 tags each: sets
-        # overflow their 8 ways.
+        # overflow their 8 ways, and lines from tag 8 on lie past L2's 2^19,
+        # so L2's first pass, inside run(), takes the table.
         rng = random.Random(16)
         lines = [tag << 16 | rng.randrange(1 << 16) for tag in range(12) for _ in range(64)]
         events = [
@@ -975,6 +1007,7 @@ class TestRowStorage:
             for _ in range(6000)
         ]
         state.run(chunked(events, [2000, 4000]))
+        assert mapped == [4 << 20]
         assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
 
@@ -1203,54 +1236,58 @@ class TestCells:
 @st.composite
 def footprint_cases(draw):
     """hierarchies() with power-of-two set counts and set counts like
-    haswell L3's 25,600; a footprint that some levels can hold whole and
-    others cannot, often one byte over, under or at a level's capacity; and
-    a trace of addresses within it, cut into run() calls, each followed by
-    a flush or not."""
+    haswell L3's 25,600, and a trace in parts, each followed by a flush or
+    not.  The parts' addresses grow from below one level's capacity in
+    bytes, sets * ways * line, to past it, often by one byte, so that
+    levels switch from per-line arrays to tables mid-run, holding dirty
+    lines."""
     spec = draw(hierarchies((1, 2, 4, 8, 25, 100, 25600)))
     capacity = draw(st.sampled_from([lvl.sets * lvl.ways * lvl.line for lvl in spec.levels]))
-    footprint = max(1, capacity + draw(st.sampled_from((-1024, -1, 0, 1, 1024))))
-    # Addresses near 0 reuse lines and fill small sets; the others spread
-    # over the footprint, up to its last byte.
-    address = st.one_of(
-        st.integers(0, min(footprint, 2048) - 1),
-        st.integers(0, footprint - 1),
-        st.just(footprint - 1),
-    )
-    pool = draw(st.lists(address, min_size=1, max_size=40))
-    events = [
-        (draw(st.sampled_from((LOAD, STORE))), draw(st.sampled_from(pool)), 1)
-        for _ in range(draw(st.integers(1, 300)))
-    ]
-    cuts = sorted(draw(st.lists(st.integers(0, len(events)), max_size=4)))
-    parts = [events[a:b] for a, b in zip([0, *cuts], [*cuts, len(events)])]
+    below = st.sampled_from((capacity // 2, capacity - 1, capacity))
+    above = st.sampled_from((capacity + 1, capacity + 1024, 2 * capacity))
+    middle = draw(st.lists(st.one_of(below, above), max_size=2))
+    parts = []
+    for bound in sorted([draw(below), *middle, draw(above)]):
+        # Addresses near 0 reuse lines and fill small sets; the others
+        # spread up to the bound, its last byte included.
+        address = st.one_of(
+            st.integers(0, min(bound, 2048) - 1),
+            st.integers(0, bound - 1),
+            st.just(bound - 1),
+        )
+        pool = draw(st.lists(address, min_size=1, max_size=40))
+        parts.append(
+            [
+                (draw(st.sampled_from((LOAD, STORE))), draw(st.sampled_from(pool)), 1)
+                for _ in range(draw(st.integers(1, 150)))
+            ]
+        )
     flushes = [draw(st.booleans()) for _ in parts]
-    return spec, footprint, parts, flushes
-
-
-def roomy(spec: HierarchySpec, footprint: int) -> list[bool]:
-    """Per level, whether it can hold every line of [0, footprint)."""
-    return [-(-footprint // lvl.line) <= lvl.sets * lvl.ways for lvl in spec.levels]
+    return spec, parts, flushes
 
 
 class TestFootprint:
-    """A state given a footprint: roomy levels, which keep no LRU tables,
-    against ReferenceHierarchy, and the footprint's checks."""
+    """The lines a trace touches against each level's capacity: a level
+    keeps per-line arrays until a pass brings it a line at or past sets *
+    ways, and then its LRU tables, with the same counters and contents."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=footprint_cases())
     def test_roomy_levels_match_the_reference(self, case):
-        spec, footprint, parts, flushes = case
+        spec, parts, flushes = case
         reference = ReferenceHierarchy(spec)
-        states = [CacheState(spec, footprint), CacheState(spec)]
-        assert [lvl.roomy for lvl in states[0]._levels] == roomy(spec, footprint)
-        assert not any(lvl.roomy for lvl in states[1]._levels)
+        states = [new_state(spec) for new_state in NEW_STATES]
+        first = spec.levels[0]
+        top = 0
         for part, flush in zip(parts, flushes):
             reference.replay(part)
             for state in states:
                 state.run(chunked(part))
                 assert astuple(state.collect_stats()) == reference.stats()
                 assert contents(state) == reference_contents(reference)
+            # The first level sees every access.
+            top = max(top, *(address // first.line for _, address, _ in part))
+            assert states[0]._levels[0].roomy == (top < first.sets * first.ways)
             if flush:
                 expected = reference.flush()
                 for state in states:
@@ -1260,25 +1297,26 @@ class TestFootprint:
     @pytest.mark.parametrize("preset", ["haswell", "zen3"])
     def test_first_level_exactly_full(self, preset):
         # Cholesky(6;4)'s arrays are 512 lines, as many as haswell's and
-        # zen3's L1 can hold: every level is roomy, and one byte more leaves
-        # L1 to the tables.
+        # zen3's L1 can hold: every level stays roomy.  A load of the next
+        # line switches L1, holding dirty lines, to its tables.
         spec = load_cache_spec(preset)
         pattern = parse_pattern("Cholesky(6;4)")
         layout = canonical_layout(pattern.primary_shape())
         bindings = place_arrays(pattern, layout, spec)
-        footprint = bindings[-1].end
-        assert footprint == 512 * 64
-        results = []
-        for size, expected in (
-            (footprint, [True, True, True]),
-            (footprint + 1, [False, True, True]),
-            (None, [False, False, False]),
-        ):
-            state = CacheState(spec, size)
-            assert [lvl.roomy for lvl in state._levels] == expected
+        end = bindings[-1].end
+        assert end == 512 * 64
+        past = (np.array([end], dtype=np.uint64), np.zeros(1, dtype=bool))
+        roomy, results = [], []
+        for new_state in NEW_STATES:
+            state = new_state(spec)
             state.run(generate_trace(pattern, layout, bindings))
-            results.append(state.flush_writeback())
-        assert results[0] == results[1] == results[2]
+            roomy.append([lvl.roomy for lvl in state._levels])
+            state.run([past])
+            roomy.append([lvl.roomy for lvl in state._levels])
+            before = (state.collect_stats(), contents(state))
+            results.append((before, state.flush_writeback(), contents(state)))
+        assert roomy[:2] == [[True, True, True], [False, True, True]]
+        assert results[0] == results[1]
 
     def test_flush_sends_each_set_lru_first(self):
         # A roomy L1 whose sets hold their dirty lines in an order other
@@ -1294,36 +1332,24 @@ class TestFootprint:
             memory_latency=100,
         )
         events = [(STORE, line * 16, 1) for line in (6, 2, 4, 0, 3, 7, 1, 5)]
-        state = CacheState(spec, footprint=8 * 16)
-        assert [lvl.roomy for lvl in state._levels] == [True, False]
+        state = CacheState(spec)
         state.run(chunked(events))
         assert_matches(state, ReferenceHierarchy(spec).replay(events))
+        assert [lvl.roomy for lvl in state._levels] == [True, False]
         assert contents(state)[1] == {0: ([1, 5], [False, False])}
 
-    def test_rejects_addresses_past_the_footprint(self):
-        state = CacheState(three_level(), footprint=1024)
-        state.run(chunked([(STORE, 1023, 1)]))
-        before = state.collect_stats()
-        chunk = (np.array([0, 1024, 64], dtype=np.uint64), np.zeros(3, dtype=bool))
-        with pytest.raises(ValueError, match="address 0x400 .* footprint of 1024 bytes"):
-            state.run([chunk])
-        assert state.collect_stats() == before
-
-    def test_zero_footprint_takes_no_address(self):
-        state = CacheState(three_level(), footprint=0)
-        state.run([(np.array([], dtype=np.uint64), np.array([], dtype=bool))])
-        with pytest.raises(ValueError, match="address 0x0 "):
-            state.run(chunked([(LOAD, 0, 1)]))
-        assert state.flush_writeback().accesses == 0
-
-    @pytest.mark.parametrize("footprint", [1024.0, "1024", 10.5])
-    def test_footprint_must_be_an_integer(self, footprint):
-        with pytest.raises(TypeError, match="footprint must be an integer"):
-            CacheState(three_level(), footprint)
-
-    def test_footprint_must_not_be_negative(self):
-        with pytest.raises(ValueError, match="footprint must be >= 0"):
-            CacheState(three_level(), -1)
+    def test_wide_set_under_capacity_stays_roomy(self):
+        # One pass of 32k events cycling 1,000 lines through one set of
+        # 1024 ways.  No line lies past the level's capacity, so it keeps
+        # per-line arrays and takes no inclusion rounds; with tables, the
+        # rounds would go on to the way count past each repeat's reuse
+        # distance, 1,000.
+        spec = single_level(sets=1, ways=1024, line=64)
+        events = [(STORE if k % 7 else LOAD, k % 1000 * 64, 8) for k in range(CHUNK_EVENTS)]
+        state = CacheState(spec)
+        state.run(chunked(events))
+        assert state._levels[0].roomy
+        assert_matches(state, ReferenceHierarchy(spec).replay(events))
 
 
 class TestAllocator:
@@ -1361,6 +1387,6 @@ class TestAllocator:
         monkeypatch.setattr(ctypes, "CDLL", Libc)
         rng = random.Random(3)
         events = [(rng.choice((LOAD, STORE)), rng.randrange(0, 1 << 12, 4), 4) for _ in range(500)]
-        state = CacheState(three_level(), footprint=1 << 12)
+        state = CacheState(three_level())
         state.run(chunked(events))
         assert_matches(state, ReferenceHierarchy(three_level()).replay(events))
