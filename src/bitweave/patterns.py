@@ -22,15 +22,14 @@ and one declared ``(M,N,P)`` has bits (p, n, m).
 
 One interpreter turns a nest into the trace, as numpy chunks of uint64 byte
 addresses and a bool store mask, a block of one loop's iterations at a
-time, each block at most CHUNK_EVENTS events.  Where no loop bound inside
-a loop varies with its variable, a block is a rectangle, the iterations by
-the events of one body, and each array's per-dimension index tables are
-broadcast over it.  A triangular nest is built exactly instead: each inner
-loop's iterations are listed per enclosing instance, the events of every
-iteration are summed bottom-up, and each reference's addresses are
-scattered to the positions those sums give.  No event is computed and then
-dropped.  Only addresses matter here: every event has the pattern's
-element size.
+time, each block at most CHUNK_EVENTS events.  Each inner loop's
+iterations are listed per enclosing instance, the events of every
+iteration are summed bottom-up, and each reference's addresses are written
+to the positions those sums give: through strided views where no loop
+bound varies with a loop variable, so that the positions are evenly
+spaced, and scattered where a triangular nest's bounds do.  No event is
+computed and then dropped.  Only addresses matter here: every event has
+the pattern's element size.
 """
 
 from __future__ import annotations
@@ -492,47 +491,19 @@ def _rechunk(blocks: Iterator[Chunk]) -> Iterator[Chunk]:
 
 
 # The interpreter.  ``env`` binds each extent and loop variable to an int or,
-# inside a block, to an array of its values: in a rectangular block one that
-# broadcasts against the block's other variables, in an exact one a flat
-# array with one value per instance of its level.  A rectangular block's
-# loops have no bound that names a variable of the block, so every bound it
-# reads is an int.
+# inside a block, to an array of its values.
 
 
 def _walk(items: tuple, env: dict, tables: list) -> Iterator[Chunk]:
-    """Blocks of the trace of a body whose variables are all bound to ints.
-
-    A loop is cut into blocks of consecutive iterations of at most
-    CHUNK_EVENTS events.  Where a loop bound inside it varies with its
-    variable (_ragged), the iterations are built exactly and a block is
-    sized by their own events (see _exact_blocks).  Otherwise every
-    iteration has as many events as _events counts for one body, and a
-    block is a rectangle of as many as fit, each broadcast against the
-    loops inside it.  Either way an iteration wider than a block is walked
-    on its own.
-    """
+    """Blocks of the trace of a body whose variables are all bound to ints:
+    one per run of references, and each loop's cut by _exact_blocks."""
     for is_loop, group in groupby(items, lambda item: isinstance(item, _Loop)):
-        if not is_loop:
+        if is_loop:
+            for loop in group:
+                yield from _exact_blocks(loop, env, tables)
+        else:
             refs = tuple(group)
-            yield _block(refs, env, (len(refs),), tables)
-            continue
-        for loop in group:
-            lo, hi = _value(loop.start, env), _value(loop.stop, env)
-            if _ragged(loop.body, {loop.var}):
-                yield from _exact_blocks(loop, env, lo, hi, tables)
-                continue
-            width = _events(loop.body, env)
-            if hi <= lo or not width:
-                continue
-            # Every iteration is as wide, so a block is as many as fit.
-            step = max(1, CHUNK_EVENTS // width)
-            for first in range(lo, hi, step):
-                last = min(first + step, hi)
-                if width > CHUNK_EVENTS:
-                    yield from _walk(loop.body, {**env, loop.var: first}, tables)
-                else:
-                    block_env = {**env, loop.var: np.arange(first, last)}
-                    yield _block(loop.body, block_env, (last - first, width), tables)
+            yield _exact_block([refs], env, None, (0, (), ()), len(refs), tables)
 
 
 def _ragged(items: tuple, varying: set) -> bool:
@@ -547,49 +518,6 @@ def _ragged(items: tuple, varying: set) -> bool:
         )
         for item in items
     )
-
-
-def _block(items: tuple, env: dict, shape: tuple, tables: list) -> Chunk:
-    """The events of ``items`` for the bodies of a rectangular block, filled
-    into one preallocated array of ``shape``: the block's bodies by the
-    events of one body, at most CHUNK_EVENTS events unless it is one body of
-    references.  No loop bound varies across the block, so the rectangle
-    holds exactly its events."""
-    addresses = np.empty(shape, dtype=np.uint64)
-    stores = np.empty(shape[-1], dtype=bool)
-    _fill(items, env, addresses, stores, tables)
-    return addresses.ravel(), np.broadcast_to(stores, shape).ravel()
-
-
-def _fill(items: tuple, env: dict, addresses, stores, tables: list) -> None:
-    """Write the events of ``items`` along the last axis of ``addresses``
-    and their store flags along that of ``stores``; the other axes are the
-    block's and the enclosing loops'.  Each loop adds one axis, its
-    iterations, and one body's events take the place of the last."""
-    terms = {term for item in items if isinstance(item, _Ref) for term in item.subscripts}
-    values = {term: _value(term, env) for term in terms}
-    lead = addresses.shape[:-1]
-    pos = 0
-    for item in items:
-        if isinstance(item, _Ref):
-            first, *rest = map(getitem, tables[item.array], map(values.get, item.subscripts))
-            # The later dimensions' terms rarely vary along the innermost
-            # loop, so summing them first leaves one full-size addition.
-            np.add(first, sum(rest[1:], rest[0]) if rest else 0, out=addresses[..., pos])
-            stores[..., pos] = item.store
-            pos += 1
-            continue
-        lo, hi = _value(item.start, env), _value(item.stop, env)
-        width = _events(item.body, env)
-        if hi <= lo or not width:
-            continue
-        part, shape = slice(pos, pos + (hi - lo) * width), (hi - lo, width)
-        pos = part.stop
-        sub_env = {k: v[..., None] if isinstance(v, np.ndarray) else v for k, v in env.items()}
-        sub_env[item.var] = np.arange(lo, hi).reshape(*[1] * len(lead), hi - lo)
-        sub_addresses = addresses[..., part].reshape(*lead, *shape)
-        sub_stores = stores[..., part].reshape(*stores.shape[:-1], *shape)
-        _fill(item.body, sub_env, sub_addresses, sub_stores, tables)
 
 
 def _events(items: tuple, env: dict, store: Optional[bool] = None) -> int:
@@ -613,52 +541,57 @@ def _events(items: tuple, env: dict, store: Optional[bool] = None) -> int:
     return count
 
 
-# The exact path.  A plan lists the instances of each level of a window of
-# a loop's iterations, in trace order: the window's iterations, then each
-# inner loop's iterations over every instance of the level above.  It keeps
-# how many iterations each instance has and how many events each iteration
-# has; the variables' values are listed again per block, for that block's
-# instances only, as flat arrays with one value per instance.
+# A plan lists the instances of each level of a window of a loop's
+# iterations, in trace order: the window's iterations, then each inner
+# loop's iterations over every instance of the level above.  It keeps how
+# many iterations each instance has and how many events each iteration has;
+# the variables' values are listed again per block, for that block's
+# instances only.  Where no loop bound varies with a loop variable, a
+# level's instances all have as many iterations, each as wide, so they are
+# evenly spaced: such a level is planned as two ints and written through
+# strided views, its variables broadcast against the enclosing ones.
 
 
-def _exact_blocks(loop: _Loop, env: dict, lo: int, hi: int, tables: list) -> Iterator[Chunk]:
-    """Blocks of ``loop``'s iterations [lo, hi), where a loop bound inside
-    it varies with its variable.
+def _exact_blocks(loop: _Loop, env: dict, tables: list) -> Iterator[Chunk]:
+    """Blocks of ``loop``'s iterations.
 
     The iterations are planned a window at a time (_window, _expand), which
     gives each iteration's events exactly.  A window is cut into blocks of
-    as many whole iterations as half a chunk holds, each scattered from its
-    slice of the plan (_exact_block).  Half, because building a block takes
-    about twice its events' bytes in index arrays, and _rechunk may join it
-    with its neighbours.  If more iterations follow, a window's last block
-    starts the next window instead, so that blocks stay full.  An iteration
-    that fills a block alone is walked on its own, which makes it one
-    rectangle where no bound inside it varies with an inner variable.
+    as many whole iterations as a chunk holds, each written from its slice
+    of the plan (_exact_block).  Where a loop bound inside ``loop`` varies
+    with its variable, a block holds half a chunk instead: its positions
+    are scattered through index arrays, which take about twice its events'
+    bytes, and _rechunk may join it with its neighbours.  If more iterations
+    follow, a window's last block starts the next window instead, so that
+    blocks stay full.  An iteration wider than a block is walked on its own,
+    and so is one that alone fills a block where no bound inside it varies
+    with an inner variable: fixing its variable makes it evenly spaced.
     """
-    half = max(1, CHUNK_EVENTS // 2)
-    alone = not _ragged(loop.body, set())
+    lo, hi = _value(loop.start, env), _value(loop.stop, env)
+    even = not _ragged(loop.body, {loop.var})
+    size = CHUNK_EVENTS if even else max(1, CHUNK_EVENTS // 2)
+    alone = not even and not _ragged(loop.body, set())
     first = lo
     while first < hi:
-        n = _window(loop, env, first, hi)
+        # An even plan keeps nothing per iteration (see _window).
+        n = min(hi - first, max(1, CHUNK_EVENTS // 8)) if even else _window(loop, env, first, hi)
         window = np.arange(first, first + n)
-        width, parts = _expand(loop.body, {**env, loop.var: window}, n)
-        ends = width.cumsum()
+        width, parts = _expand(loop.body, {**env, loop.var: window}, n, even)
+        ends = np.arange(1, n + 1) * width if even else width.cumsum()
         done = 0
         while done < n:
             before = int(ends[done - 1]) if done else 0
-            cut = int(np.searchsorted(ends, before + half, "right"))
-            if cut == done or (alone and cut == done + 1):
-                x = first + done
-                yield from _walk(loop.body, {**env, loop.var: x}, tables)
+            cut = int(ends.searchsorted(before + size, "right"))
+            if cut == done or (alone and done + 1 == cut < n):
+                yield from _walk(loop.body, {**env, loop.var: first + done}, tables)
                 done += 1
             elif cut == n and first + n < hi and done:
                 break  # the rest of the window starts the next one
             else:
-                span = slice(done, cut)
-                at = ends[span] - width[span]
-                at -= before
-                block_env = {**env, loop.var: window[span]}
-                yield _exact_block(parts, block_env, span, at, int(ends[cut - 1]) - before, tables)
+                span, count = slice(done, cut), int(ends[cut - 1]) - before
+                if count:  # iterations whose inner loops are all empty make no block
+                    at = (0, (cut - done,), (width,)) if even else (ends[span] - width[span] - before, (), ())
+                    yield _exact_block(parts, {**env, loop.var: window[span]}, span, at, count, tables)
                 done = cut
         first += done
 
@@ -682,21 +615,26 @@ class _Iterations(NamedTuple):
     """A loop's iterations over the instances of the level above."""
 
     loop: _Loop
-    offsets: np.ndarray  # where each instance's iterations start, then their total
+    # Where each instance's iterations start, then their total; in an even
+    # plan, the iterations every instance has.
+    offsets: Union[int, np.ndarray]
     # The body's parts (see _expand), or an innermost loop's references.
     body: Union[list, tuple]
     # Events per iteration of an innermost loop, whose body is references
-    # only; otherwise where each iteration's events start, then their total.
+    # only, or of any loop in an even plan; otherwise where each iteration's
+    # events start, then their total.
     step: Union[int, np.ndarray]
 
 
-def _expand(items: tuple, env: dict, n: int) -> tuple:
+def _expand(items: tuple, env: dict, n: int, even: bool) -> tuple:
     """The events of each of ``n`` instances of ``items``, and the parts
     _place writes: runs of references, and each loop's _Iterations.  Widths
     are summed bottom-up: a reference is 1 event, and a loop is its
     iterations' events per instance.  An innermost loop's iterations are
-    all as wide, so its variable is not listed here."""
-    width, parts = np.zeros(n, dtype=np.int64), []
+    all as wide, so its variable is not listed here.  In an ``even`` body
+    no loop bound varies with a loop variable, so every instance is as wide
+    and the width is one int."""
+    width, parts = 0 if even else np.zeros(n, dtype=np.int64), []
     for is_loop, group in groupby(items, lambda item: isinstance(item, _Loop)):
         if not is_loop:
             refs = tuple(group)
@@ -704,7 +642,14 @@ def _expand(items: tuple, env: dict, n: int) -> tuple:
             parts.append(refs)
             continue
         for loop in group:
-            counts = np.subtract(_value(loop.stop, env), _value(loop.start, env))
+            lo, hi = _value(loop.start, env), _value(loop.stop, env)
+            if even:
+                if hi > lo:
+                    step, body = _expand(loop.body, env, n, True)
+                    width += (hi - lo) * step
+                    parts.append(_Iterations(loop, hi - lo, body, step))
+                continue
+            counts = np.subtract(hi, lo)
             counts = np.maximum(counts, 0, out=counts) if counts.ndim else np.full(n, max(counts, 0))
             offsets = _offsets(counts)
             total = int(offsets[-1])
@@ -713,7 +658,7 @@ def _expand(items: tuple, env: dict, n: int) -> tuple:
             if any(isinstance(item, _Loop) for item in loop.body):
                 sub_env = {k: v.repeat(counts) if isinstance(v, np.ndarray) else v for k, v in env.items()}
                 sub_env[loop.var] = _own(loop, env, offsets, counts, np.arange(total))
-                step, body = _expand(loop.body, sub_env, total)
+                step, body = _expand(loop.body, sub_env, total, False)
                 del sub_env
                 step = _offsets(step)
                 width += step[offsets[1:]]
@@ -744,8 +689,8 @@ def _own(loop: _Loop, env: dict, offsets, counts, ramp) -> np.ndarray:
 
 def _exact_block(parts: list, env: dict, span: slice, at, count: int, tables: list) -> Chunk:
     """The ``count`` events of the instances ``span`` of a plan's first
-    level, whose variables ``env`` holds and which start at positions
-    ``at``, each written once into arrays of exactly that length."""
+    level, whose variables ``env`` holds and which start at ``at`` (see
+    _place), each written once into arrays of exactly that length."""
     addresses = np.empty(count, dtype=np.uint64)
     stores = np.zeros(count, dtype=bool)
     _place(parts, env, span, at, addresses, stores, tables)
@@ -753,15 +698,28 @@ def _exact_block(parts: list, env: dict, span: slice, at, count: int, tables: li
 
 
 def _place(parts: list, env: dict, span: slice, at, addresses, stores, tables: list) -> None:
-    """Scatter the events of ``parts`` (see _expand) for their level's
+    """Write the events of ``parts`` (see _expand) for their level's
     instances ``span``, whose variables ``env`` holds, into ``addresses``
-    and ``stores``.  The instances start at positions ``at``, which this
-    advances in place: a loop's iterations start where the events before
-    them end, by the widths the plan gives each."""
+    and ``stores``.  The instances start at ``at``, (start, shape, strides):
+    evenly spaced, an int and one axis of instances per level, each a count
+    and a stride, against which ``env``'s arrays broadcast; otherwise an
+    array of positions and no axes.  A loop's iterations start where the
+    events before them end, by the widths the plan gives each."""
+    start, shape, strides = at
     for part in parts:
         if not isinstance(part, _Iterations):
-            _place_refs(part, env, None, at, addresses, stores, tables)
-            at += len(part)
+            _place_refs(part, env, None, (start, shape, strides), addresses, stores, tables)
+            start += len(part)
+            continue
+        if isinstance(part.offsets, int):
+            # The iterations add an axis, and the enclosing variables one
+            # of length 1 to broadcast along it.
+            lo = _value(part.loop.start, env)
+            sub_env = {k: v[..., None] if isinstance(v, np.ndarray) else v for k, v in env.items()}
+            sub_env[part.loop.var] = np.arange(lo, lo + part.offsets)
+            sub_at = start, (*shape, part.offsets), (*strides, part.step)
+            _place(part.body, sub_env, None, sub_at, addresses, stores, tables)
+            start += part.offsets * part.step
             continue
         offsets = part.offsets[span.start : span.stop + 1]
         counts = offsets[1:] - offsets[:-1]
@@ -771,31 +729,46 @@ def _place(parts: list, env: dict, span: slice, at, addresses, stores, tables: l
         ramp = np.arange(inner.start, inner.stop)
         own = _own(part.loop, env, offsets, counts, ramp)
         if isinstance(part.step, int):
-            sub_at = (at - offsets[:-1] * part.step).repeat(counts)
+            sub_at = (start - offsets[:-1] * part.step).repeat(counts)
             sub_at += ramp * part.step if part.step > 1 else ramp
             del ramp
-            _place_refs(part.body, env, (part.loop.var, own, counts), sub_at, addresses, stores, tables)
-            at += counts * part.step
+            innermost = part.loop.var, own, counts
+            _place_refs(part.body, env, innermost, (sub_at, (), ()), addresses, stores, tables)
+            start += counts * part.step
         else:
             ends = part.step[offsets]
-            sub_at = (at - ends[:-1]).repeat(counts)
+            sub_at = (start - ends[:-1]).repeat(counts)
             sub_at += part.step[inner]
             del ramp
             sub_env = {k: v.repeat(counts) if isinstance(v, np.ndarray) else v for k, v in env.items()}
             sub_env[part.loop.var] = own
             del own
-            _place(part.body, sub_env, inner, sub_at, addresses, stores, tables)
-            at += ends[1:]
-            at -= ends[:-1]
+            _place(part.body, sub_env, inner, (sub_at, (), ()), addresses, stores, tables)
+            start += ends[1:]
+            start -= ends[:-1]
 
 
 def _place_refs(refs: tuple, env: dict, innermost, at, addresses, stores, tables: list) -> None:
-    """Scatter a run of references, the r-th at positions ``at`` plus r, for
-    the instances whose variables ``env`` holds.  Given ``innermost``
-    (variable, values, counts), they are the body of an innermost loop
-    whose variable takes those values, each instance of ``env`` repeated
-    its count of times: table entries of subscripts that do not name the
-    variable are then summed once per instance and repeated."""
+    """Write a run of references, the r-th at ``at`` (see _place) plus r,
+    for the instances whose variables ``env`` holds.  Evenly spaced, each
+    reference's table entries broadcast into a strided view of the block.
+    Otherwise they are scattered.  Given ``innermost`` (variable, values,
+    counts), the references are then the body of an innermost loop whose
+    variable takes those values, each instance of ``env`` repeated its
+    count of times: table entries of subscripts that do not name the
+    variable are summed once per instance and repeated."""
+    start, shape, strides = at
+    if isinstance(start, int):
+        values = {term: _value(term, env) for ref in refs for term in ref.subscripts}
+        out = _view(addresses, start, (*shape, len(refs)), (*strides, 1))
+        for r, ref in enumerate(refs):
+            # The later dimensions' terms rarely vary along the innermost
+            # loop, so summing them first leaves one full-size addition.
+            first, *rest = map(getitem, tables[ref.array], map(values.get, ref.subscripts))
+            np.add(first, sum(rest[1:], rest[0]) if rest else 0, out=out[..., r])
+            if ref.store:
+                _view(stores, start + r, shape, strides).fill(True)
+        return
     var, own, counts = innermost or (None, None, None)
     for r, ref in enumerate(refs):
         value, inner = None, []
@@ -809,10 +782,17 @@ def _place_refs(refs: tuple, env: dict, innermost, at, addresses, stores, tables
             value = value.repeat(counts)
         for entry in inner:
             value = entry if value is None else value + entry
-        addresses[r:][at] = value
+        addresses[r:][start] = value
         del value, inner
         if ref.store:
-            stores[r:][at] = True
+            stores[r:][start] = True
+
+
+def _view(array: np.ndarray, start: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """The elements of ``array`` at ``start`` plus each multiple of
+    ``strides`` that ``shape`` spans, as a view."""
+    size = array.itemsize
+    return np.ndarray(shape, array.dtype, array, start * size, [s * size for s in strides])
 
 
 def _value(term: _Term, env: dict):

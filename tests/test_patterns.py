@@ -3,7 +3,6 @@
 import hashlib
 import io
 import json
-import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -664,33 +663,60 @@ def widest_body(loop):
     return max([refs, *map(widest_body, loops)])
 
 
+class TestTraceDigests:
+    """sha256 of the address bytes and of the store bytes of two rectangular
+    nests at the real CHUNK_EVENTS, recorded when rectangles had a generator
+    of their own.  An i iteration of MMijk(7;4) is wider than a chunk, so it
+    is cut into blocks of j iterations; Jacobi2D(10,10;4)'s blocks hold many
+    i iterations."""
+
+    DIGESTS = {
+        "MMijk(7;4) row-major": (
+            4_210_688,
+            "1b3c1cd24ae5eefa9df7684b572dca254f06d7957ec6cfa3bcbb6fb4eb0d69dc",
+            "fcdece2231fd40b3db9109534fc0d85cfa3fba13a537c7d806d8c76032d12914",
+        ),
+        "Jacobi2D(10,10;4) morton": (
+            5_222_420,
+            "5501a4ca63c2b57b1fedc7ad0d10c747be305c7c8e13293480db8842ddec8a99",
+            "59537e3352efe05f507a2375afb8f18a2346105f5ee593edf6a045d4cb0220cc",
+        ),
+    }
+
+    @pytest.mark.parametrize("label", sorted(DIGESTS))
+    def test_digests(self, label):
+        assert 2**7 * (2 * 2**7 + 1) > CHUNK_EVENTS  # the events of one MMijk(7;4) i
+        text, name = label.split()
+        spec = parse_pattern(text)
+        addresses_hash, stores_hash = hashlib.sha256(), hashlib.sha256()
+        events = 0
+        for addresses, stores in generate_trace(spec, golden_layout(text, name)):
+            addresses_hash.update(addresses.tobytes())
+            stores_hash.update(stores.tobytes())
+            events += len(addresses)
+        digests = events, addresses_hash.hexdigest(), stores_hash.hexdigest()
+        assert digests == self.DIGESTS[label]
+
+
 class TestSmallChunks:
     """The block rule at chunk sizes that reach every way through it."""
 
     @pytest.mark.parametrize("size", [7, 64, 257, 1000])
     def test_matches_oracle_in_bounded_blocks(self, size, monkeypatch):
         monkeypatch.setattr(patterns, "CHUNK_EVENTS", size)
-        block, exact_block, walk = patterns._block, patterns._exact_block, patterns._walk
+        exact_block, walk = patterns._exact_block, patterns._walk
         mixed = []
         for text in SMALL_CHUNK_CASES:
             spec = parse_pattern(text)
             nest = patterns._KERNELS[spec.kind].nest
             # How the outermost loop's iterations went: in blocks of several,
-            # rectangular or exact, or walked on their own.
-            rectangles, paths = [], set()
-
-            def grouped(env):
-                if isinstance(env.get(nest.var), np.ndarray) and len(env[nest.var]) > 1:
-                    paths.add("grouped")
-
-            def spy_block(items, env, shape, tables):
-                rectangles.append(math.prod(shape))
-                grouped(env)
-                return block(items, env, shape, tables)
+            # or walked on their own.
+            blocks, paths = [], set()
 
             def spy_exact_block(parts, env, span, at, count, tables):
-                rectangles.append(count)
-                grouped(env)
+                blocks.append(count)
+                if isinstance(env.get(nest.var), np.ndarray) and len(env[nest.var]) > 1:
+                    paths.add("grouped")
                 return exact_block(parts, env, span, at, count, tables)
 
             def spy_walk(items, env, tables):
@@ -698,7 +724,6 @@ class TestSmallChunks:
                     paths.add("alone")
                 return walk(items, env, tables)
 
-            monkeypatch.setattr(patterns, "_block", spy_block)
             monkeypatch.setattr(patterns, "_exact_block", spy_exact_block)
             monkeypatch.setattr(patterns, "_walk", spy_walk)
             layout = random_layout(spec.primary_shape(), random.Random(text))
@@ -706,7 +731,7 @@ class TestSmallChunks:
             chunks = list(generate_trace(spec, layout, bindings))
             assert all(len(addresses) == size for addresses, _ in chunks[:-1])
             assert trace_events(chunks) == walk_trace(spec, bindings), text
-            assert max(rectangles) <= max(size, widest_body(nest)), text
+            assert max(blocks) <= max(size, widest_body(nest)), text
             if paths == {"grouped", "alone"}:
                 mixed.append(text)
         # Some outermost loop takes both ways, except at a size where no
@@ -718,8 +743,9 @@ class TestGenerationMemory:
     """What generating a trace alone allocates at its peak: the index
     tables, a block's arrays and the chunk being cut.  Each bound is the
     figure measured (Python 3.11, numpy 2.4.6) plus 25%, as in
-    test_fitness.TestMemory.  A triangular nest's exact blocks hold at most
-    half a chunk, and building one takes about as much again in index
+    test_fitness.TestMemory.  A rectangular nest's blocks hold a chunk and
+    are written through views.  A triangular nest's blocks hold at most
+    half a chunk, because building one takes about as much again in index
     arrays, besides the plan of its window, so they may not peak above the
     largest rectangular trace, Jacobi2D's."""
 
@@ -749,32 +775,62 @@ class TestGenerationMemory:
             assert peak <= self.JACOBI_PEAK
 
 
+# Triangular nests, and rectangular ones whose blocks hold many iterations.
+BLOCK_CASES = [
+    "Cholesky(6;4)", "Crout(6;8)", "Cholesky(8;4)", "Crout(7;4)",
+    "MMikj(5;32)", "Jacobi2D(7,9;4)", "Himeno(3,5,5;4)",
+]
+
+
 class TestNoDiscardedEvents:
     """Every address a block computes is an event of the trace.  A
     triangular nest's iterations are built exactly, where a rectangle with a
-    mask would compute 206,448 events of Cholesky(6;4) to keep 93,536."""
+    mask would compute 206,448 events of Cholesky(6;4) to keep 93,536; a
+    rectangular nest's blocks are written through strided views, which must
+    cover exactly the events each block counts."""
 
-    @pytest.mark.parametrize("text", ["Cholesky(6;4)", "Crout(6;8)", "Cholesky(8;4)", "Crout(7;4)"])
+    @pytest.mark.parametrize("text", BLOCK_CASES)
     def test_every_computed_event_is_kept(self, text, monkeypatch):
-        block, exact_block = patterns._block, patterns._exact_block
+        exact_block = patterns._exact_block
         made = []  # (events a block computed, events it returned)
-
-        def spy_block(items, env, shape, tables):
-            addresses, stores = block(items, env, shape, tables)
-            made.append((math.prod(shape), len(addresses)))
-            return addresses, stores
 
         def spy_exact_block(parts, env, span, at, count, tables):
             addresses, stores = exact_block(parts, env, span, at, count, tables)
             made.append((count, len(addresses)))
             return addresses, stores
 
-        monkeypatch.setattr(patterns, "_block", spy_block)
         monkeypatch.setattr(patterns, "_exact_block", spy_exact_block)
         spec = parse_pattern(text)
         events = sum(len(a) for a, _ in generate_trace(spec, canonical_layout(spec.primary_shape())))
         assert sum(computed for computed, _ in made) == events
         assert all(computed == kept for computed, kept in made)
+
+    @pytest.mark.parametrize("text", BLOCK_CASES)
+    def test_every_event_is_written(self, text, monkeypatch):
+        # A block's addresses are allocated uninitialised.  Writing its plan
+        # again over all-zero and all-one addresses gives the same block
+        # only if every event is written.
+        exact_block, place = patterns._exact_block, patterns._place
+        blocks = []
+
+        def spy_exact_block(parts, env, span, at, count, tables):
+            start, shape, strides = at
+            again = []
+            for fill in (0, np.iinfo(np.uint64).max):
+                # _place advances an array of starts in place.
+                fresh = start.copy() if isinstance(start, np.ndarray) else start
+                addresses = np.full(count, fill, dtype=np.uint64)
+                place(parts, env, span, (fresh, shape, strides), addresses, np.zeros(count, bool), tables)
+                again.append(addresses)
+            addresses, stores = exact_block(parts, env, span, at, count, tables)
+            blocks.append(all(np.array_equal(a, addresses) for a in again))
+            return addresses, stores
+
+        monkeypatch.setattr(patterns, "_exact_block", spy_exact_block)
+        spec = parse_pattern(text)
+        for _ in generate_trace(spec, canonical_layout(spec.primary_shape())):
+            pass
+        assert blocks and all(blocks)
 
 
 def fill_matrix(binding, rows, cols, rng, flat):
