@@ -56,11 +56,11 @@ every line it has seen lies below N = sets * ways, each of its sets has
 seen at most N / sets = ways lines, so none can have filled.  It has never
 evicted, its misses are its compulsory ones (Hill & Smith, IEEE TC 1989),
 the first touches of lines it does not hold, and the LRU order it would
-keep has never picked a victim.  So it keeps three arrays indexed by line,
-grown, at least doubling, to its highest line seen and never past N:
-whether it holds the line, the line's dirty bit, and the line's last-touch
-stamp, read from a clock of the level's own that counts its touches and
-never resets.  Its pass is one sort of the touches by line and a few
+keep has never picked a victim.  So it keeps two arrays indexed by line,
+grown, at least doubling, to its highest line seen and never past N: the
+line's dirty bit, and the line's last-touch stamp, read from a clock of the
+level's own that counts its touches and never resets, or -1 while it does
+not hold the line.  Its pass is one sort of the touches by line and a few
 scatters; the stamps order each set's lines LRU first, which is the order
 flush_writeback sends them in.
 
@@ -295,9 +295,9 @@ class _Level:
     Set s holds ``fill[s]`` lines, LRU first, in ``tag_cells`` from cell
     ``s * ways`` on, and their dirty bits in the same cells of
     ``dirty_cells``; the cells after them, up to ``(s + 1) * ways``, are
-    stale.  A roomy level has none of these three: it holds line l iff
-    ``present[l]``, whose dirty bit is ``dirty[l]`` and whose last touch is
-    ``stamp[l]``, and ``clock`` is the stamp its next touch takes.
+    stale.  A roomy level has none of these three: line l's last touch is
+    ``stamp[l]``, -1 while the level does not hold it, and its dirty bit is
+    ``dirty[l]``; ``clock`` is the stamp the level's next touch takes.
     """
 
     __slots__ = (
@@ -311,7 +311,6 @@ class _Level:
         "tag_cells",
         "dirty_cells",
         "fill",
-        "present",
         "dirty",
         "stamp",
         "clock",
@@ -337,7 +336,7 @@ class _Level:
         # position; its fills add nothing, so they stay demand.
         self.slot = np.uint64(slot)
         self.roomy = True
-        self.present, self.dirty, self.stamp = (np.zeros(0, dtype) for dtype in (bool, bool, int))
+        self.dirty, self.stamp = np.zeros(0, bool), np.zeros(0, int)
         self.clock = 0
         self.tag_cells = self.dirty_cells = self.fill = None
         self.hits = 0
@@ -352,16 +351,13 @@ class _Level:
         self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.npending = 0
 
-    def send(self, addresses: np.ndarray, dirty: np.ndarray | bool, keys: np.ndarray) -> None:
+    def send(self, addresses: np.ndarray, dirty: np.ndarray, keys: np.ndarray) -> None:
         """Queue touches of these byte addresses for the level's next pass,
-        with their merge keys, whose slot bits mark the installs; ``dirty``
-        is one bit for all or one per address."""
-        n = len(addresses)
-        if n:
-            if not isinstance(dirty, np.ndarray):
-                dirty = np.full(n, dirty)
+        with one dirty bit each and their merge keys, whose slot bits mark
+        the installs."""
+        if len(addresses):
             self.pending.append((addresses, dirty, keys))
-            self.npending += n
+            self.npending += len(addresses)
 
 
 class CacheState:
@@ -500,7 +496,7 @@ class CacheState:
         if lvl.load_next is None:
             self.memory_accesses += len(fills)
         else:
-            lvl.load_next.send(addresses[fills], False, fill_keys)
+            lvl.load_next.send(addresses[fills], np.zeros(len(fills), bool), fill_keys)
         if not len(victims):
             return
         # A victim goes to victim_to, clean or dirty; else a dirty one is
@@ -520,7 +516,7 @@ class CacheState:
         if lvl.store_next is None:
             self.memory_writebacks += len(lines)
         else:
-            lvl.store_next.send(lines << np.uint64(lvl.line_shift), True, keys)
+            lvl.store_next.send(lines << np.uint64(lvl.line_shift), np.ones(len(lines), bool), keys)
 
     # -- flush and reporting ---------------------------------------------
 
@@ -574,19 +570,18 @@ def build_hierarchy(spec: HierarchySpec) -> CacheState:
 
 def _make_room(lvl: _Level, addresses: np.ndarray) -> None:
     """Before a pass of a roomy level: grow its per-line arrays, doubling at
-    least but never past sets * ways lines, to hold the pass's highest line;
-    or, when that line is at or past sets * ways, switch the level to tables."""
+    least but never past sets * ways lines, to hold the pass's highest line,
+    whose new lines are clean and not held; or, when that line is at or past
+    sets * ways, switch the level to tables."""
     top = int(addresses.max()) >> lvl.line_shift
     capacity = lvl.nsets * lvl.ways
-    size = len(lvl.present)
+    size = len(lvl.stamp)
     if top >= capacity:
         _take_tables(lvl)
     elif top >= size:
         more = min(max(top + 1, 2 * size), capacity) - size
-        lvl.present, lvl.dirty, lvl.stamp = (
-            np.append(array, np.zeros(more, array.dtype))
-            for array in (lvl.present, lvl.dirty, lvl.stamp)
-        )
+        lvl.dirty = np.append(lvl.dirty, np.zeros(more, bool))
+        lvl.stamp = np.append(lvl.stamp, np.full(more, -1))
 
 
 def _take_tables(lvl: _Level) -> None:
@@ -597,12 +592,12 @@ def _take_tables(lvl: _Level) -> None:
     lvl.dirty_cells = _table(lvl.nsets * lvl.ways, np.bool_)
     lvl.fill = np.zeros(lvl.nsets, dtype=np.intp)
     # The arrays grow only before a pass, so they are empty iff no line is held.
-    if len(lvl.present):
-        lines = _lru_first(lvl, np.flatnonzero(lvl.present))
+    if len(lvl.stamp):
+        lines = _lru_first(lvl, np.flatnonzero(lvl.stamp >= 0))
         touched, counts = np.unique(lines % lvl.nsets, return_counts=True)
         _keep(lvl, touched, counts, lines.astype(np.uint64), lvl.dirty[lines])
     lvl.roomy = False
-    lvl.present = lvl.dirty = lvl.stamp = None
+    lvl.dirty = lvl.stamp = None
 
 
 def _lru_first(lvl: _Level, lines: np.ndarray) -> np.ndarray:
@@ -630,8 +625,7 @@ def _roomy_pass(
     distinct = grouped[heads]
     del grouped
     firsts = by_line[heads]
-    misses = np.sort(firsts[~lvl.present[distinct]])
-    lvl.present[distinct] = True
+    misses = np.sort(firsts[lvl.stamp[distinct] < 0])
     lvl.stamp[distinct] = by_line[np.append(heads[1:], n) - 1] + lvl.clock
     lvl.clock += n
     lvl.dirty[lines[dirty]] = True

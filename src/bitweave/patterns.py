@@ -313,7 +313,8 @@ def parse_pattern(text: str) -> PatternSpec:
 @dataclass(frozen=True)
 class ArrayBinding:
     """One named array placed at a base byte address with its interleave
-    and its element size in bytes."""
+    and its element size in bytes; the base is a multiple of the element
+    size."""
 
     name: str
     layout: Layout
@@ -328,6 +329,14 @@ class ArrayBinding:
             raise ValueError(f"{self.name}: negative base address")
         if self.element_size < 1:
             raise ValueError(f"{self.name}: element size must be >= 1, got {self.element_size}")
+        # A trace carries each element's first byte only.  An element at a
+        # multiple of its power-of-two size, no larger than a line, lies in
+        # one line; bind_arrays makes only such bases.
+        if self.base % self.element_size:
+            raise ValueError(
+                f"{self.name}: base {self.base} is not a multiple of the "
+                f"{self.element_size}-byte element size"
+            )
         if self.end > 1 << 64:
             raise ValueError(
                 f"{self.name}: highest address {self.end - 1:#x} does not fit "

@@ -191,10 +191,11 @@ def level_contents(level, sets: Iterable[int] | None = None) -> dict:
     """Each set of the level that holds lines, or each of ``sets`` that
     does, as set: (its lines LRU first, their dirty bits).  A level with
     tables is read from them viewed as one row per set; a roomy one from its
-    per-line arrays, each set's lines in the order of their stamps."""
+    per-line arrays, the lines whose stamp is not -1, each set's in the order
+    of their stamps."""
     if level.roomy:
         held: dict = {}
-        lines = np.flatnonzero(level.present)
+        lines = np.flatnonzero(level.stamp >= 0)
         for line in lines[np.argsort(level.stamp[lines])].tolist():
             set_lines, set_dirty = held.setdefault(line % level.nsets, ([], []))
             set_lines.append(line)

@@ -6,7 +6,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitweave import cachesim
@@ -1273,6 +1273,9 @@ class TestFootprint:
 
     @settings(max_examples=200, deadline=None)
     @given(case=footprint_cases())
+    # Line 0 is every level's first touch, at stamp 0, and is not touched
+    # again until the second part, where its load hits at L1.
+    @example(case=(three_level(), [[(STORE, 0, 1), (LOAD, 64, 1)], [(LOAD, 0, 1)]], [False, True]))
     def test_roomy_levels_match_the_reference(self, case):
         spec, parts, flushes = case
         reference = ReferenceHierarchy(spec)

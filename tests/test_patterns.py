@@ -242,6 +242,17 @@ class TestBind:
             with pytest.raises(ValueError, match="element size"):
                 ArrayBinding("X", layout, 0, size)
 
+    def test_binding_rejects_unaligned_base(self):
+        # Shifted by 60 bytes, MMijk(2;8)'s first 8-byte element would span
+        # bytes 60..67 of two 64-byte lines, but its trace would carry 60 only.
+        with pytest.raises(ValueError, match="multiple of the 4-byte element size"):
+            ArrayBinding("X", canonical_layout(Shape((2, 2))), 2, 4)
+        spec = parse_pattern("MMijk(2;8)")
+        first = bind_arrays(spec, canonical_layout(spec.primary_shape()), 64)[0]
+        with pytest.raises(ValueError, match="base 60 is not a multiple"):
+            ArrayBinding(first.name, first.layout, first.base + 60, first.element_size)
+        assert ArrayBinding(first.name, first.layout, first.base + 56, 8).base == 56
+
     @pytest.mark.parametrize(
         "base, size, what",
         [(64.7, 4, "base"), (64.0, 4, "base"), ("64", 4, "base"), (64, 4.0, "element size")],
