@@ -6,16 +6,37 @@ computed in exact integer arithmetic.  Fitness normalizes trace length and
 L1 latency away: F = (L1_hit + L1_miss) / (L1_lat * C).  F is capped at
 1/L1_lat^2, reached exactly when every access hits L1; the cap depends only
 on the hierarchy, so rankings are unaffected by it.
+
+evaluate simulates one layout per cache-equivalence class where it can
+prove the class.  Let end be the highest end of the arrays place_arrays
+binds, and say a level can hold every line when (end - 1) // line <
+sets * ways.  Such a level never fills a set, so it never evicts and
+counts only each line's first touch and dirty bit (Hill & Smith, IEEE TC
+1989).  Suppose (a) every level after the first can hold every line, and
+(b) so can the first, or else its set count is a power of two, every
+array base is a multiple of its sets * line, and every array's bound rank
+sequence is the same over its set field, positions [log2(line / e),
+log2(sets * line / e)) for e-byte elements.  Cut the rank sequences at
+log2(line / e) for every level, and at the top of the first level's set
+field when it cannot hold every line.  Take two layouts whose arrays each
+give every dimension as many positions below every cut.  Within each run
+between cuts an array's element indices under the two differ by one fixed
+permutation of bit positions, and over the set field that permutation is
+the same for every array.  With the bases aligned, that is one bijection
+of lines which keeps line sharing at every level, renames the first
+level's sets, and renames its tags within each set.  So each set replays
+the same hits, misses, victims and dirty bits at the same trace positions,
+and the two layouts score the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from bitweave.cachesim import CacheState, HierarchySpec, SimStats
-from bitweave.layout import Layout
+from bitweave.layout import Layout, Shape, _is_pow2
 from bitweave.patterns import ArrayBinding, PatternSpec, bind_arrays, generate_trace
 
 __all__ = [
@@ -67,15 +88,15 @@ def fitness_bound(spec: HierarchySpec) -> float:
 
 
 class CacheInfo(NamedTuple):
-    """evaluate()'s memo since the last clear_cache(): calls answered from
-    it, the other calls, and the results it holds."""
+    """evaluate()'s layout memo since the last clear_cache(): calls
+    answered from it, the other calls, and the results it holds."""
 
     hits: int
     misses: int
     size: int
 
 
-# Results the memo holds at most, least recently used dropped first.  A
+# Results each memo holds at most, least recently used dropped first.  A
 # default search evaluates a few hundred distinct layouts.
 MEMO_SIZE = 4096
 
@@ -106,8 +127,10 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
 
     Results are memoized on (layout, pattern, spec), the last MEMO_SIZE of
     them; all three are immutable value objects, so repeated chromosomes
-    cost a lookup.  cache_info() counts the calls answered from the memo
-    and the others.
+    cost a lookup.  cache_info() counts the calls answered from that memo
+    and the others.  A new layout whose class the module docstring proves
+    takes its result from a second memo, keyed on the class, so that only
+    one layout per class is simulated.
     """
     return _evaluate(layout, pattern, spec)
 
@@ -115,23 +138,94 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
 @lru_cache(maxsize=MEMO_SIZE)
 def _evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
     bindings = place_arrays(pattern, layout, spec)
-    chunks = generate_trace(pattern, layout, bindings)
+    key = _class_key(bindings, spec)
+    if key is not None:
+        result = _evaluate_class(key, pattern, spec)
+        if result is not None:
+            return result
+    return _simulate(pattern, layout, bindings, spec)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _evaluate_class(
+    key: tuple, pattern: PatternSpec, spec: HierarchySpec
+) -> Optional[FitnessValue]:
+    """The score of every layout with this class key, from its
+    representative, the layout whose runs between cuts are sorted.  None
+    where that layout has another key: adapting ranks to another array's
+    shape drops or appends the most significant ones, which can move a
+    rank across a cut."""
+    representative = _representative(key[0], pattern.primary_shape())
+    bindings = place_arrays(pattern, representative, spec)
+    if _class_key(bindings, spec) != key:
+        return None
+    return _simulate(pattern, representative, bindings, spec)
+
+
+def _simulate(
+    pattern: PatternSpec,
+    layout: Layout,
+    bindings: tuple[ArrayBinding, ...],
+    spec: HierarchySpec,
+) -> FitnessValue:
     state = CacheState(spec)
-    state.run(chunks)
+    state.run(generate_trace(pattern, layout, bindings))
     return fitness(state.flush_writeback(), spec)
 
 
+def _class_key(bindings: tuple[ArrayBinding, ...], spec: HierarchySpec) -> Optional[tuple]:
+    """The bound layout's class under ``spec`` (see the module docstring):
+    for each array and each cut, how many of the positions below the cut
+    each dimension supplies.  None where conditions (a) and (b) fail."""
+    last = max(b.end for b in bindings) - 1
+    first, *outer = spec.levels
+    if any(last // lvl.line >= lvl.sets * lvl.ways for lvl in outer):
+        return None
+    # x.bit_length() - shift is log2(x / e) for e-byte elements and a
+    # power-of-two byte count x.
+    shift = bindings[0].element_size.bit_length()
+    cuts = {lvl.line.bit_length() - shift for lvl in spec.levels}
+    if last // first.line >= first.sets * first.ways:
+        span = first.sets * first.line
+        if not _is_pow2(first.sets) or any(b.base % span for b in bindings):
+            return None
+        field = slice(first.line.bit_length() - shift, span.bit_length() - shift)
+        if any(b.layout.ranks[field] != bindings[0].layout.ranks[field] for b in bindings):
+            return None
+        cuts.add(field.stop)
+    return tuple(
+        tuple(
+            tuple(b.layout.ranks[:cut].count(d) for d in range(b.shape.ndim))
+            for cut in sorted(cuts)
+        )
+        for b in bindings
+    )
+
+
+def _representative(counts: tuple[tuple[int, ...], ...], shape: Shape) -> Layout:
+    """The layout whose runs between cuts are sorted, given how many
+    positions below each cut each dimension supplies."""
+    ranks: list[int] = []
+    below = (0,) * shape.ndim
+    for upto in (*counts, shape.bits):
+        for d in range(shape.ndim):
+            ranks += [d] * (upto[d] - below[d])
+        below = upto
+    return Layout(tuple(ranks), shape)
+
+
 def clear_cache() -> None:
-    """Empty the memo and zero its counters."""
+    """Empty both memos and zero their counters."""
     _evaluate.cache_clear()
+    _evaluate_class.cache_clear()
 
 
 def cache_info() -> CacheInfo:
-    """The memo's counters and size; see CacheInfo."""
+    """The layout memo's counters and size; see CacheInfo."""
     hits, misses, _, size = _evaluate.cache_info()
     return CacheInfo(hits, misses, size)
 
 
 def cache_size() -> int:
-    """How many results the memo holds."""
+    """How many results the layout memo holds."""
     return _evaluate.cache_info().currsize

@@ -1,16 +1,20 @@
 """Tests for the fitness arithmetic and the evaluation pipeline."""
 
+import importlib
 import io
 import random
 import tracemalloc
 from collections import defaultdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bitweave.cachesim import CacheState, LevelStats, SimStats
+from bitweave.cachesim import CacheLevelSpec, CacheState, HierarchySpec, LevelStats, SimStats
 from bitweave.cachespec import load_cache_spec
 from bitweave.fitness import (
     FitnessValue,
+    _class_key,
     cache_info,
     cache_size,
     clear_cache,
@@ -18,9 +22,12 @@ from bitweave.fitness import (
     evaluate,
     fitness,
     fitness_bound,
+    place_arrays,
 )
-from bitweave.layout import Shape, canonical_layout, enumerate_layouts
+from bitweave.layout import Layout, Shape, canonical_layout, enumerate_layouts
 from bitweave.patterns import (
+    PATTERN_KINDS,
+    ArrayBinding,
     PatternSpec,
     bind_arrays,
     generate_trace,
@@ -267,27 +274,169 @@ class TestEvaluate:
             evaluate(canonical_layout(spec.primary_shape()), spec, load_cache_spec("haswell"))
 
 
+def cold(pattern, layout, spec):
+    """The layout's fitness from a simulation of its own, memo untouched."""
+    state = CacheState(spec)
+    state.run(generate_trace(pattern, layout, place_arrays(pattern, layout, spec)))
+    return fitness(state.flush_writeback(), spec)
+
+
+def class_key(pattern, layout, spec):
+    return _class_key(place_arrays(pattern, layout, spec), spec)
+
+
+# log2 size parameters drawn for each kind: small enough to simulate a few
+# times per example, large enough to fill small caches.
+KIND_SIZES = {"Himeno": (2, 3), "Jacobi2D": (2, 5), "Cholesky": (1, 5), "Crout": (1, 5)}
+
+
+@st.composite
+def class_partners(draw):
+    """A small kernel of any kind, a 1-3-level hierarchy with outward
+    links, a layout, and a partner that reorders the layout's ranks within
+    each run between the cuts a class key counts at: every level's line,
+    and the top of the first level's set field if it cannot hold every
+    line of the arrays."""
+    kind = draw(st.sampled_from(sorted(PATTERN_KINDS)))
+    low, high = KIND_SIZES.get(kind, (1, 4))
+    params = [draw(st.integers(low, high)) for _ in PATTERN_KINDS[kind]]
+    size = draw(st.sampled_from((4, 8, 16)))
+    pattern = PatternSpec(kind, *params, element_size=size)
+    names = [f"L{k + 1}" for k in range(draw(st.integers(1, 3)))]
+    levels = []
+    for k, name in enumerate(names):
+        link = st.sampled_from([None, *names[k + 1 :]])
+        levels.append(
+            CacheLevelSpec(
+                name=name,
+                sets=draw(st.sampled_from((1, 2, 3, 4, 7, 8, 16, 64))),
+                ways=draw(st.sampled_from((1, 2, 4, 16, 64))),
+                line=draw(st.sampled_from((16, 32, 64, 128))),
+                latency=1 + 4 * k,
+                load_from=draw(link),
+                store_to=draw(link),
+                victim_to=draw(link),
+            )
+        )
+    spec = HierarchySpec(tuple(levels), memory_latency=100)
+    shape = pattern.primary_shape()
+    ranks = draw(st.permutations([d for d, b in enumerate(shape.bits) for _ in range(b)]))
+    layout = Layout(tuple(ranks), shape)
+    first = levels[0]
+    last = place_arrays(pattern, layout, spec)[-1].end - 1
+    cuts = {(level.line // size).bit_length() - 1 for level in levels}
+    if last // first.line >= first.sets * first.ways:
+        cuts.add((first.sets * first.line // size).bit_length() - 1)
+    bounds = [0, *sorted(cut for cut in cuts if cut < len(ranks)), len(ranks)]
+    partner = [r for lo, hi in zip(bounds, bounds[1:]) for r in draw(st.permutations(ranks[lo:hi]))]
+    return pattern, spec, layout, Layout(tuple(partner), shape)
+
+
+def counterexample_hierarchy():
+    """An L1 of 8 sets x 1 way x 32 bytes that can fill, over an L2 of
+    7 sets x 64 ways that cannot."""
+    return HierarchySpec(
+        (
+            CacheLevelSpec("L1", sets=8, ways=1, line=32, latency=1, load_from="L2", store_to="L2"),
+            CacheLevelSpec("L2", sets=7, ways=64, line=32, latency=5),
+        ),
+        memory_latency=100,
+    )
+
+
 class TestLayoutClasses:
-    def test_mmijk_4_64_depends_on_the_low_six_ranks_only(self):
-        """On haswell, MMijk(4;64) puts one element on each 64-byte line, so
-        L1's 64 sets index the element by the bits at its layout's six
-        lowest rank positions, and the rest of the index is the tag.  Two
-        layouts that give dimension 0 as many of those positions therefore
-        differ only in how those bits are ordered, which renames L1's sets.
-        L2 and L3 can hold all 768 lines, so neither evicts.  The 70 layouts
-        fall into 3 such classes, each with one SimStats."""
-        pattern = parse_pattern("MMijk(4;64)")
-        spec = load_cache_spec("haswell")
-        classes = defaultdict(set)
+    @settings(max_examples=150, deadline=None)
+    @given(case=class_partners())
+    @example(
+        case=(
+            parse_pattern("MMTijk(2,3;16)"),
+            counterexample_hierarchy(),
+            Layout((0, 0, 0, 1, 1), Shape((3, 2))),
+            Layout((0, 0, 1, 0, 1), Shape((3, 2))),
+        )
+    )
+    def test_layouts_of_one_class_score_the_same(self, case):
+        pattern, spec, layout, partner = case
+        key = class_key(pattern, layout, spec)
         clear_cache()
         try:
-            for layout in enumerate_layouts(pattern.primary_shape()):
-                classes[layout.ranks[:6].count(0)].add(evaluate(layout, pattern, spec).stats)
+            memoized = [evaluate(layout, pattern, spec), evaluate(partner, pattern, spec)]
         finally:
             clear_cache()
-        assert sorted(classes) == [2, 3, 4]
+        alone = [cold(pattern, layout, spec), cold(pattern, partner, spec)]
+        assert memoized == alone
+        if key is not None and key == class_key(pattern, partner, spec):
+            assert alone[0] == alone[1]
+
+    def test_set_field_must_match_across_arrays(self):
+        """MMTijk(2,3;16)'s C(M,M) is adapted from the 3 x 2-bit chromosome
+        by dropping its last dimension-0 rank.  These two layouts give every
+        array the same counts below both cuts, yet C's ranks over L1's set
+        field differ from A's in one of them, so L1 groups different lines
+        into a set, and the cycles differ."""
+        pattern = parse_pattern("MMTijk(2,3;16)")
+        spec = counterexample_hierarchy()
+        layouts = [Layout(ranks, Shape((3, 2))) for ranks in ((0, 0, 0, 1, 1), (0, 0, 1, 0, 1))]
+        assert [cold(pattern, layout, spec).cycles for layout in layouts] == [4812, 4832]
+        assert [class_key(pattern, layout, spec) for layout in layouts] == [None, None]
+
+    def test_no_class_where_an_outer_level_can_fill(self):
+        pattern = parse_pattern("Jacobi2D(7,9;4)")
+        layout = canonical_layout(pattern.primary_shape())
+        # 512 KiB of arrays: more lines than haswell's 256 KiB L2 holds
+        assert class_key(pattern, layout, load_cache_spec("haswell")) is None
+
+    def test_no_class_where_sets_are_no_bit_field(self):
+        # One 64-byte array at base 0 fills a first level of 3 or 2 lines;
+        # only the power-of-two set count can be a field of index bits.
+        bindings = (ArrayBinding("A", canonical_layout(Shape((2, 2))), 0, 4),)
+        assert _class_key(bindings, single_level(3, 1, 16)) is None
+        assert _class_key(bindings, single_level(2, 1, 16)) is not None
+
+    def test_no_class_where_a_base_is_off_set_zero(self):
+        # MMijk(2;4)'s 64-byte arrays fill 4 of 8 16-byte sets, so B starts
+        # at set 4; with 4 sets every array starts at set 0.
+        pattern = parse_pattern("MMijk(2;4)")
+        layout = canonical_layout(pattern.primary_shape())
+        assert class_key(pattern, layout, single_level(8, 1, 16)) is None
+        assert class_key(pattern, layout, single_level(4, 1, 16)) is not None
+
+    def test_mmijk_4_64_depends_on_the_low_six_ranks_only(self, monkeypatch):
+        """On haswell, MMijk(4;64) puts one element on each 64-byte line, so
+        L1's 64 sets index the element by the bits at its layout's six
+        lowest rank positions, and the rest of the index is the tag.  L2
+        and L3 can hold all 768 lines, so neither evicts.  The 70 layouts
+        fall into 3 classes, by how many of those positions dimension 0
+        supplies; each class has one SimStats when its layouts are simulated
+        alone, and a sweep of all 70 simulates one layout per class."""
+        pattern = parse_pattern("MMijk(4;64)")
+        spec = load_cache_spec("haswell")
+        layouts = list(enumerate_layouts(pattern.primary_shape()))
+        keys = {class_key(pattern, layout, spec) for layout in layouts}
+        assert len(layouts) == 70 and len(keys) == 3
+        assert sorted(key[0][1][0] for key in keys) == [2, 3, 4]
+        classes = defaultdict(set)
+        for layout in layouts:
+            classes[class_key(pattern, layout, spec)].add(cold(pattern, layout, spec).stats)
         assert all(len(stats) == 1 for stats in classes.values())
         assert len(set().union(*classes.values())) == 2
+
+        built = []
+        fitness_module = importlib.import_module("bitweave.fitness")
+
+        def spy(*args):
+            built.append(args)
+            return CacheState(*args)
+
+        monkeypatch.setattr(fitness_module, "CacheState", spy)
+        clear_cache()
+        try:
+            for layout in layouts:
+                evaluate(layout, pattern, spec)
+            assert cache_info().misses == cache_size() == 70
+        finally:
+            clear_cache()
+        assert len(built) == 3
 
 
 class TestMemory:
