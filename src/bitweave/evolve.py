@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import csv
 import random
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, Callable, NamedTuple, Optional
 
 from bitweave.cachesim import HierarchySpec
@@ -119,20 +119,16 @@ def ox_crossover(parent_a: Layout, parent_b: Layout, cut: tuple[int, int]) -> La
     i, j = cut
     if not (0 <= i < j <= total):
         raise ValueError(f"cut must satisfy 0 <= i < j <= {total}, got {cut}")
-    need = Counter(ranks_a[i:j])
-
-    def kept(genes: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
+    need = list(map(ranks_a[i:j].count, range(parent_a.shape.ndim)))
+    window, head, tail = kept = [], [], []
+    for out, genes in zip(kept, (ranks_b[i:j], ranks_b[:i], ranks_b[j:])):
         for g in genes:
             if need[g]:
                 need[g] -= 1
             else:
                 out.append(g)
-        return tuple(out)
-
-    window = kept(ranks_b[i:j])
-    fill = kept(ranks_b[:i]) + window + kept(ranks_b[j:])
-    return Layout(fill[:i] + ranks_a[i:j] + fill[i:], parent_a.shape)
+    fill = head + window + tail
+    return Layout((*fill[:i], *ranks_a[i:j], *fill[i:]), parent_a.shape)
 
 
 def inversion_mutation(layout: Layout, segment: tuple[int, int]) -> Layout:
@@ -141,9 +137,8 @@ def inversion_mutation(layout: Layout, segment: tuple[int, int]) -> Layout:
     i, j = segment
     if not (0 <= i < j <= total):
         raise ValueError(f"segment must satisfy 0 <= i < j <= {total}, got {segment}")
-    ranks = list(layout.ranks)
-    ranks[i:j] = ranks[i:j][::-1]
-    return Layout(tuple(ranks), layout.shape)
+    ranks = layout.ranks
+    return Layout(ranks[:i] + ranks[i:j][::-1] + ranks[j:], layout.shape)
 
 
 def _satisfies(layout: Layout, contiguity: Optional[tuple[int, int]]) -> bool:
@@ -167,13 +162,14 @@ def next_generation(
     """Breed lambda offspring and keep the mu fittest (comma selection)."""
     if not population:
         raise ValueError("population is empty")
-    weights = [ind.fitness.value for ind in population]
+    # choices() would accumulate weights= into these on every draw
+    cum_weights = list(accumulate(ind.fitness.value for ind in population))
     # Both operators cut at two distinct points of 0..total.
     points = range(population[0].layout.shape.total_bits + 1)
     offspring: list[Individual] = []
     for _ in range(config.lambda_):
         for _attempt in range(_MAX_REJECTIONS):
-            pa, pb = rng.choices(population, weights=weights, k=2)
+            pa, pb = rng.choices(population, cum_weights=cum_weights, k=2)
             child = ox_crossover(pa.layout, pb.layout, sorted(rng.sample(points, 2)))
             if rng.random() < config.mutation_rate:
                 child = inversion_mutation(child, sorted(rng.sample(points, 2)))

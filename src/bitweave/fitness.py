@@ -27,6 +27,9 @@ of lines which keeps line sharing at every level, renames the first
 level's sets, and renames its tags within each set.  So each set replays
 the same hits, misses, victims and dirty bits at the same trace positions,
 and the two layouts score the same.
+
+No layout moves a base or an end, so keys read ranks and a placement
+made once per pattern and hierarchy; only simulated layouts are bound.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from bitweave.cachesim import CacheState, HierarchySpec, SimStats
-from bitweave.layout import Layout, Shape, _is_pow2
+from bitweave.layout import Layout, Shape, _is_pow2, canonical_layout
 from bitweave.patterns import ArrayBinding, PatternSpec, bind_arrays, generate_trace
+from bitweave.patterns import _adapt_layout
 
 __all__ = [
     "FitnessValue",
@@ -137,13 +141,12 @@ def evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> Fitne
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _evaluate(layout: Layout, pattern: PatternSpec, spec: HierarchySpec) -> FitnessValue:
-    bindings = place_arrays(pattern, layout, spec)
-    key = _class_key(bindings, spec)
+    key = _class_key(layout, _placement(pattern, spec))
     if key is not None:
         result = _evaluate_class(key, pattern, spec)
         if result is not None:
             return result
-    return _simulate(pattern, layout, bindings, spec)
+    return _simulate(pattern, layout, spec)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -156,27 +159,25 @@ def _evaluate_class(
     shape drops or appends the most significant ones, which can move a
     rank across a cut."""
     representative = _representative(key[0], pattern.primary_shape())
-    bindings = place_arrays(pattern, representative, spec)
-    if _class_key(bindings, spec) != key:
+    if _class_key(representative, _placement(pattern, spec)) != key:
         return None
-    return _simulate(pattern, representative, bindings, spec)
+    return _simulate(pattern, representative, spec)
 
 
-def _simulate(
-    pattern: PatternSpec,
-    layout: Layout,
-    bindings: tuple[ArrayBinding, ...],
-    spec: HierarchySpec,
-) -> FitnessValue:
+def _simulate(pattern: PatternSpec, layout: Layout, spec: HierarchySpec) -> FitnessValue:
     state = CacheState(spec)
-    state.run(generate_trace(pattern, layout, bindings))
+    state.run(generate_trace(pattern, layout, place_arrays(pattern, layout, spec)))
     return fitness(state.flush_writeback(), spec)
 
 
-def _class_key(bindings: tuple[ArrayBinding, ...], spec: HierarchySpec) -> Optional[tuple]:
-    """The bound layout's class under ``spec`` (see the module docstring):
-    for each array and each cut, how many of the positions below the cut
-    each dimension supplies.  None where conditions (a) and (b) fail."""
+@lru_cache(maxsize=MEMO_SIZE)
+def _placement(pattern: PatternSpec, spec: HierarchySpec) -> Optional[tuple]:
+    """What class keys under ``spec`` read of the arrays as place_arrays
+    binds, and checks, them under any layout: their distinct shapes, as
+    arrays of one shape share ranks, the first array's first; the sorted
+    cuts; the first level's set field if it can fill.  None if (a) or (b)
+    fails."""
+    bindings = place_arrays(pattern, canonical_layout(pattern.primary_shape()), spec)
     last = max(b.end for b in bindings) - 1
     first, *outer = spec.levels
     if any(last // lvl.line >= lvl.sets * lvl.ways for lvl in outer):
@@ -185,21 +186,28 @@ def _class_key(bindings: tuple[ArrayBinding, ...], spec: HierarchySpec) -> Optio
     # power-of-two byte count x.
     shift = bindings[0].element_size.bit_length()
     cuts = {lvl.line.bit_length() - shift for lvl in spec.levels}
+    field = None
     if last // first.line >= first.sets * first.ways:
         span = first.sets * first.line
         if not _is_pow2(first.sets) or any(b.base % span for b in bindings):
             return None
         field = slice(first.line.bit_length() - shift, span.bit_length() - shift)
-        if any(b.layout.ranks[field] != bindings[0].layout.ranks[field] for b in bindings):
-            return None
         cuts.add(field.stop)
-    return tuple(
-        tuple(
-            tuple(b.layout.ranks[:cut].count(d) for d in range(b.shape.ndim))
-            for cut in sorted(cuts)
-        )
-        for b in bindings
-    )
+    return tuple(dict.fromkeys(b.shape.bits for b in bindings)), tuple(sorted(cuts)), field
+
+
+def _class_key(layout: Layout, placement: Optional[tuple]) -> Optional[tuple]:
+    """For each array shape of ``placement`` (from _placement) and each cut,
+    how many positions below the cut each dimension supplies; None where
+    there is no class or place_arrays rejects the layout's shape."""
+    if placement is None or layout.shape.bits != placement[0][0]:
+        return None
+    shapes, cuts, field = placement
+    ranks = [_adapt_layout(layout, bits).ranks for bits in shapes]
+    if field is not None and any(r[field] != ranks[0][field] for r in ranks):
+        return None
+    dims = range(layout.shape.ndim)
+    return tuple(tuple(tuple(map(r[:cut].count, dims)) for cut in cuts) for r in ranks)
 
 
 def _representative(counts: tuple[tuple[int, ...], ...], shape: Shape) -> Layout:
@@ -215,9 +223,10 @@ def _representative(counts: tuple[tuple[int, ...], ...], shape: Shape) -> Layout
 
 
 def clear_cache() -> None:
-    """Empty both memos and zero their counters."""
+    """Empty the memos and the placements and zero the counters."""
     _evaluate.cache_clear()
     _evaluate_class.cache_clear()
+    _placement.cache_clear()
 
 
 def cache_info() -> CacheInfo:

@@ -143,13 +143,15 @@ class Layout:
             raise ValueError(
                 f"rank sequence has {len(self.ranks)} entries, shape has {total} bits"
             )
-        counts = [0] * shape.ndim
+        # Counts that match the shape leave no rank out of range.
+        counts = tuple(map(self.ranks.count, range(shape.ndim)))
+        if counts == shape.bits:
+            return
         for k, r in enumerate(self.ranks):
             if not 0 <= r < shape.ndim:
                 raise ValueError(
                     f"rank {r} at bit {k} out of range for {shape.ndim} dimensions"
                 )
-            counts[r] += 1
         for d, (have, want) in enumerate(zip(counts, shape.bits)):
             if have != want:
                 raise ValueError(

@@ -431,19 +431,12 @@ def _adapt_layout(layout: Layout, bits: tuple[int, ...]) -> Layout:
     if len(bits) != layout.shape.ndim:
         raise ValueError("adapted shape must keep the dimension count")
     ranks = list(layout.ranks)
-    have = [0] * len(bits)
-    for r in ranks:
-        have[r] += 1
-    for d, want in enumerate(bits):
-        for _ in range(have[d] - want):
+    for d, (have, want) in enumerate(zip(layout.shape.bits, bits)):
+        for _ in range(have - want):
             # remove the last (most significant) occurrence of d
-            for k in range(len(ranks) - 1, -1, -1):
-                if ranks[k] == d:
-                    del ranks[k]
-                    break
-    for d, want in enumerate(bits):
-        if have[d] < want:
-            ranks.extend([d] * (want - have[d]))
+            del ranks[len(ranks) - 1 - ranks[::-1].index(d)]
+    for d, (have, want) in enumerate(zip(layout.shape.bits, bits)):
+        ranks.extend([d] * (want - have))
     return Layout(tuple(ranks), Shape(tuple(bits)))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -18,6 +19,37 @@ def random_cut(rng: random.Random, total: int) -> tuple[int, int]:
     """A cut (i, j) with 0 <= i < j <= total, drawn as next_generation does."""
     i, j = sorted(rng.sample(range(total + 1), 2))
     return i, j
+
+
+def counter_crossover(
+    ranks_a: tuple[int, ...], ranks_b: tuple[int, ...], cut: tuple[int, int]
+) -> tuple[int, ...]:
+    """Independent oracle for ox_crossover's ranks: a Counter of the
+    window's genes, consumed from parent b's window first, then from the
+    genes before it and after it."""
+    i, j = cut
+    need = Counter(ranks_a[i:j])
+
+    def kept(genes: tuple[int, ...]) -> tuple[int, ...]:
+        out = []
+        for g in genes:
+            if need[g]:
+                need[g] -= 1
+            else:
+                out.append(g)
+        return tuple(out)
+
+    window = kept(ranks_b[i:j])
+    fill = kept(ranks_b[:i]) + window + kept(ranks_b[j:])
+    return fill[:i] + ranks_a[i:j] + fill[i:]
+
+
+def reversed_segment(ranks: tuple[int, ...], segment: tuple[int, int]) -> tuple[int, ...]:
+    """Independent oracle for inversion_mutation's ranks."""
+    i, j = segment
+    out = list(ranks)
+    out[i:j] = out[i:j][::-1]
+    return tuple(out)
 
 
 def naive_interleave(ranks: tuple[int, ...], coord: tuple[int, ...]) -> int:

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bitweave.evolve as evolve_module
 from bitweave.cachesim import LevelStats, SimStats
@@ -23,7 +25,7 @@ from bitweave.evolve import (
 )
 from bitweave.layout import Layout, Shape, canonical_layout, enumerate_layouts, random_layout
 
-from helpers import random_cut, single_level
+from helpers import counter_crossover, random_cut, reversed_segment, single_level
 
 _DUMMY_STATS = SimStats(
     levels=(LevelStats("L1", 1, 0, 0, 0),),
@@ -172,6 +174,42 @@ class TestMutation:
         layout = canonical_layout(Shape((2, 2)))
         with pytest.raises(ValueError):
             inversion_mutation(layout, segment=(3, 3))
+
+
+@st.composite
+def parent_pairs(draw):
+    """Two layouts of one shape of 1-3 dimensions with 1-4 bits each."""
+    shape = Shape(tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))))
+    genes = [d for d, b in enumerate(shape.bits) for _ in range(b)]
+    return tuple(Layout(tuple(draw(st.permutations(genes))), shape) for _ in range(2))
+
+
+class TestOperatorsAgainstOracle:
+    """The operators build ranks with per-dimension counts in a list; they
+    must give what the Counter formulation in helpers gives, at every cut."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(parents=parent_pairs())
+    def test_crossover_matches_counter_formulation(self, parents):
+        a, b = parents
+        total = a.shape.total_bits
+        for i in range(total):
+            for j in range(i + 1, total + 1):
+                for pa, pb in ((a, b), (b, a), (a, a)):
+                    child = ox_crossover(pa, pb, (i, j))
+                    assert child.ranks == counter_crossover(pa.ranks, pb.ranks, (i, j))
+                    assert child.shape == a.shape
+                assert ox_crossover(a, a, (i, j)) == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(parents=parent_pairs())
+    def test_mutation_matches_reversed_segment(self, parents):
+        layout = parents[0]
+        total = layout.shape.total_bits
+        for i in range(total):
+            for j in range(i + 1, total + 1):
+                mutated = inversion_mutation(layout, (i, j))
+                assert mutated.ranks == reversed_segment(layout.ranks, (i, j))
 
 
 class TestNextGeneration:

@@ -15,6 +15,7 @@ from bitweave.cachespec import load_cache_spec
 from bitweave.fitness import (
     FitnessValue,
     _class_key,
+    _placement,
     cache_info,
     cache_size,
     clear_cache,
@@ -27,7 +28,6 @@ from bitweave.fitness import (
 from bitweave.layout import Layout, Shape, canonical_layout, enumerate_layouts
 from bitweave.patterns import (
     PATTERN_KINDS,
-    ArrayBinding,
     PatternSpec,
     bind_arrays,
     generate_trace,
@@ -273,6 +273,33 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="64-bit"):
             evaluate(canonical_layout(spec.primary_shape()), spec, load_cache_spec("haswell"))
 
+    def test_rejected_before_any_class_lookup(self):
+        """A layout of the wrong shape and elements that straddle lines are
+        rejected where the hierarchy gives no class key, where it does and
+        the memos are cold, and where the class memo already holds the
+        class the wrong layout's ranks would fall in."""
+        pattern = parse_pattern("MMijk(2;4)")
+        straddling = parse_pattern("MMijk(2;128)")
+        layout = canonical_layout(pattern.primary_shape())
+        # Adapted to MMijk(2;4)'s 2 x 2-bit arrays, these ranks are layout's.
+        wrong = Layout((0, 0, 1), Shape((2, 1)))
+        unkeyed, keyed = single_level(3, 1, 16), load_cache_spec("haswell")
+        assert class_key(pattern, layout, unkeyed) is None
+        assert class_key(pattern, layout, keyed) is not None
+        clear_cache()
+        try:
+            for spec, warm in ((unkeyed, False), (keyed, False), (keyed, True)):
+                if warm:
+                    evaluate(layout, pattern, spec)
+                with pytest.raises(ValueError, match="do not match"):
+                    evaluate(wrong, pattern, spec)
+                with pytest.raises(ValueError, match="straddle"):
+                    evaluate(layout, straddling, spec)
+            assert cache_size() == 1
+        finally:
+            clear_cache()
+        assert _placement.cache_info().currsize == 0
+
 
 def cold(pattern, layout, spec):
     """The layout's fitness from a simulation of its own, memo untouched."""
@@ -282,7 +309,7 @@ def cold(pattern, layout, spec):
 
 
 def class_key(pattern, layout, spec):
-    return _class_key(place_arrays(pattern, layout, spec), spec)
+    return _class_key(layout, _placement(pattern, spec))
 
 
 # log2 size parameters drawn for each kind: small enough to simulate a few
@@ -387,11 +414,13 @@ class TestLayoutClasses:
         assert class_key(pattern, layout, load_cache_spec("haswell")) is None
 
     def test_no_class_where_sets_are_no_bit_field(self):
-        # One 64-byte array at base 0 fills a first level of 3 or 2 lines;
-        # only the power-of-two set count can be a field of index bits.
-        bindings = (ArrayBinding("A", canonical_layout(Shape((2, 2))), 0, 4),)
-        assert _class_key(bindings, single_level(3, 1, 16)) is None
-        assert _class_key(bindings, single_level(2, 1, 16)) is not None
+        # MMijk(2;4)'s three 64-byte arrays, each starting at a multiple of
+        # 32 bytes, fill a first level of 3 or 2 16-byte lines; only the
+        # power-of-two set count can be a field of index bits.
+        pattern = parse_pattern("MMijk(2;4)")
+        layout = canonical_layout(pattern.primary_shape())
+        assert class_key(pattern, layout, single_level(3, 1, 16)) is None
+        assert class_key(pattern, layout, single_level(2, 1, 16)) is not None
 
     def test_no_class_where_a_base_is_off_set_zero(self):
         # MMijk(2;4)'s 64-byte arrays fill 4 of 8 16-byte sets, so B starts

@@ -73,6 +73,30 @@ class TestValidateLayout:
         with pytest.raises(ValueError):
             Layout([0, 2, 0, 2], Shape((2, 2)))
 
+    @pytest.mark.parametrize(
+        "ranks, bits, message",
+        [
+            ([0, 1], (2, 2), "rank sequence has 2 entries, shape has 4 bits"),
+            ([0, 0], (1, 1), "dimension 0 appears 2 times but has 1 bits; "
+             "the layout would not be bijective"),
+            ([0, 1, 1, 1], (2, 2), "dimension 0 appears 1 times but has 2 bits; "
+             "the layout would not be bijective"),
+            ([0, 2, 0, 2], (2, 2), "rank 2 at bit 1 out of range for 2 dimensions"),
+            ([0, 0, 1, -1], (2, 2), "rank -1 at bit 3 out of range for 2 dimensions"),
+            # Out-of-range ranks are reported before the counts they upset.
+            ([0, 0, 0, 7], (2, 2), "rank 7 at bit 3 out of range for 2 dimensions"),
+        ],
+    )
+    def test_messages(self, ranks, bits, message):
+        with pytest.raises(ValueError) as raised:
+            Layout(ranks, Shape(bits))
+        assert str(raised.value) == message
+
+    def test_numpy_ranks_are_stored_as_int(self):
+        layout = Layout(np.array([1, 0, 1, 0], dtype=np.int64), Shape((2, 2)))
+        assert layout.ranks == (1, 0, 1, 0)
+        assert all(type(r) is int for r in layout.ranks)
+
     @pytest.mark.parametrize("ranks", [(0.9, 1, 0, 1), (0, 1, 0, 1.0), ("0", 1, 0, 1)])
     def test_ranks_must_be_integers(self, ranks):
         with pytest.raises(TypeError, match="ranks must be integers"):
